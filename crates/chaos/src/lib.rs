@@ -10,9 +10,9 @@
 //!
 //! A [`ChaosDriver`] compiles a timeline into a sorted injection schedule
 //! the simulation replays through its event queue, with per-event RNG
-//! streams derived via the same pinned FNV-1a/SplitMix64 scheme the sweep
-//! grid uses for per-cell seeds — so every chaos run is bit-identical at
-//! any sweep worker count.
+//! streams seeded by [`hostcc_sim::derive_seed`], the seed derivation the
+//! sweep grid uses for per-cell seeds — so every chaos run is bit-identical
+//! at any sweep worker count.
 //!
 //! The [`ResilienceReport`] types score a *differential* run: the same
 //! timeline replayed against paired hostcc-off/hostcc-on cells, with
@@ -28,6 +28,6 @@ mod driver;
 mod report;
 mod timeline;
 
-pub use driver::{derive_event_seed, ChaosDriver, ChaosPhase, Injection};
+pub use driver::{ChaosDriver, ChaosPhase, Injection};
 pub use report::{ArmReport, EventScore, ResilienceReport};
 pub use timeline::{ChaosEvent, ChaosKind, ChaosTimeline};

@@ -3,34 +3,10 @@
 //! clean — for paired hostcc-off/hostcc-on arms under one identical
 //! timeline.
 
-use hostcc_sim::Nanos;
+use hostcc_sim::json::{escape, float, opt};
+use hostcc_sim::{Fnv64, Nanos};
 
 use crate::timeline::ChaosKind;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(h: &mut u64, v: u64) {
-    for byte in v.to_le_bytes() {
-        *h = (*h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fnv1a_str(h: &mut u64, s: &str) {
-    for b in s.bytes() {
-        *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    fnv1a(h, 0x1f); // delimiter
-}
-
-/// JSON-safe float rendering (non-finite values become `null`).
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// How one arm fared across one fault window.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,27 +76,28 @@ impl ArmReport {
         self.violations.saturating_sub(self.annotated_violations)
     }
 
-    fn fold(&self, h: &mut u64) {
-        fnv1a(h, u64::from(self.hostcc));
-        fnv1a(h, self.goodput_gbps.to_bits());
-        fnv1a(h, self.drop_rate_pct.to_bits());
-        fnv1a(h, self.p99_rpc_ns.unwrap_or(u64::MAX));
-        fnv1a(h, self.pre_mean_gbps.to_bits());
-        fnv1a(h, self.fairness_jain.to_bits());
-        fnv1a(h, self.watchdog_checks);
-        fnv1a(h, self.violations);
-        fnv1a(h, self.annotated_violations);
-        fnv1a(h, self.telemetry_fingerprint);
+    fn fold(&self, h: &mut Fnv64) {
+        h.write_u64(u64::from(self.hostcc));
+        h.write_u64(self.goodput_gbps.to_bits());
+        h.write_u64(self.drop_rate_pct.to_bits());
+        h.write_u64(self.p99_rpc_ns.unwrap_or(u64::MAX));
+        h.write_u64(self.pre_mean_gbps.to_bits());
+        h.write_u64(self.fairness_jain.to_bits());
+        h.write_u64(self.watchdog_checks);
+        h.write_u64(self.violations);
+        h.write_u64(self.annotated_violations);
+        h.write_u64(self.telemetry_fingerprint);
         for e in &self.events {
-            fnv1a(h, e.index as u64);
-            fnv1a_str(h, e.kind.name());
-            fnv1a(h, e.start.as_nanos());
-            fnv1a(h, e.end.as_nanos());
-            fnv1a(h, e.dip_frac.to_bits());
-            fnv1a(h, e.recover_ns);
-            fnv1a(h, u64::from(e.recovered));
-            fnv1a(h, e.violations);
-            fnv1a(h, u64::from(e.annotated));
+            h.write_u64(e.index as u64);
+            h.write_bytes(e.kind.name().as_bytes());
+            h.write_u64(0x1f); // delimiter
+            h.write_u64(e.start.as_nanos());
+            h.write_u64(e.end.as_nanos());
+            h.write_u64(e.dip_frac.to_bits());
+            h.write_u64(e.recover_ns);
+            h.write_u64(u64::from(e.recovered));
+            h.write_u64(e.violations);
+            h.write_u64(u64::from(e.annotated));
         }
     }
 
@@ -137,7 +114,7 @@ impl ArmReport {
                     e.kind.name(),
                     e.start.as_nanos(),
                     e.end.as_nanos(),
-                    jf(e.dip_frac),
+                    float(e.dip_frac),
                     e.recover_ns,
                     e.recovered,
                     e.violations,
@@ -151,12 +128,11 @@ impl ArmReport {
              \"annotated_violations\":{},\"telemetry_fingerprint\":\"{:#018x}\",\
              \"events\":[{}]}}",
             self.hostcc,
-            jf(self.goodput_gbps),
-            jf(self.drop_rate_pct),
-            self.p99_rpc_ns
-                .map_or("null".to_string(), |v| v.to_string()),
-            jf(self.pre_mean_gbps),
-            jf(self.fairness_jain),
+            float(self.goodput_gbps),
+            float(self.drop_rate_pct),
+            opt(self.p99_rpc_ns),
+            float(self.pre_mean_gbps),
+            float(self.fairness_jain),
             self.watchdog_checks,
             self.violations,
             self.annotated_violations,
@@ -184,12 +160,14 @@ impl ResilienceReport {
     /// two runs of the same differential experiment (at any worker count)
     /// must produce identical fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv1a_str(&mut h, &self.preset);
-        fnv1a_str(&mut h, &self.spec);
+        let mut h = Fnv64::new();
+        for field in [&self.preset, &self.spec] {
+            h.write_bytes(field.as_bytes());
+            h.write_u64(0x1f); // delimiter
+        }
         self.off.fold(&mut h);
         self.on.fold(&mut h);
-        h
+        h.finish()
     }
 
     /// `Err` when either arm saw a watchdog violation outside an annotated
@@ -214,8 +192,8 @@ impl ResilienceReport {
         format!(
             "{{\"preset\":\"{}\",\"spec\":\"{}\",\"fingerprint\":\"{:#018x}\",\
              \"off\":{},\"on\":{}}}\n",
-            self.preset,
-            self.spec,
+            escape(&self.preset),
+            escape(&self.spec),
             self.fingerprint(),
             self.off.to_json(),
             self.on.to_json(),

@@ -109,15 +109,14 @@ use hostcc_experiments::resilience::run_chaos;
 use hostcc_experiments::sweep::{run_sweep, SweepOptions};
 use hostcc_experiments::{known_metrics, unknown_telemetry_prefixes, Scenario, Simulation};
 use hostcc_flowscope::{FlowScope, FlowscopeHandle};
-use hostcc_perf::{compare_gated, BenchReport, PerfHandle, PerfProfiler};
+use hostcc_perf::{compare_gated, BenchReport, PerfHandle, PerfProfiler, SimRateProfiler};
 use hostcc_sim::Nanos;
 use hostcc_telemetry::{
     prometheus_text, summary_json, to_jsonl, wide_csv, Telemetry, TelemetryConfig, TelemetryFilter,
     TelemetryHandle,
 };
 use hostcc_trace::{
-    write_chrome_trace, write_jsonl, SimRateProfiler, TraceFilter, TraceHandle, Tracer,
-    DEFAULT_TRACE_CAPACITY,
+    write_chrome_trace, write_jsonl, TraceFilter, TraceHandle, Tracer, DEFAULT_TRACE_CAPACITY,
 };
 
 /// With `--features alloc-profile`, every allocation in the process is

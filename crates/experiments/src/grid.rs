@@ -5,8 +5,8 @@
 //! exactly one point. A [`GridSpec`] names a base scenario plus the axes to
 //! sweep; [`GridSpec::expand`] takes the cartesian product and yields one
 //! self-contained [`Cell`] per combination, each with a deterministically
-//! derived RNG seed (see [`derive_cell_seed`]). Cells are what the parallel
-//! sweep engine in [`crate::sweep`] executes.
+//! derived RNG seed (see [`hostcc_sim::derive_seed`]). Cells are what the
+//! parallel sweep engine in [`crate::sweep`] executes.
 //!
 //! Axes are applied to the base scenario in a fixed canonical order (DDIO
 //! before hostCC, so `enable_hostcc` picks the DDIO-matched `I_T`
@@ -15,7 +15,8 @@
 //! varying slowest — exactly the row order of the paper's tables.
 
 use hostcc_fabric::{TopologyKind, TopologySpec};
-use hostcc_sim::Rate;
+use hostcc_host::MBA_LEVELS;
+use hostcc_sim::{derive_seed, Rate};
 use hostcc_workloads::{IncastSpec, TrafficPattern};
 
 use crate::scenario::{CcSel, Scenario};
@@ -29,41 +30,6 @@ pub const MAX_CELLS: usize = 65_536;
 pub const AXIS_NAMES: &str = "ddio hostcc bt it level cc degree flows incast topology racks \
 hosts_per_rack mtu ecn_kb drop chaos seed";
 
-/// Derive the RNG seed of one grid cell from the sweep's base seed and the
-/// cell's canonical parameter key (e.g. `"ddio=off hostcc=on degree=3"`).
-///
-/// The key is hashed with FNV-1a and mixed into the base seed through two
-/// SplitMix64 finalizer rounds, so:
-///
-/// * every cell gets an independent, well-mixed seed — replicas of the same
-///   parameters differ only via the base seed;
-/// * the seed depends on the cell's *parameter assignment*, not its index:
-///   adding values to an axis or reordering a preset never changes the
-///   seeds of pre-existing cells (activating a brand-new axis does, since
-///   every key gains a component);
-/// * serial and parallel execution trivially agree, because the seed is a
-///   pure function of the spec.
-///
-/// The empty key is the identity: a one-cell grid with no axes runs the
-/// base scenario with its own seed, bit-identical to a plain single run.
-pub fn derive_cell_seed(base_seed: u64, cell_key: &str) -> u64 {
-    if cell_key.is_empty() {
-        return base_seed;
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in cell_key.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut z = base_seed ^ h;
-    for _ in 0..2 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-    }
-    z
-}
-
 /// One expanded grid point: a fully-resolved scenario plus the parameter
 /// assignment that produced it.
 #[derive(Debug, Clone)]
@@ -71,7 +37,7 @@ pub struct Cell {
     /// Position in the expansion order (row-major over the axes).
     pub index: usize,
     /// Canonical `name=value` key, axes in canonical order — the input to
-    /// [`derive_cell_seed`] and the row label in sweep outputs.
+    /// [`derive_seed`] and the row label in sweep outputs.
     pub key: String,
     /// The individual `(axis, value)` pairs of [`Cell::key`].
     pub params: Vec<(&'static str, String)>,
@@ -144,7 +110,7 @@ pub struct GridSpec {
     /// [`hostcc_chaos::ChaosTimeline`], or `off` for no chaos.
     pub chaos: Vec<String>,
     /// Base RNG seeds (replicates; each is mixed per-cell, see
-    /// [`derive_cell_seed`]).
+    /// [`derive_seed`]).
     pub seed: Vec<u64>,
 }
 
@@ -159,6 +125,17 @@ struct Axis {
 
 fn fmt_f64(v: f64) -> String {
     format!("{v}")
+}
+
+/// Resize `s` to `spec`, or, when the spec is invalid, only record it:
+/// `expand()` then reports the spec's `validate()` error, where resizing
+/// would first underflow `sender_count()` (e.g. `racks=0`).
+fn set_topology(s: &mut Scenario, spec: TopologySpec) {
+    if spec.validate().is_ok() {
+        *s = s.clone().with_topology(spec);
+    } else {
+        s.topology = Some(spec);
+    }
 }
 
 fn on_off(b: bool) -> String {
@@ -443,6 +420,22 @@ impl GridSpec {
             }
             Ok(out)
         }
+        /// Parse one value and require `ok` of it; `valid` names the range.
+        fn checked<T: std::str::FromStr>(
+            v: &str,
+            ok: impl Fn(&T) -> bool,
+            valid: &str,
+        ) -> Result<T, String>
+        where
+            T::Err: std::fmt::Display,
+        {
+            let x = v.parse::<T>().map_err(|e| e.to_string())?;
+            if ok(&x) {
+                Ok(x)
+            } else {
+                Err(format!("out of range (valid: {valid})"))
+            }
+        }
         fn bools(raw: &str) -> Result<Vec<bool>, String> {
             split(raw, |v| match v {
                 "on" | "true" | "1" => Ok(true),
@@ -455,9 +448,23 @@ impl GridSpec {
             "hostcc" => bools(values).map(|v| self.hostcc = v),
             "bt" => split(values, str::parse::<f64>).map(|v| self.bt_gbps = v),
             "it" => split(values, str::parse::<f64>).map(|v| self.it = v),
-            "level" => split(values, str::parse::<u8>).map(|v| self.mba_level = v),
+            "level" => split(values, |v| {
+                checked(
+                    v,
+                    |&l: &u8| l < MBA_LEVELS,
+                    &format!("0..={}", MBA_LEVELS - 1),
+                )
+            })
+            .map(|v| self.mba_level = v),
             "cc" => split(values, CcSel::parse).map(|v| self.cc = v),
-            "degree" => split(values, str::parse::<f64>).map(|v| self.degree = v),
+            "degree" => split(values, |v| {
+                checked(
+                    v,
+                    |d: &f64| d.is_finite() && *d >= 0.0,
+                    "a finite number >= 0",
+                )
+            })
+            .map(|v| self.degree = v),
             "flows" => split(values, str::parse::<u32>).map(|v| self.flows = v),
             "incast" => split(values, str::parse::<u32>).map(|v| self.incast = v),
             "topology" => split(values, |v: &str| {
@@ -471,9 +478,23 @@ impl GridSpec {
             .map(|v| self.topology = v),
             "racks" => split(values, str::parse::<u32>).map(|v| self.racks = v),
             "hosts_per_rack" => split(values, str::parse::<u32>).map(|v| self.hosts_per_rack = v),
-            "mtu" => split(values, str::parse::<u64>).map(|v| self.mtu = v),
+            "mtu" => split(values, |v| {
+                checked(
+                    v,
+                    |&m: &u64| m >= Scenario::MIN_MTU,
+                    &format!("{} or more", Scenario::MIN_MTU),
+                )
+            })
+            .map(|v| self.mtu = v),
             "ecn_kb" => split(values, str::parse::<u64>).map(|v| self.ecn_kb = v),
-            "drop" => split(values, str::parse::<f64>).map(|v| self.drop_chance = v),
+            "drop" => split(values, |v| {
+                checked(
+                    v,
+                    |p: &f64| (0.0..=1.0).contains(p),
+                    "a probability in [0, 1]",
+                )
+            })
+            .map(|v| self.drop_chance = v),
             "chaos" => split(values, |v: &str| {
                 if v == "off" {
                     return Ok(v.to_string());
@@ -661,7 +682,7 @@ impl GridSpec {
                     let f: Box<dyn Fn(&mut Scenario)> = Box::new(move |s: &mut Scenario| {
                         if let Some(mut spec) = s.topology {
                             spec.racks = v;
-                            *s = s.clone().with_topology(spec);
+                            set_topology(s, spec);
                         }
                     });
                     (v.to_string(), f)
@@ -676,7 +697,7 @@ impl GridSpec {
                     let f: Box<dyn Fn(&mut Scenario)> = Box::new(move |s: &mut Scenario| {
                         if let Some(mut spec) = s.topology {
                             spec.hosts_per_rack = v;
-                            *s = s.clone().with_topology(spec);
+                            set_topology(s, spec);
                         }
                     });
                     (v.to_string(), f)
@@ -812,7 +833,7 @@ impl GridSpec {
             scenario
                 .check_chaos()
                 .map_err(|e| format!("cell '{key}': {e}"))?;
-            scenario.seed = derive_cell_seed(scenario.seed, &key);
+            scenario.seed = derive_seed(scenario.seed, &key);
             cells.push(Cell {
                 index,
                 key,
@@ -932,7 +953,7 @@ mod tests {
 
         // Stability: the seed is a function of (base seed, key) only.
         for c in &cells {
-            assert_eq!(c.scenario.seed, derive_cell_seed(spec.base.seed, &c.key));
+            assert_eq!(c.scenario.seed, derive_seed(spec.base.seed, &c.key));
         }
 
         // Adding values to an existing axis preserves prior cells' seeds.
@@ -970,6 +991,22 @@ mod tests {
         );
         assert!(g.set_axis("bogus", "1").is_err());
         assert!(g.set_axis("mtu", "abc").is_err());
+        // Out-of-range values are rejected here, naming the valid range,
+        // instead of tripping an assert inside a sweep worker.
+        for (axis, value, valid) in [
+            ("mtu", "0", "131 or more"),
+            ("mtu", "1", "131 or more"),
+            ("degree", "-1", "finite number >= 0"),
+            ("degree", "nan", "finite number >= 0"),
+            ("degree", "inf", "finite number >= 0"),
+            ("drop", "2", "[0, 1]"),
+            ("drop", "nan", "[0, 1]"),
+            ("level", "200", "0..=4"),
+        ] {
+            let err = g.set_axis(axis, value).unwrap_err();
+            assert!(err.contains(valid), "{axis}={value}: {err}");
+        }
+        g.set_axis("mtu", "131").unwrap();
         let err = g.set_axis("cc", "quic").unwrap_err();
         assert!(err.contains("dcqcn"), "{err}");
         assert!(err.contains("bbr-lite"), "{err}");
@@ -1036,43 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_event_seeds_share_the_cell_seed_derivation() {
-        // The chaos crate pins its per-event stream derivation to the same
-        // FNV-1a + SplitMix64 scheme as the sweep's per-cell seeds; if one
-        // side changes, replayability claims break silently. Lock them
-        // together here, at the only crate that sees both.
-        for (seed, key) in [
-            (0u64, "chaos[0]:flap@4500000+400000"),
-            (42, "ddio=off hostcc=on degree=3"),
-            (0xdead_beef, ""),
-        ] {
-            assert_eq!(
-                hostcc_chaos::derive_event_seed(seed, key),
-                derive_cell_seed(seed, key),
-                "seed derivations diverged for {key:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn ecmp_path_seeds_share_the_cell_seed_derivation() {
-        // The fabric crate pins its ECMP path-choice derivation to the
-        // same FNV-1a + SplitMix64 scheme as the sweep's per-cell seeds;
-        // lock them together here, at the only crate that sees both.
-        for (seed, key) in [
-            (0u64, "ecmp:fat-tree-4:h0->h15:flow7"),
-            (42, "ddio=off hostcc=on degree=3"),
-            (0xdead_beef, ""),
-        ] {
-            assert_eq!(
-                hostcc_fabric::derive_path_seed(seed, key),
-                derive_cell_seed(seed, key),
-                "seed derivations diverged for {key:?}"
-            );
-        }
-    }
-
-    #[test]
     fn topology_axes_reach_the_scenario() {
         let mut g = GridSpec::new("t", Scenario::with_congestion(3.0));
         g.set_axis("topology", "off,leaf-spine").unwrap();
@@ -1091,6 +1091,19 @@ mod tests {
         let mut lone = GridSpec::new("bad", Scenario::paper_baseline());
         lone.racks = vec![2];
         assert!(lone.expand().is_err(), "racks without a topology");
+        // Zero-sized fabrics fail validation as a value, not by
+        // underflowing the sender count while the scenario is resized.
+        for (kind, axis) in [
+            ("fat-tree", "racks"),
+            ("leaf-spine", "racks"),
+            ("leaf-spine", "hosts_per_rack"),
+        ] {
+            let mut zero = GridSpec::new("bad", Scenario::with_congestion(3.0));
+            zero.set_axis("topology", kind).unwrap();
+            zero.set_axis(axis, "0").unwrap();
+            let err = zero.expand().unwrap_err();
+            assert!(err.contains("invalid topology"), "{kind} {axis}=0: {err}");
+        }
         let mut both = GridSpec::new("bad", Scenario::paper_baseline());
         both.topology = vec!["fat-tree".into()];
         both.incast = vec![8];

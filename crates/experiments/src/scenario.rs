@@ -492,6 +492,9 @@ impl Scenario {
         self.flows_per_sender.iter().sum()
     }
 
+    /// Smallest MTU a scenario accepts: headers plus a 65-byte payload.
+    pub const MIN_MTU: u64 = hostcc_fabric::HEADER_BYTES as u64 + 65;
+
     /// Maximum segment size for this MTU.
     pub fn mss(&self) -> u64 {
         self.mtu - u64::from(hostcc_fabric::HEADER_BYTES)
@@ -500,7 +503,7 @@ impl Scenario {
     /// Sanity-check the configuration.
     pub fn validate(&self) {
         assert_eq!(self.senders, self.flows_per_sender.len());
-        assert!(self.mtu > u64::from(hostcc_fabric::HEADER_BYTES) + 64);
+        assert!(self.mtu >= Self::MIN_MTU);
         assert!(self.measure > Nanos::ZERO);
         assert!(self.rpc_clients >= 1);
         assert!(

@@ -4,7 +4,7 @@
 //! independent simulation across an owned pool of worker threads with a
 //! work-stealing queue. Determinism is structural, not scheduled: a cell's
 //! RNG seed is derived from its parameter key (see
-//! [`crate::grid::derive_cell_seed`]), every simulation is built *inside*
+//! [`hostcc_sim::derive_seed`]), every simulation is built *inside*
 //! the worker that runs it, and nothing flows between cells — so per-cell
 //! results are bit-identical no matter how many workers run the sweep or
 //! which worker picks up which cell. Tests assert `--workers 1` equals
@@ -37,9 +37,11 @@ use std::time::Instant;
 
 use hostcc_flowscope::{FlowScope, FlowscopeHandle, FlowscopeResult, FlowscopeSummary};
 use hostcc_metrics::{f2, pct, Cdf, Table};
-use hostcc_perf::{PerfHandle, PerfProfiler, PerfReport};
+use hostcc_perf::{PerfHandle, PerfProfiler, PerfReport, SimRateProfiler, SimRateReport};
+use hostcc_sim::json::{escape, float, opt};
+use hostcc_sim::Fnv64;
 use hostcc_telemetry::{Telemetry, TelemetryConfig, TelemetryHandle, TelemetrySummary};
-use hostcc_trace::{SimRateProfiler, SimRateReport, TraceCounts, TraceFilter, TraceHandle, Tracer};
+use hostcc_trace::{TraceCounts, TraceFilter, TraceHandle, Tracer};
 
 use crate::grid::{Cell, GridSpec};
 use crate::{RunResult, Simulation};
@@ -151,15 +153,6 @@ pub struct CellMetrics {
     pub rpc: Vec<RpcSummary>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(h: &mut u64, word: u64) {
-    for b in word.to_le_bytes() {
-        *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-}
-
 impl CellMetrics {
     /// Flatten a [`RunResult`] to its deterministic scalars.
     pub fn from_result(r: &RunResult) -> Self {
@@ -204,7 +197,7 @@ impl CellMetrics {
     /// metrics hash equal, so serial/parallel identity can be asserted on
     /// one number per cell.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv64::new();
         for v in [
             self.goodput_gbps,
             self.goodput_all_gbps,
@@ -216,7 +209,7 @@ impl CellMetrics {
             self.mean_bs_gbps,
             self.mean_level,
         ] {
-            fnv1a(&mut h, v.to_bits());
+            h.write_u64(v.to_bits());
         }
         for v in [
             self.nic_drops,
@@ -230,16 +223,16 @@ impl CellMetrics {
             self.fabric_marks,
             self.mba_writes,
         ] {
-            fnv1a(&mut h, v);
+            h.write_u64(v);
         }
         for r in &self.rpc {
-            fnv1a(&mut h, r.size);
-            fnv1a(&mut h, r.count);
+            h.write_u64(r.size);
+            h.write_u64(r.count);
             for w in r.whiskers_ns {
-                fnv1a(&mut h, w);
+                h.write_u64(w);
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -433,7 +426,7 @@ pub fn run_sweep(spec: &GridSpec, opts: &SweepOptions) -> Result<SweepManifest, 
     let mut cell_wall_secs = 0.0;
     let mut events = 0u64;
     let mut sim_ns = 0u64;
-    let mut fingerprint = FNV_OFFSET;
+    let mut fingerprint = Fnv64::new();
     // Runs are sorted by cell index, so every merge and fingerprint fold
     // below happens in grid order regardless of worker count. Wall-clock
     // data (cell_wall_secs, perf reports) is merged but NEVER folded into
@@ -443,17 +436,17 @@ pub fn run_sweep(spec: &GridSpec, opts: &SweepOptions) -> Result<SweepManifest, 
         cell_wall_secs += r.wall_secs;
         events += r.events;
         sim_ns += r.sim_ns;
-        fnv1a(&mut fingerprint, r.index as u64);
-        fnv1a(&mut fingerprint, r.seed);
-        fnv1a(&mut fingerprint, r.metrics.fingerprint());
+        fingerprint.write_u64(r.index as u64);
+        fingerprint.write_u64(r.seed);
+        fingerprint.write_u64(r.metrics.fingerprint());
         if let Some(s) = &r.telemetry {
-            fnv1a(&mut fingerprint, s.fingerprint());
+            fingerprint.write_u64(s.fingerprint());
             telemetry_totals
                 .get_or_insert_with(TelemetrySummary::default)
                 .merge(s);
         }
         if let Some(f) = &r.flowscope {
-            fnv1a(&mut fingerprint, f.fingerprint());
+            fingerprint.write_u64(f.fingerprint());
             flowscope_totals
                 .get_or_insert_with(FlowscopeSummary::default)
                 .merge(&f.summary);
@@ -494,7 +487,7 @@ pub fn run_sweep(spec: &GridSpec, opts: &SweepOptions) -> Result<SweepManifest, 
         cell_wall_secs,
         events,
         sim_ns,
-        fingerprint,
+        fingerprint: fingerprint.finish(),
     })
 }
 
@@ -542,33 +535,6 @@ pub struct SweepManifest {
     /// FNV-1a over `(index, seed, metrics fingerprint)` of every cell —
     /// one number that pins the whole sweep's deterministic output.
     pub fingerprint: u64,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_opt(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
 }
 
 /// RFC 4180 field quoting: wrap in double quotes (doubling embedded
@@ -644,15 +610,15 @@ impl SweepManifest {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096 + self.cells.len() * 512);
         s.push_str("{\n");
-        s.push_str(&format!("  \"name\": \"{}\",\n", json_escape(&self.name)));
+        s.push_str(&format!("  \"name\": \"{}\",\n", escape(&self.name)));
         s.push_str(&format!("  \"workers\": {},\n", self.workers));
         s.push_str(&format!("  \"cell_count\": {},\n", self.cells.len()));
-        s.push_str(&format!("  \"wall_secs\": {},\n", json_f64(self.wall_secs)));
+        s.push_str(&format!("  \"wall_secs\": {},\n", float(self.wall_secs)));
         s.push_str(&format!(
             "  \"cell_wall_secs\": {},\n",
-            json_f64(self.cell_wall_secs)
+            float(self.cell_wall_secs)
         ));
-        s.push_str(&format!("  \"speedup\": {},\n", json_f64(self.speedup())));
+        s.push_str(&format!("  \"speedup\": {},\n", float(self.speedup())));
         s.push_str(&format!("  \"events\": {},\n", self.events));
         s.push_str(&format!("  \"sim_ns\": {},\n", self.sim_ns));
         // Sim-rate sidecar: aggregate events/sec and friends, emitted by
@@ -668,10 +634,10 @@ impl SweepManifest {
         ));
         s.push_str(&format!(
             "  \"read_latency_ns\": {{\"is_p50\": {}, \"is_p99\": {}, \"bs_p50\": {}, \"bs_p99\": {}}},\n",
-            json_opt(self.read_is_p50_ns),
-            json_opt(self.read_is_p99_ns),
-            json_opt(self.read_bs_p50_ns),
-            json_opt(self.read_bs_p99_ns),
+            opt(self.read_is_p50_ns),
+            opt(self.read_is_p99_ns),
+            opt(self.read_bs_p50_ns),
+            opt(self.read_bs_p99_ns),
         ));
         if let Some(t) = &self.telemetry {
             s.push_str(&format!(
@@ -710,18 +676,18 @@ impl SweepManifest {
         for (i, c) in self.cells.iter().enumerate() {
             s.push_str("    {");
             s.push_str(&format!("\"index\": {}, ", c.index));
-            s.push_str(&format!("\"key\": \"{}\", ", json_escape(&c.key)));
+            s.push_str(&format!("\"key\": \"{}\", ", escape(&c.key)));
             s.push_str("\"params\": {");
             for (j, (name, value)) in c.params.iter().enumerate() {
                 if j > 0 {
                     s.push_str(", ");
                 }
-                s.push_str(&format!("\"{name}\": \"{}\"", json_escape(value)));
+                s.push_str(&format!("\"{name}\": \"{}\"", escape(value)));
             }
             s.push_str("}, ");
             s.push_str(&format!("\"seed\": {}, ", c.seed));
             s.push_str(&format!("\"worker\": {}, ", c.worker));
-            s.push_str(&format!("\"wall_secs\": {}, ", json_f64(c.wall_secs)));
+            s.push_str(&format!("\"wall_secs\": {}, ", float(c.wall_secs)));
             s.push_str(&format!("\"events\": {}, ", c.events));
             s.push_str(&format!("\"sim_ns\": {}, ", c.sim_ns));
             s.push_str(&format!("\"trace_total\": {}, ", c.trace.total()));
@@ -737,7 +703,7 @@ impl SweepManifest {
                     "\"flowscope_fingerprint\": \"{:#018x}\", \"flowscope_jain\": {}, \
                      \"flowscope_conservation_failures\": {}, ",
                     fs.fingerprint(),
-                    json_f64(fs.jain),
+                    float(fs.jain),
                     fs.summary.conservation_failures
                 ));
             }
@@ -748,24 +714,24 @@ impl SweepManifest {
             let m = &c.metrics;
             s.push_str("\"metrics\": {");
             let fields: [(&str, String); 19] = [
-                ("goodput_gbps", json_f64(m.goodput_gbps)),
-                ("goodput_all_gbps", json_f64(m.goodput_all_gbps)),
-                ("drop_rate_pct", json_f64(m.drop_rate_pct)),
+                ("goodput_gbps", float(m.goodput_gbps)),
+                ("goodput_all_gbps", float(m.goodput_all_gbps)),
+                ("drop_rate_pct", float(m.drop_rate_pct)),
                 ("nic_drops", m.nic_drops.to_string()),
                 ("switch_drops", m.switch_drops.to_string()),
                 ("data_packets", m.data_packets.to_string()),
                 ("nic_peak_bytes", m.nic_peak_bytes.to_string()),
-                ("net_mem_util", json_f64(m.net_mem_util)),
-                ("mapp_mem_util", json_f64(m.mapp_mem_util)),
-                ("mapp_app_gbps", json_f64(m.mapp_app_gbps)),
+                ("net_mem_util", float(m.net_mem_util)),
+                ("mapp_mem_util", float(m.mapp_mem_util)),
+                ("mapp_app_gbps", float(m.mapp_app_gbps)),
                 ("retransmits", m.retransmits.to_string()),
                 ("timeouts", m.timeouts.to_string()),
                 ("tlp_probes", m.tlp_probes.to_string()),
                 ("host_marks", m.host_marks.to_string()),
                 ("fabric_marks", m.fabric_marks.to_string()),
-                ("mean_is", json_f64(m.mean_is)),
-                ("mean_bs_gbps", json_f64(m.mean_bs_gbps)),
-                ("mean_level", json_f64(m.mean_level)),
+                ("mean_is", float(m.mean_is)),
+                ("mean_bs_gbps", float(m.mean_bs_gbps)),
+                ("mean_level", float(m.mean_level)),
                 ("mba_writes", m.mba_writes.to_string()),
             ];
             for (j, (name, value)) in fields.iter().enumerate() {
@@ -829,24 +795,24 @@ impl SweepManifest {
             }
             s.push_str(&format!(
                 ",{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:#018x}\n",
-                json_f64(m.goodput_gbps),
-                json_f64(m.goodput_all_gbps),
-                json_f64(m.drop_rate_pct),
+                float(m.goodput_gbps),
+                float(m.goodput_all_gbps),
+                float(m.drop_rate_pct),
                 m.nic_drops,
                 m.switch_drops,
                 m.data_packets,
                 m.nic_peak_bytes,
-                json_f64(m.net_mem_util),
-                json_f64(m.mapp_mem_util),
-                json_f64(m.mapp_app_gbps),
+                float(m.net_mem_util),
+                float(m.mapp_mem_util),
+                float(m.mapp_app_gbps),
                 m.retransmits,
                 m.timeouts,
                 m.tlp_probes,
                 m.host_marks,
                 m.fabric_marks,
-                json_f64(m.mean_is),
-                json_f64(m.mean_bs_gbps),
-                json_f64(m.mean_level),
+                float(m.mean_is),
+                float(m.mean_bs_gbps),
+                float(m.mean_level),
                 m.mba_writes,
                 c.trace.total(),
                 c.events,

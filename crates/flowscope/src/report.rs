@@ -2,31 +2,10 @@
 //! their deterministic JSON/CSV/fingerprint encodings.
 
 use hostcc_metrics::Histogram;
-use hostcc_sim::Nanos;
+use hostcc_sim::json::{escape, float, opt};
+use hostcc_sim::{Fnv64, Nanos};
 
 use crate::scope::{Stage, STAGE_COUNT};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(h: &mut u64, v: u64) {
-    for byte in v.to_le_bytes() {
-        *h = (*h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// JSON-safe float rendering (non-finite values become `null`).
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn jopt(v: Option<u64>) -> String {
-    v.map_or("null".to_string(), |n| n.to_string())
-}
 
 /// The packet-lifecycle side of a frozen flowscope window: per-stage and
 /// end-to-end ledgers plus run counters. Merges commutatively (histograms
@@ -107,34 +86,28 @@ impl FlowscopeSummary {
     /// FNV-1a fingerprint over the integer ledgers (exact sums, counts,
     /// min/max) — bit-identical across worker counts and join orders.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv64::new();
         for (hist, &total) in self.stage_hist.iter().zip(&self.stage_total_ns) {
-            fnv1a(&mut h, hist.count());
-            fnv1a(&mut h, total);
-            fnv1a(&mut h, hist.min().map_or(u64::MAX, Nanos::as_nanos));
-            fnv1a(&mut h, hist.max().map_or(0, Nanos::as_nanos));
+            h.write_u64(hist.count());
+            h.write_u64(total);
+            h.write_u64(hist.min().map_or(u64::MAX, Nanos::as_nanos));
+            h.write_u64(hist.max().map_or(0, Nanos::as_nanos));
         }
-        fnv1a(&mut h, self.e2e_hist.count());
-        fnv1a(&mut h, self.e2e_total_ns);
-        fnv1a(
-            &mut h,
-            self.e2e_hist.min().map_or(u64::MAX, Nanos::as_nanos),
-        );
-        fnv1a(&mut h, self.e2e_hist.max().map_or(0, Nanos::as_nanos));
-        fnv1a(&mut h, self.fct_hist.count());
-        fnv1a(
-            &mut h,
-            self.fct_hist.min().map_or(u64::MAX, Nanos::as_nanos),
-        );
-        fnv1a(&mut h, self.fct_hist.max().map_or(0, Nanos::as_nanos));
-        fnv1a(&mut h, self.completed);
-        fnv1a(&mut h, self.conservation_failures);
-        fnv1a(&mut h, self.dropped);
-        fnv1a(&mut h, self.ecn_host);
-        fnv1a(&mut h, self.ecn_fabric);
-        fnv1a(&mut h, self.retransmits);
-        fnv1a(&mut h, self.flows);
-        h
+        h.write_u64(self.e2e_hist.count());
+        h.write_u64(self.e2e_total_ns);
+        h.write_u64(self.e2e_hist.min().map_or(u64::MAX, Nanos::as_nanos));
+        h.write_u64(self.e2e_hist.max().map_or(0, Nanos::as_nanos));
+        h.write_u64(self.fct_hist.count());
+        h.write_u64(self.fct_hist.min().map_or(u64::MAX, Nanos::as_nanos));
+        h.write_u64(self.fct_hist.max().map_or(0, Nanos::as_nanos));
+        h.write_u64(self.completed);
+        h.write_u64(self.conservation_failures);
+        h.write_u64(self.dropped);
+        h.write_u64(self.ecn_host);
+        h.write_u64(self.ecn_fabric);
+        h.write_u64(self.retransmits);
+        h.write_u64(self.flows);
+        h.finish()
     }
 
     /// Grand total of the per-stage sums. Equal to
@@ -180,20 +153,20 @@ pub struct FlowTableRow {
 }
 
 impl FlowTableRow {
-    fn fold(&self, h: &mut u64) {
-        fnv1a(h, u64::from(self.flow));
-        fnv1a(h, u64::from(self.greedy));
-        fnv1a(h, self.fct_ns.unwrap_or(u64::MAX));
-        fnv1a(h, self.delivered_bytes);
-        fnv1a(h, self.delivered_packets);
-        fnv1a(h, self.drops);
-        fnv1a(h, self.ecn_host);
-        fnv1a(h, self.ecn_fabric);
-        fnv1a(h, self.retransmits);
-        fnv1a(h, self.cwnd_last);
-        fnv1a(h, self.cwnd_min);
-        fnv1a(h, self.cwnd_max);
-        fnv1a(h, self.cwnd_samples);
+    fn fold(&self, h: &mut Fnv64) {
+        h.write_u64(u64::from(self.flow));
+        h.write_u64(u64::from(self.greedy));
+        h.write_u64(self.fct_ns.unwrap_or(u64::MAX));
+        h.write_u64(self.delivered_bytes);
+        h.write_u64(self.delivered_packets);
+        h.write_u64(self.drops);
+        h.write_u64(self.ecn_host);
+        h.write_u64(self.ecn_fabric);
+        h.write_u64(self.retransmits);
+        h.write_u64(self.cwnd_last);
+        h.write_u64(self.cwnd_min);
+        h.write_u64(self.cwnd_max);
+        h.write_u64(self.cwnd_samples);
     }
 
     fn to_json(&self) -> String {
@@ -204,10 +177,10 @@ impl FlowTableRow {
              \"cwnd_last\":{},\"cwnd_min\":{},\"cwnd_max\":{},\"cwnd_samples\":{}}}",
             self.flow,
             self.greedy,
-            jopt(self.fct_ns),
+            opt(self.fct_ns),
             self.delivered_bytes,
             self.delivered_packets,
-            jf(self.goodput_gbps),
+            float(self.goodput_gbps),
             self.drops,
             self.ecn_host,
             self.ecn_fabric,
@@ -244,26 +217,24 @@ pub struct GroupScore {
 }
 
 impl GroupScore {
-    fn fold(&self, h: &mut u64) {
-        for b in self.group.bytes() {
-            *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        fnv1a(h, self.flows);
-        fnv1a(h, self.delivered_bytes);
-        fnv1a(h, self.jain.to_bits());
-        fnv1a(h, self.drops);
-        fnv1a(h, self.retransmits);
+    fn fold(&self, h: &mut Fnv64) {
+        h.write_bytes(self.group.as_bytes());
+        h.write_u64(self.flows);
+        h.write_u64(self.delivered_bytes);
+        h.write_u64(self.jain.to_bits());
+        h.write_u64(self.drops);
+        h.write_u64(self.retransmits);
     }
 
     fn to_json(&self) -> String {
         format!(
             "{{\"group\":\"{}\",\"flows\":{},\"delivered_bytes\":{},\
              \"goodput_gbps\":{},\"jain\":{},\"drops\":{},\"retransmits\":{}}}",
-            self.group,
+            escape(&self.group),
             self.flows,
             self.delivered_bytes,
-            jf(self.goodput_gbps),
-            jf(self.jain),
+            float(self.goodput_gbps),
+            float(self.jain),
             self.drops,
             self.retransmits,
         )
@@ -306,25 +277,25 @@ impl FlowscopeResult {
     /// FNV-1a fingerprint over the summary, every flow row, fairness and
     /// convergence — the bit-identity witness for flows-on runs.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, self.summary.fingerprint());
-        fnv1a(&mut h, self.flows.len() as u64);
+        let mut h = Fnv64::new();
+        h.write_u64(self.summary.fingerprint());
+        h.write_u64(self.flows.len() as u64);
         for row in &self.flows {
             row.fold(&mut h);
         }
-        fnv1a(&mut h, self.groups.len() as u64);
+        h.write_u64(self.groups.len() as u64);
         for g in &self.groups {
             g.fold(&mut h);
         }
-        fnv1a(&mut h, self.jain.to_bits());
-        fnv1a(&mut h, self.convergence_ns.unwrap_or(u64::MAX));
-        fnv1a(&mut h, self.window.as_nanos());
+        h.write_u64(self.jain.to_bits());
+        h.write_u64(self.convergence_ns.unwrap_or(u64::MAX));
+        h.write_u64(self.window.as_nanos());
         for &d in &self.drops_after_stage {
-            fnv1a(&mut h, d);
+            h.write_u64(d);
         }
-        fnv1a(&mut h, self.orphan_stamps);
-        fnv1a(&mut h, self.in_flight);
-        h
+        h.write_u64(self.orphan_stamps);
+        h.write_u64(self.in_flight);
+        h.finish()
     }
 
     /// Whether every delivered packet's stage residencies summed exactly
@@ -349,10 +320,10 @@ impl FlowscopeResult {
                     s.name(),
                     hist.count(),
                     self.summary.stage_total_ns[i],
-                    jopt(hist.mean().map(Nanos::as_nanos)),
-                    jopt(hist.quantile(0.50).map(Nanos::as_nanos)),
-                    jopt(hist.quantile(0.99).map(Nanos::as_nanos)),
-                    jopt(hist.max().map(Nanos::as_nanos)),
+                    opt(hist.mean().map(Nanos::as_nanos)),
+                    opt(hist.quantile(0.50).map(Nanos::as_nanos)),
+                    opt(hist.quantile(0.99).map(Nanos::as_nanos)),
+                    opt(hist.max().map(Nanos::as_nanos)),
                 )
             })
             .collect();
@@ -378,16 +349,16 @@ impl FlowscopeResult {
             self.orphan_stamps,
             self.summary.stage_grand_total_ns(),
             self.summary.e2e_total_ns,
-            jopt(self.summary.e2e_hist.quantile(0.50).map(Nanos::as_nanos)),
-            jopt(self.summary.e2e_hist.quantile(0.99).map(Nanos::as_nanos)),
-            jopt(self.summary.e2e_hist.max().map(Nanos::as_nanos)),
-            jopt(self.summary.fct_hist.quantile(0.50).map(Nanos::as_nanos)),
-            jopt(self.summary.fct_hist.max().map(Nanos::as_nanos)),
+            opt(self.summary.e2e_hist.quantile(0.50).map(Nanos::as_nanos)),
+            opt(self.summary.e2e_hist.quantile(0.99).map(Nanos::as_nanos)),
+            opt(self.summary.e2e_hist.max().map(Nanos::as_nanos)),
+            opt(self.summary.fct_hist.quantile(0.50).map(Nanos::as_nanos)),
+            opt(self.summary.fct_hist.max().map(Nanos::as_nanos)),
             self.summary.ecn_host,
             self.summary.ecn_fabric,
             self.summary.retransmits,
-            jf(self.jain),
-            jopt(self.convergence_ns),
+            float(self.jain),
+            opt(self.convergence_ns),
             stages.join(","),
             drops.join(","),
             groups.join(","),
@@ -407,7 +378,7 @@ impl FlowscopeResult {
                 r.fct_ns.map_or(String::new(), |v| v.to_string()),
                 r.delivered_bytes,
                 r.delivered_packets,
-                jf(r.goodput_gbps),
+                r.goodput_gbps,
                 r.drops,
                 r.ecn_host,
                 r.ecn_fabric,

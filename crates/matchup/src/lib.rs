@@ -28,50 +28,14 @@
 #![warn(missing_docs)]
 
 use hostcc_metrics::{f2, Table};
+use hostcc_sim::json::{escape, float, opt};
+use hostcc_sim::Fnv64;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(h: &mut u64, v: u64) {
-    for byte in v.to_le_bytes() {
-        *h = (*h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fnv_str(h: &mut u64, s: &str) {
-    for b in s.bytes() {
-        *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    // Length-delimit so "ab"+"c" never collides with "a"+"bc".
-    fnv1a(h, s.len() as u64);
-}
-
-/// JSON-safe float rendering (non-finite values become `null`).
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn jopt(v: Option<u64>) -> String {
-    v.map_or("null".to_string(), |n| n.to_string())
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// Fold a string, length-delimited so "ab"+"c" never collides with
+/// "a"+"bc".
+fn write_str(h: &mut Fnv64, s: &str) {
+    h.write_bytes(s.as_bytes());
+    h.write_u64(s.len() as u64);
 }
 
 /// One CC group's outcome inside a heterogeneous-mix cell (copied from the
@@ -91,22 +55,22 @@ pub struct GroupOutcome {
 }
 
 impl GroupOutcome {
-    fn fold(&self, h: &mut u64) {
-        fnv_str(h, &self.group);
-        fnv1a(h, self.flows);
-        fnv1a(h, self.goodput_gbps.to_bits());
-        fnv1a(h, self.jain.to_bits());
-        fnv1a(h, self.retransmits);
+    fn fold(&self, h: &mut Fnv64) {
+        write_str(h, &self.group);
+        h.write_u64(self.flows);
+        h.write_u64(self.goodput_gbps.to_bits());
+        h.write_u64(self.jain.to_bits());
+        h.write_u64(self.retransmits);
     }
 
     fn to_json(&self) -> String {
         format!(
             "{{\"group\":\"{}\",\"flows\":{},\"goodput_gbps\":{},\"jain\":{},\
              \"retransmits\":{}}}",
-            json_escape(&self.group),
+            escape(&self.group),
             self.flows,
-            jf(self.goodput_gbps),
-            jf(self.jain),
+            float(self.goodput_gbps),
+            float(self.jain),
             self.retransmits,
         )
     }
@@ -150,21 +114,21 @@ pub struct CellScore {
 }
 
 impl CellScore {
-    fn fold(&self, h: &mut u64) {
-        fnv_str(h, &self.cc);
-        fnv1a(h, u64::from(self.hostcc));
-        fnv_str(h, &self.context);
-        fnv_str(h, &self.key);
-        fnv1a(h, self.seed);
-        fnv1a(h, self.goodput_gbps.to_bits());
-        fnv1a(h, self.min_flow_gbps.to_bits());
-        fnv1a(h, self.jain.to_bits());
-        fnv1a(h, self.convergence_ns.unwrap_or(u64::MAX));
-        fnv1a(h, self.retransmits);
-        fnv1a(h, self.timeouts);
-        fnv1a(h, self.drop_rate_pct.to_bits());
-        fnv1a(h, self.rpc_p99_ns.unwrap_or(u64::MAX));
-        fnv1a(h, self.groups.len() as u64);
+    fn fold(&self, h: &mut Fnv64) {
+        write_str(h, &self.cc);
+        h.write_u64(u64::from(self.hostcc));
+        write_str(h, &self.context);
+        write_str(h, &self.key);
+        h.write_u64(self.seed);
+        h.write_u64(self.goodput_gbps.to_bits());
+        h.write_u64(self.min_flow_gbps.to_bits());
+        h.write_u64(self.jain.to_bits());
+        h.write_u64(self.convergence_ns.unwrap_or(u64::MAX));
+        h.write_u64(self.retransmits);
+        h.write_u64(self.timeouts);
+        h.write_u64(self.drop_rate_pct.to_bits());
+        h.write_u64(self.rpc_p99_ns.unwrap_or(u64::MAX));
+        h.write_u64(self.groups.len() as u64);
         for g in &self.groups {
             g.fold(h);
         }
@@ -183,19 +147,19 @@ impl CellScore {
              \"seed\":{},\"goodput_gbps\":{},\"min_flow_gbps\":{},\"jain\":{},\
              \"convergence_ns\":{},\"retransmits\":{},\"timeouts\":{},\
              \"drop_rate_pct\":{},\"rpc_p99_ns\":{},\"groups\":[{}]}}",
-            json_escape(&self.cc),
+            escape(&self.cc),
             self.hostcc,
-            json_escape(&self.context),
-            json_escape(&self.key),
+            escape(&self.context),
+            escape(&self.key),
             self.seed,
-            jf(self.goodput_gbps),
-            jf(self.min_flow_gbps),
-            jf(self.jain),
-            jopt(self.convergence_ns),
+            float(self.goodput_gbps),
+            float(self.min_flow_gbps),
+            float(self.jain),
+            opt(self.convergence_ns),
             self.retransmits,
             self.timeouts,
-            jf(self.drop_rate_pct),
-            jopt(self.rpc_p99_ns),
+            float(self.drop_rate_pct),
+            opt(self.rpc_p99_ns),
             groups.join(","),
         )
     }
@@ -239,16 +203,16 @@ impl LeaderboardRow {
              \"mean_convergence_ns\":{},\"retransmits\":{},\
              \"worst_rpc_p99_ns\":{},\"score\":{}}}",
             self.rank,
-            json_escape(&self.cc),
+            escape(&self.cc),
             self.hostcc,
             self.cells,
-            jf(self.mean_goodput_gbps),
-            jf(self.mean_jain),
+            float(self.mean_goodput_gbps),
+            float(self.mean_jain),
             self.converged,
-            jopt(self.mean_convergence_ns),
+            opt(self.mean_convergence_ns),
             self.retransmits,
-            jopt(self.worst_rpc_p99_ns),
-            jf(self.score),
+            opt(self.worst_rpc_p99_ns),
+            float(self.score),
         )
     }
 }
@@ -326,14 +290,14 @@ impl MatchupReport {
     /// The leaderboard is derived from the cells, so it is not folded —
     /// equal fingerprints imply equal leaderboards.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv_str(&mut h, &self.preset);
-        fnv_str(&mut h, &self.budget);
-        fnv1a(&mut h, self.cells.len() as u64);
+        let mut h = Fnv64::new();
+        write_str(&mut h, &self.preset);
+        write_str(&mut h, &self.budget);
+        h.write_u64(self.cells.len() as u64);
         for c in &self.cells {
             c.fold(&mut h);
         }
-        h
+        h.finish()
     }
 
     /// Deterministic `hostcc-matchup/v1` JSON: wall-clock free,
@@ -353,8 +317,8 @@ impl MatchupReport {
             "{{\"schema\":\"hostcc-matchup/v1\",\"preset\":\"{}\",\"budget\":\"{}\",\
              \"fingerprint\":\"{:#018x}\",\"cell_count\":{},\n\"leaderboard\":[\n{}\n],\
              \n\"cells\":[\n{}\n]}}\n",
-            json_escape(&self.preset),
-            json_escape(&self.budget),
+            escape(&self.preset),
+            escape(&self.budget),
             self.fingerprint(),
             self.cells.len(),
             board.join(",\n"),
@@ -409,14 +373,14 @@ impl MatchupReport {
                 r.cc,
                 if r.hostcc { "on" } else { "off" },
                 r.cells,
-                jf(r.mean_goodput_gbps),
-                jf(r.mean_jain),
+                r.mean_goodput_gbps,
+                r.mean_jain,
                 r.converged,
                 r.mean_convergence_ns
                     .map_or(String::new(), |n| n.to_string()),
                 r.retransmits,
                 r.worst_rpc_p99_ns.map_or(String::new(), |n| n.to_string()),
-                jf(r.score),
+                r.score,
             ));
         }
         s

@@ -1,6 +1,6 @@
-//! A minimal JSON reader (and `f64` writer) so `repro bench --compare`
-//! can load prior `BENCH_*.json` files without pulling `serde` into an
-//! offline, registry-free workspace.
+//! A minimal JSON reader so `repro bench --compare` can load prior
+//! `BENCH_*.json` files without pulling `serde` into an offline,
+//! registry-free workspace. The writer side is `hostcc_sim::json`.
 //!
 //! The parser is a plain recursive-descent over the JSON grammar:
 //! objects, arrays, strings (with the standard escapes incl. `\u`),
@@ -108,34 +108,6 @@ impl JsonValue {
     pub fn is_null(&self) -> bool {
         matches!(self, JsonValue::Null)
     }
-}
-
-/// Render an `f64` so that parsing it back yields the identical bits:
-/// Rust's `{:?}` shortest-round-trip repr, with non-finite values mapped
-/// to `null` (JSON has no NaN/inf).
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escape a string for embedding in a JSON document (adds no quotes).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -302,6 +274,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hostcc_sim::json::{escape, float};
+    use proptest::prelude::*;
 
     #[test]
     fn parses_nested_document() {
@@ -344,12 +318,12 @@ mod tests {
             f64::MIN_POSITIVE,
             -9.87e-300,
         ] {
-            let text = fmt_f64(v);
+            let text = float(v);
             let back = JsonValue::parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{text}");
         }
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
+        assert_eq!(float(f64::NAN), "null");
+        assert_eq!(float(f64::INFINITY), "null");
     }
 
     #[test]
@@ -360,6 +334,33 @@ mod tests {
             JsonValue::parse(&wrapped).unwrap().as_str(),
             Some("tab\there")
         );
+    }
+
+    proptest! {
+        /// Whatever a report embeds — control characters, quotes,
+        /// backslashes, multi-byte UTF-8 — escapes to a JSON string that
+        /// parses back to exactly the original.
+        #[test]
+        fn escape_round_trips_through_the_parser(
+            code_points in prop::collection::vec(
+                prop_oneof![
+                    0u32..0x20,
+                    Just(u32::from('"')),
+                    Just(u32::from('\\')),
+                    0x20u32..0x7f,
+                    0x80u32..0xd800,
+                    0x1_0000u32..0x11_0000,
+                ],
+                0..24,
+            )
+        ) {
+            let s: String = code_points
+                .iter()
+                .map(|&c| char::from_u32(c).expect("no surrogates drawn"))
+                .collect();
+            let parsed = JsonValue::parse(&format!("\"{}\"", escape(&s))).unwrap();
+            prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
+        }
     }
 
     #[test]

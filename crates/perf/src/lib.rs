@@ -4,7 +4,7 @@
 //! wall-clock nanoseconds of a run actually go, and is the simulator
 //! getting faster or slower PR over PR?
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * **Attribution** — [`PerfProfiler`] behind a cloneable [`PerfHandle`]:
 //!   a scope stack the simulation loop enters and exits around every event
@@ -14,6 +14,9 @@
 //!   `Option` check; profiling only ever reads the wall clock, so profiled
 //!   runs stay bit-identical to unprofiled ones (pinned by test in
 //!   `hostcc-experiments`).
+//! * **Sim rate** — [`SimRateProfiler`] / [`SimRateReport`]: events and
+//!   simulated nanoseconds per wall second, piggybacked on the event
+//!   queue's popped counter; the headline rate of every run and sweep.
 //! * **Allocation counting** — a `CountingAllocator` global allocator
 //!   (allocs, freed, bytes, peak live heap) gated behind the
 //!   `alloc-profile` feature so default builds keep `forbid(unsafe_code)`
@@ -51,7 +54,9 @@ mod report;
 pub use alloc::CountingAllocator;
 pub use alloc::{alloc_stats, reset_alloc_peak, AllocStats};
 pub use json::JsonValue;
-pub use profile::{PerfHandle, PerfProfiler, PerfReport, PerfScope, Subsystem};
+pub use profile::{
+    PerfHandle, PerfProfiler, PerfReport, PerfScope, SimRateProfiler, SimRateReport, Subsystem,
+};
 pub use report::{
     compare, compare_gated, BenchComparison, BenchDelta, BenchReport, BenchWorkload, HostMeta,
 };

@@ -9,10 +9,11 @@
 //! only meaningful within one host, and the compare logic never looks
 //! at it.
 
-use crate::json::{escape, fmt_f64, JsonValue};
-use crate::profile::PerfReport;
+use hostcc_sim::json::{escape, float};
+
+use crate::json::JsonValue;
+use crate::profile::{PerfReport, SimRateReport};
 use crate::AllocStats;
-use hostcc_trace::SimRateReport;
 
 /// Schema identifier written into (and required from) every BENCH file.
 pub const BENCH_SCHEMA: &str = "hostcc-bench/v1";
@@ -64,7 +65,7 @@ impl BenchWorkload {
     }
 
     fn to_json(&self) -> String {
-        let iters: Vec<String> = self.wall_secs_iters.iter().map(|v| fmt_f64(*v)).collect();
+        let iters: Vec<String> = self.wall_secs_iters.iter().map(|v| float(*v)).collect();
         let perf = match &self.perf {
             Some(p) => p.to_json(),
             None => "null".to_string(),
@@ -82,8 +83,8 @@ impl BenchWorkload {
              \"perf\": {}, \"alloc\": {}}}",
             escape(&self.name),
             self.rate().to_json(),
-            fmt_f64(self.wall_secs_p50),
-            fmt_f64(self.wall_secs_p95),
+            float(self.wall_secs_p50),
+            float(self.wall_secs_p95),
             iters.join(", "),
             perf,
             alloc,

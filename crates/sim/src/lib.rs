@@ -12,6 +12,10 @@
 //!   simulated DCTCP (`α` with `g = 1/16`) and by hostCC itself
 //!   (`I_S` with weight 1/8, `B_S` with weight 1/256, paper §4.1).
 //! * [`Rate`] — bandwidth arithmetic in bytes/ns with Gbps/GBps conversions.
+//! * [`Fnv64`], [`derive_seed`] and [`json`] — the determinism kernel: the
+//!   one FNV-1a hasher behind every fingerprint, the one seed derivation
+//!   behind every per-cell, per-chaos-event and per-route RNG stream, and
+//!   the one set of JSON value renderers behind every exported document.
 //!
 //! The engine is single-threaded on purpose: the hostCC experiments need a
 //! single logical clock across the host substrate, the fabric and the
@@ -23,12 +27,15 @@
 
 mod event;
 mod ewma;
+mod hash;
+pub mod json;
 mod rate;
 mod rng;
 mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use ewma::Ewma;
+pub use hash::{derive_seed, Fnv64};
 pub use rate::Rate;
 pub use rng::Rng;
 pub use time::Nanos;

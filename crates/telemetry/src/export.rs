@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use hostcc_metrics::TimeSeries;
+use hostcc_sim::json::{escape, float};
 use hostcc_sim::Nanos;
 
 use crate::handle::TelemetryResult;
@@ -47,8 +48,8 @@ pub fn to_jsonl(series: &BTreeMap<String, TimeSeries>) -> String {
             out.push_str(&format!(
                 "{{\"t_us\":{:.3},\"metric\":\"{}\",\"value\":{}}}\n",
                 t.as_micros_f64(),
-                json_escape(name),
-                json_f64(v)
+                escape(name),
+                float(v)
             ));
         }
     }
@@ -66,7 +67,7 @@ pub fn prometheus_text(registry: &MetricRegistry) -> String {
     }
     for (name, v) in registry.gauges() {
         let m = mangle(name);
-        out.push_str(&format!("# TYPE {m} gauge\n{m} {}\n", json_f64(v)));
+        out.push_str(&format!("# TYPE {m} gauge\n{m} {}\n", float(v)));
     }
     for (name, h) in registry.histograms() {
         let m = mangle(name);
@@ -83,7 +84,7 @@ pub fn prometheus_text(registry: &MetricRegistry) -> String {
             ));
         }
         out.push_str(&format!("{m}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-        out.push_str(&format!("{m}_sum {}\n", json_f64(h.sum())));
+        out.push_str(&format!("{m}_sum {}\n", float(h.sum())));
         out.push_str(&format!("{m}_count {}\n", h.count()));
     }
     out
@@ -107,7 +108,7 @@ pub fn summary_json(result: &TelemetryResult) -> String {
             out.push(',');
         }
         first = false;
-        out.push_str(&format!("\n    \"{}\": {}", json_escape(k), v));
+        out.push_str(&format!("\n    \"{}\": {}", escape(k), v));
     }
     if !first {
         out.push_str("\n  ");
@@ -115,7 +116,7 @@ pub fn summary_json(result: &TelemetryResult) -> String {
     out.push_str("},\n");
     out.push_str(&format!("  \"strict\": {},\n", result.strict));
     match &result.diagnostic {
-        Some(d) => out.push_str(&format!("  \"diagnostic\": \"{}\",\n", json_escape(d))),
+        Some(d) => out.push_str(&format!("  \"diagnostic\": \"{}\",\n", escape(d))),
         None => out.push_str("  \"diagnostic\": null,\n"),
     }
     out.push_str(&format!(
@@ -136,29 +137,6 @@ fn mangle(name: &str) -> String {
         }
     }
     m
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -6,20 +6,7 @@
 
 use std::collections::BTreeMap;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv1a_u64(h: u64, v: u64) -> u64 {
-    fnv1a_bytes(h, &v.to_le_bytes())
-}
+use hostcc_sim::Fnv64;
 
 /// Running statistics for one gauge over a sampling window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,25 +98,25 @@ impl TelemetrySummary {
     /// order. Two runs with bit-identical telemetry produce the same
     /// fingerprint regardless of worker count or join order.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv1a_u64(h, self.samples);
-        h = fnv1a_u64(h, self.checks);
+        let mut h = Fnv64::new();
+        h.write_u64(self.samples);
+        h.write_u64(self.checks);
         for (name, &v) in &self.counters {
-            h = fnv1a_bytes(h, name.as_bytes());
-            h = fnv1a_u64(h, v);
+            h.write_bytes(name.as_bytes());
+            h.write_u64(v);
         }
         for (name, st) in &self.gauges {
-            h = fnv1a_bytes(h, name.as_bytes());
-            h = fnv1a_u64(h, st.count);
-            h = fnv1a_u64(h, st.sum.to_bits());
-            h = fnv1a_u64(h, st.min.to_bits());
-            h = fnv1a_u64(h, st.max.to_bits());
+            h.write_bytes(name.as_bytes());
+            h.write_u64(st.count);
+            h.write_u64(st.sum.to_bits());
+            h.write_u64(st.min.to_bits());
+            h.write_u64(st.max.to_bits());
         }
         for (name, &v) in &self.violations {
-            h = fnv1a_bytes(h, name.as_bytes());
-            h = fnv1a_u64(h, v);
+            h.write_bytes(name.as_bytes());
+            h.write_u64(v);
         }
-        h
+        h.finish()
     }
 }
 

@@ -1,7 +1,7 @@
 //! # hostcc-trace
 //!
-//! Structured event tracing, Chrome-trace/Perfetto export, and sim-rate
-//! profiling for the hostCC simulation stack.
+//! Structured event tracing and Chrome-trace/Perfetto export for the
+//! hostCC simulation stack.
 //!
 //! The pieces:
 //!
@@ -22,8 +22,6 @@
 //!   trace-event JSON document (open in [Perfetto](https://ui.perfetto.dev)
 //!   or `chrome://tracing`) with one track per component category, and a
 //!   line-per-event JSONL dump for `jq`/scripts.
-//! * [`SimRateProfiler`] / [`SimRateReport`] — wall-clock simulation-rate
-//!   measurement piggybacked on the event queue's popped counter.
 //!
 //! ## Example
 //!
@@ -53,12 +51,10 @@
 
 mod event;
 mod export;
-mod profile;
 mod tracer;
 
 pub use event::{DropLocus, TraceEvent, TraceKind};
 pub use export::{write_chrome_trace, write_jsonl};
-pub use profile::{SimRateProfiler, SimRateReport};
 pub use tracer::{
     TraceCounts, TraceFilter, TraceHandle, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY,
 };

@@ -4,8 +4,9 @@
 //! scheme must never drift (pinned values — changing the scheme silently
 //! re-seeds every published figure).
 
-use hostcc_experiments::grid::{derive_cell_seed, GridSpec};
+use hostcc_experiments::grid::GridSpec;
 use hostcc_experiments::sweep::{run_cells, run_sweep, SweepOptions};
+use hostcc_sim::derive_seed;
 use hostcc_sim::Nanos;
 
 fn quick_figure_grid() -> GridSpec {
@@ -90,17 +91,17 @@ fn cell_seed_derivation_is_pinned() {
     // These constants are load-bearing: changing the derivation re-seeds
     // every grid cell and silently shifts all published figure numbers.
     assert_eq!(
-        derive_cell_seed(1, "ddio=off hostcc=off degree=0"),
+        derive_seed(1, "ddio=off hostcc=off degree=0"),
         0xd9db_7a29_000d_441a
     );
     assert_eq!(
-        derive_cell_seed(1, "ddio=on hostcc=on degree=3"),
+        derive_seed(1, "ddio=on hostcc=on degree=3"),
         0x49b9_dcec_a87e_ecac
     );
-    assert_eq!(derive_cell_seed(7, "mtu=9000"), 0x7305_df96_0613_bcf0);
+    assert_eq!(derive_seed(7, "mtu=9000"), 0x7305_df96_0613_bcf0);
     // The empty key is the identity: a one-cell grid runs the base seed.
-    assert_eq!(derive_cell_seed(1, ""), 1);
-    assert_eq!(derive_cell_seed(42, ""), 42);
+    assert_eq!(derive_seed(1, ""), 1);
+    assert_eq!(derive_seed(42, ""), 42);
 }
 
 #[test]
