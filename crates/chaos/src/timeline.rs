@@ -433,8 +433,8 @@ impl ChaosTimeline {
 
     /// Check every link fault against the scenario's addressable links.
     ///
-    /// `links` is the set of valid target names (empty for the legacy
-    /// single-link scenarios, which have nothing to address). The rules —
+    /// `links` is the set of valid target names (empty on the implicit
+    /// single-switch fabric, which has no named links). The rules —
     /// mirroring the `--telemetry-filter` zero-match rejection:
     ///
     /// * a named target must exist in `links`;
@@ -566,7 +566,7 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("ambiguous link fault"), "{err}");
         assert!(err.contains("flap@link:<name>"), "{err}");
-        // Legacy single-link scenario: untargeted passes, targets do not.
+        // Implicit single-switch fabric: untargeted passes, targets do not.
         ChaosTimeline::parse("flap@2ms")
             .unwrap()
             .validate_targets(&[])

@@ -90,8 +90,8 @@ pub struct GridSpec {
     pub flows: Vec<u32>,
     /// Total greedy flows split over two incast senders.
     pub incast: Vec<u32>,
-    /// Fabric topology per cell: `off` (the legacy single switch port) or
-    /// a kind name from [`hostcc_fabric::TopologyKind`] (`dumbbell`,
+    /// Fabric topology per cell: `off` (the implicit fabric, the paper's
+    /// one switch port) or a kind name from [`hostcc_fabric::TopologyKind`] (`dumbbell`,
     /// `leaf-spine`, `fat-tree`). Attaching a topology reshapes the sender
     /// set, so this axis conflicts with `flows`/`incast`.
     pub topology: Vec<String>,
@@ -446,8 +446,22 @@ impl GridSpec {
         let result = match axis {
             "ddio" => bools(values).map(|v| self.ddio = v),
             "hostcc" => bools(values).map(|v| self.hostcc = v),
-            "bt" => split(values, str::parse::<f64>).map(|v| self.bt_gbps = v),
-            "it" => split(values, str::parse::<f64>).map(|v| self.it = v),
+            "bt" => split(values, |v| {
+                checked(
+                    v,
+                    |b: &f64| b.is_finite() && *b > 0.0,
+                    "a finite number > 0",
+                )
+            })
+            .map(|v| self.bt_gbps = v),
+            "it" => split(values, |v| {
+                checked(
+                    v,
+                    |i: &f64| i.is_finite() && *i >= 0.0,
+                    "a finite number >= 0",
+                )
+            })
+            .map(|v| self.it = v),
             "level" => split(values, |v| {
                 checked(
                     v,
@@ -1002,6 +1016,12 @@ mod tests {
             ("drop", "2", "[0, 1]"),
             ("drop", "nan", "[0, 1]"),
             ("level", "200", "0..=4"),
+            ("bt", "nan", "finite number > 0"),
+            ("bt", "0", "finite number > 0"),
+            ("bt", "-5", "finite number > 0"),
+            ("bt", "inf", "finite number > 0"),
+            ("it", "nan", "finite number >= 0"),
+            ("it", "-1", "finite number >= 0"),
         ] {
             let err = g.set_axis(axis, value).unwrap_err();
             assert!(err.contains(valid), "{axis}={value}: {err}");

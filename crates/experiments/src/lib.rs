@@ -54,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+mod fabric;
 pub mod figures;
 pub mod grid;
 pub mod matchup;

@@ -267,10 +267,10 @@ pub struct Scenario {
     /// Kept as the raw string so grid cell keys — and hence per-cell RNG
     /// seeds — stay purely textual.
     pub chaos: Option<String>,
-    /// Multi-switch fabric (None = the legacy single-switch-port path,
-    /// which stays bit-identical to pre-topology builds). With a
+    /// Multi-switch fabric. None is the implicit fabric: the paper's one
+    /// switch port, which every flow crosses to the focus host. With a
     /// topology, `senders` must equal the spec's sender count and every
-    /// flow is forwarded hop by hop through per-link `SwitchPort`s.
+    /// flow's route crosses one `SwitchPort` per switch-sourced link.
     pub topology: Option<TopologySpec>,
     /// How greedy flows map onto hosts (incast fan-in vs ring collective;
     /// only [`TrafficPattern::Incast`] is valid without a topology).

@@ -1,5 +1,5 @@
-//! The end-to-end simulation: senders → switch → receiver host, with
-//! transport, hostCC, workloads and metrics wired together.
+//! The end-to-end simulation: senders → switch fabric → receiver host,
+//! with transport, hostCC, workloads and metrics wired together.
 //!
 //! Architecture: packet motion is event-driven (the [`Ev`] enum); the
 //! receiver host integrates on a fixed 100 ns tick. The main loop drains
@@ -7,8 +7,9 @@
 //! the hostCC controller, the flows' timers and the workload generators.
 //!
 //! ```text
-//! Flow.poll_send → FqLink(sender NIC) → prop → SwitchPort(ECN/drop) →
-//!   prop → RxHost(NIC buffer → PCIe → IIO → memory) → stack delay →
+//! Flow.poll_send → FqLink(sender NIC) → prop → [SwitchPort(ECN/drop) →
+//!   prop] per hop of the flow's Fabric route → RxHost(NIC buffer → PCIe →
+//!   IIO → memory) → stack delay →
 //!   Receiver.on_data → [hostCC echo already applied] → ACK (fixed
 //!   reverse delay) → Flow.on_ack
 //! ```
@@ -17,7 +18,7 @@ use hostcc_chaos::{ChaosDriver, ChaosKind, ChaosPhase, ChaosTimeline};
 use hostcc_core::{EcnEcho, HostCc, Sample, SignalConfig, SignalSampler, TargetPolicy};
 use hostcc_fabric::{
     Arena, ArenaRef, Departure, EnqueueOutcome, FaultInjector, FaultOutcome, FlowId, FqLink, Node,
-    Packet, PacketArena, PacketRef, SwitchPort, Topology,
+    Packet, PacketArena, PacketRef,
 };
 use hostcc_flowscope::{FlowscopeHandle, Stage};
 use hostcc_host::{MsrReadModel, RxHost, TickOutput, TxHost, MBA_LEVELS};
@@ -29,8 +30,9 @@ use hostcc_trace::{DropLocus, TraceCounts, TraceEvent, TraceHandle};
 use hostcc_transport::{
     BbrLite, Cubic, Dcqcn, Dctcp, Flow, FlowConfig, FlowStats, Receiver, Reno, Swift, Timely,
 };
-use hostcc_workloads::{RingAllReduceSpec, RpcClient, TrafficPattern};
+use hostcc_workloads::RpcClient;
 
+use crate::fabric::Fabric;
 use crate::result::{RpcResult, RunResult};
 use crate::scenario::{CcKind, Scenario};
 
@@ -45,7 +47,8 @@ enum Ev {
     /// A packet's last bit left sender `sender`'s NIC.
     Depart { sender: u32, pkt: PacketRef },
     /// A packet's last bit arrived at a switch ingress. `hop` indexes the
-    /// packet's route (always 0 on the legacy single-switch path).
+    /// flow's [`Fabric`] route (0 is fabric entry; the implicit fabric's
+    /// routes are one hop long).
     ArriveSwitch { pkt: PacketRef, hop: u32 },
     /// A packet's last bit arrived at the receiver NIC.
     ArriveRxNic { pkt: PacketRef },
@@ -71,13 +74,26 @@ struct AckMsg {
 /// the event's `@link:<name>` target against the scenario's topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ChaosTarget {
-    /// Untargeted fault: every sender NIC link (the legacy shape, and the
-    /// only valid one on the single implicit link of a no-topology run).
+    /// Untargeted fault: every sender NIC link (the only valid shape on
+    /// the implicit fabric, which has no link names).
     AllSenders,
-    /// A named host uplink: that one sender's NIC link.
+    /// A named host uplink: that host's NIC link (a no-op for a host that
+    /// sends nothing).
     Sender(u32),
-    /// A named switch-sourced link: that egress port of the topology.
-    FabricLink(u32),
+    /// A named switch-sourced link: that [`Fabric`] port.
+    Port(u32),
+}
+
+impl ChaosTarget {
+    /// Does this target cover a packet of `sender` crossing fabric `ports`
+    /// (none for the sender's own NIC link)?
+    fn covers(self, sender: usize, ports: &[u32]) -> bool {
+        match self {
+            ChaosTarget::AllSenders => true,
+            ChaosTarget::Sender(s) => s as usize == sender,
+            ChaosTarget::Port(p) => ports.contains(&p),
+        }
+    }
 }
 
 /// Runtime state of a compiled chaos timeline: the driver plus per-event
@@ -139,18 +155,14 @@ impl ChaosRt {
 
     /// Is sender `s`'s NIC link inside an open down window?
     fn sender_down(&self, s: usize) -> bool {
-        self.down_windows.iter().any(|&(_, t)| match t {
-            ChaosTarget::AllSenders => true,
-            ChaosTarget::Sender(x) => x as usize == s,
-            ChaosTarget::FabricLink(_) => false,
-        })
+        self.down_windows.iter().any(|&(_, t)| t.covers(s, &[]))
     }
 
-    /// Is topology link `link` inside an open down window?
-    fn fabric_link_down(&self, link: u32) -> bool {
+    /// Is fabric port `port` inside an open down window?
+    fn port_down(&self, port: u32) -> bool {
         self.down_windows
             .iter()
-            .any(|&(_, t)| t == ChaosTarget::FabricLink(link))
+            .any(|&(_, t)| t == ChaosTarget::Port(port))
     }
 
     /// Rate multiplier for sender `s`'s NIC link (product of the open
@@ -158,39 +170,19 @@ impl ChaosRt {
     fn sender_rate_scale(&self, s: usize) -> f64 {
         self.degrades
             .iter()
-            .filter(|&&(_, t, _)| match t {
-                ChaosTarget::AllSenders => true,
-                ChaosTarget::Sender(x) => x as usize == s,
-                ChaosTarget::FabricLink(_) => false,
-            })
+            .filter(|&&(_, t, _)| t.covers(s, &[]))
             .map(|&(_, _, m)| m)
             .product()
     }
 
-    /// Rate multiplier for topology link `link`.
-    fn fabric_rate_scale(&self, link: u32) -> f64 {
+    /// Rate multiplier for fabric port `port`.
+    fn port_rate_scale(&self, port: u32) -> f64 {
         self.degrades
             .iter()
-            .filter(|&&(_, t, _)| t == ChaosTarget::FabricLink(link))
+            .filter(|&&(_, t, _)| t == ChaosTarget::Port(port))
             .map(|&(_, _, m)| m)
             .product()
     }
-}
-
-/// Runtime state of an attached multi-switch topology: the graph, one
-/// egress [`SwitchPort`] per switch-sourced link, and every flow's frozen
-/// ECMP route (host uplinks carry no port — the sender's [`FqLink`] *is*
-/// that link).
-struct TopoRt {
-    topo: Topology,
-    /// Per-link egress port, indexed by link id (`None` on host uplinks).
-    ports: Vec<Option<SwitchPort>>,
-    /// Per-flow forwarding path: the switch-sourced links of its route, in
-    /// traversal order (`Ev::ArriveSwitch::hop` indexes this).
-    routes: Vec<Vec<u32>>,
-    /// Per-flow: does the path end at the focus receiver host (full host
-    /// model) rather than a modeled-as-a-sink peer?
-    dst_is_focus: Vec<bool>,
 }
 
 /// The assembled simulation.
@@ -216,10 +208,8 @@ pub struct Simulation {
     tx_host: Option<TxHost>,
     /// Sender-side hostCC controller (drives the TX host's MBA).
     tx_hostcc: Option<HostCc>,
-    switch: SwitchPort,
-    /// Multi-switch fabric, when the scenario attaches a topology. The
-    /// legacy `switch` port is bypassed entirely in that case.
-    topo: Option<TopoRt>,
+    /// Every switch port and every flow's route through them.
+    fabric: Fabric,
     rx: RxHost,
     hostcc: Option<HostCc>,
     echo: EcnEcho,
@@ -411,7 +401,6 @@ impl Simulation {
         let senders = (0..cfg.senders)
             .map(|_| FqLink::new(Rate::gbps(100.0)))
             .collect();
-        let switch = SwitchPort::new(cfg.switch);
         let telemetry = if cfg.record {
             TelemetryHandle::new(Telemetry::default())
         } else {
@@ -419,45 +408,13 @@ impl Simulation {
         };
         let tick = cfg.host.tick;
 
-        // Freeze the topology runtime: one egress port per switch-sourced
-        // link, and every flow's ECMP route drawn once from the pinned
-        // path-seed scheme — routes depend only on (topology, flow, seed),
-        // so multi-hop runs are bit-identical at any sweep worker count.
-        let topo = cfg.topology.map(|spec| {
-            let topo = spec.build();
-            let ports = (0..topo.links().len() as u32)
-                .map(|l| {
-                    topo.is_switch_sourced(l)
-                        .then(|| SwitchPort::new(cfg.switch))
-                })
-                .collect();
-            let receiver = topo.receiver();
-            let mut routes = Vec::with_capacity(n_flows);
-            let mut dst_is_focus = Vec::with_capacity(n_flows);
-            for (i, &s) in sender_of_flow.iter().enumerate() {
-                let src = s as u32;
-                let dst = match cfg.pattern {
-                    TrafficPattern::Incast => receiver,
-                    TrafficPattern::RingAllReduce => RingAllReduceSpec {
-                        hosts: topo.host_count(),
-                    }
-                    .dst_of(src),
-                };
-                let path = topo.route(src, dst, i as u32, cfg.seed);
-                routes.push(
-                    path.into_iter()
-                        .filter(|&l| topo.is_switch_sourced(l))
-                        .collect(),
-                );
-                dst_is_focus.push(dst == receiver);
-            }
-            TopoRt {
-                topo,
-                ports,
-                routes,
-                dst_is_focus,
-            }
-        });
+        // The graph lives only through assembly: the fabric table and the
+        // chaos targets are resolved against it once.
+        let topo = cfg.topology.map(|spec| spec.build());
+        let fabric = match &topo {
+            Some(t) => Fabric::from_topology(t, &cfg, &sender_of_flow),
+            None => Fabric::implicit(cfg.switch, n_flows),
+        };
 
         // Compile the chaos timeline and schedule every injection up front:
         // the schedule depends only on the scenario (spec text + seed), so
@@ -465,22 +422,25 @@ impl Simulation {
         let chaos = cfg.chaos.as_ref().map(|spec| {
             let tl = ChaosTimeline::resolve(spec).expect("scenario validated the chaos spec");
             // Resolve `@link:` targets against the topology: a host uplink
-            // is that sender's NIC link, anything switch-sourced is a
-            // fabric port. (Scenario::validate rejected unknown names.)
+            // is that host's NIC link, anything switch-sourced is a fabric
+            // port. (Scenario::validate rejected unknown names.)
             let targets = tl
                 .events
                 .iter()
                 .map(|e| match &e.target {
                     None => ChaosTarget::AllSenders,
                     Some(name) => {
-                        let t = &topo
+                        let t = topo
                             .as_ref()
-                            .expect("scenario validated link targets against a topology")
-                            .topo;
+                            .expect("scenario validated link targets against a topology");
                         let l = t.find_link(name).expect("scenario validated the target");
                         match t.link(l).from {
-                            Node::Host(h) if (h as usize) < cfg.senders => ChaosTarget::Sender(h),
-                            _ => ChaosTarget::FabricLink(l),
+                            Node::Host(h) => ChaosTarget::Sender(h),
+                            Node::Switch(_) => ChaosTarget::Port(
+                                fabric
+                                    .port_of_link(l)
+                                    .expect("switch-sourced links own a port"),
+                            ),
                         }
                     }
                 })
@@ -504,8 +464,7 @@ impl Simulation {
             senders,
             tx_host,
             tx_hostcc,
-            switch,
-            topo,
+            fabric,
             rx,
             hostcc,
             echo: EcnEcho::new(),
@@ -730,102 +689,25 @@ impl Simulation {
                 }
             }
             Ev::ArriveSwitch { pkt, hop } => {
-                // Every drop path below must free the arena slot — an
-                // interned packet has exactly one owner, and on a drop the
-                // owner is this handler.
-                let (flow, id) = {
-                    let p = self.arena.get(pkt);
-                    (p.flow.0, p.id)
-                };
+                let flow = self.arena.get(pkt).flow.0;
                 // Edge effects fire once per packet, at fabric entry.
                 if hop == 0 {
-                    // Burst-loss chaos windows: every open burst draws for
-                    // every packet (streams stay aligned however the other
-                    // bursts land); any hit whose target covers this
-                    // packet's path drops it before the switch.
-                    if let Some(c) = &mut self.chaos {
-                        let mut hit = false;
-                        let sender = self.sender_of_flow[flow as usize] as u32;
-                        for (_, rng, p, target) in &mut c.bursts {
-                            let draw = rng.chance(*p);
-                            let applies = match *target {
-                                ChaosTarget::AllSenders => true,
-                                ChaosTarget::Sender(s) => s == sender,
-                                ChaosTarget::FabricLink(l) => self
-                                    .topo
-                                    .as_ref()
-                                    .is_some_and(|rt| rt.routes[flow as usize].contains(&l)),
-                            };
-                            if draw && applies {
-                                hit = true;
-                            }
-                        }
-                        if hit {
-                            c.drops += 1;
-                            self.arena.remove(pkt);
-                            self.flowscope.packet_dropped(id, now);
-                            self.trace.emit(now, || TraceEvent::PacketDrop {
-                                flow,
-                                locus: DropLocus::Fault,
-                            });
-                            return;
-                        }
+                    if self.burst_hit(flow) {
+                        return self.drop_packet(now, pkt, DropLocus::Fault);
                     }
                     match self.fault.apply() {
-                        FaultOutcome::Drop => {
-                            self.arena.remove(pkt);
-                            self.flowscope.packet_dropped(id, now);
-                            self.trace.emit(now, || TraceEvent::PacketDrop {
-                                flow,
-                                locus: DropLocus::Fault,
-                            });
-                            return;
-                        }
+                        FaultOutcome::Pass => {}
+                        FaultOutcome::Drop => return self.drop_packet(now, pkt, DropLocus::Fault),
                         FaultOutcome::Corrupt => {
                             // Corrupted packets are dropped by the receiver's
                             // checksum; they still traverse the switch, but we
                             // short-circuit the host datapath for simplicity.
                             self.corrupt_drops += 1;
-                            self.arena.remove(pkt);
-                            self.flowscope.packet_dropped(id, now);
-                            self.trace.emit(now, || TraceEvent::PacketDrop {
-                                flow,
-                                locus: DropLocus::Fault,
-                            });
-                            return;
+                            return self.drop_packet(now, pkt, DropLocus::Fault);
                         }
-                        FaultOutcome::Pass => {}
                     }
                 }
-                let wire_bytes = self.arena.get(pkt).wire_bytes();
-                if self.topo.is_some() {
-                    self.forward_hop(now, pkt, flow, id, wire_bytes, hop);
-                    return;
-                }
-                match self.switch.enqueue(now, wire_bytes) {
-                    EnqueueOutcome::Dropped => {
-                        self.arena.remove(pkt);
-                        self.flowscope.packet_dropped(id, now);
-                        self.trace.emit(now, || TraceEvent::PacketDrop {
-                            flow,
-                            locus: DropLocus::Switch,
-                        });
-                    }
-                    EnqueueOutcome::Enqueued { departs, marked } => {
-                        // Propagation closes now; switch residency closes at
-                        // the (future) departure instant — safe to stamp
-                        // early, any later stamp is later still.
-                        self.flowscope.boundary(id, Stage::PropToSwitch, now);
-                        self.flowscope.boundary(id, Stage::SwitchQueue, departs);
-                        if marked {
-                            self.arena.get_mut(pkt).mark_ce();
-                            self.trace
-                                .emit(now, || TraceEvent::EcnMark { flow, host: false });
-                        }
-                        self.q
-                            .schedule(departs + self.cfg.link_prop, Ev::ArriveRxNic { pkt });
-                    }
-                }
+                self.forward_hop(now, pkt, flow, hop);
             }
             Ev::ArriveRxNic { pkt } => {
                 // NIC buffer admission; drops are counted inside the host.
@@ -842,7 +724,7 @@ impl Simulation {
                 // A non-focus destination has no modeled host: its
                 // application consumes at line rate, so drain the socket
                 // right away and advertise the reopened window.
-                if self.topo.as_ref().is_some_and(|rt| !rt.dst_is_focus[idx]) {
+                if !self.fabric.ends_at_focus(pkt.flow.0) {
                     let unconsumed = self.recvs[idx].unconsumed();
                     self.flow_goodput[idx] += self.recvs[idx].app_read(unconsumed);
                     ack.rwnd = self.recvs[idx].rwnd();
@@ -879,79 +761,84 @@ impl Simulation {
         }
     }
 
-    /// Forward a packet across hop `hop` of its route on the attached
-    /// topology: enqueue into that link's egress port, stamp the per-hop
-    /// flowscope boundaries (accumulating stamps keep the exact stage-sum =
-    /// e2e conservation identity over any hop count), and schedule the next
-    /// hop — or the delivery, once the path is exhausted.
-    fn forward_hop(
-        &mut self,
-        now: Nanos,
-        pkt: PacketRef,
-        flow: u32,
-        id: u64,
-        wire_bytes: u64,
-        hop: u32,
-    ) {
-        let rt = self.topo.as_mut().expect("forward_hop needs a topology");
-        let route = &rt.routes[flow as usize];
-        let link = route[hop as usize];
-        let last = hop as usize + 1 == route.len();
-        // An open link-down window kills the link: arrivals at its ingress
-        // are lost (packets already queued in the port still depart).
-        if self
-            .chaos
-            .as_ref()
-            .is_some_and(|c| c.fabric_link_down(link))
-        {
-            self.chaos.as_mut().expect("checked above").drops += 1;
-            self.arena.remove(pkt);
-            self.flowscope.packet_dropped(id, now);
-            self.trace.emit(now, || TraceEvent::PacketDrop {
-                flow,
-                locus: DropLocus::Fault,
-            });
-            return;
+    /// Lose an in-flight packet at `locus`. The dropping handler owns the
+    /// packet, so it frees the arena slot here.
+    fn drop_packet(&mut self, now: Nanos, pkt: PacketRef, locus: DropLocus) {
+        let p = self.arena.remove(pkt);
+        self.flowscope.packet_dropped(p.id, now);
+        self.trace.emit(now, || TraceEvent::PacketDrop {
+            flow: p.flow.0,
+            locus,
+        });
+    }
+
+    /// Draw every open burst-loss window for a packet of `flow` entering
+    /// the fabric: true (and counted as a chaos drop) when a hit's target
+    /// covers the packet's path. Every open burst draws for every packet,
+    /// so the streams stay aligned however the other bursts land.
+    fn burst_hit(&mut self, flow: u32) -> bool {
+        let Some(c) = &mut self.chaos else {
+            return false;
+        };
+        let sender = self.sender_of_flow[flow as usize];
+        let route = self.fabric.route(flow);
+        let mut hit = false;
+        for (_, rng, p, target) in &mut c.bursts {
+            hit |= rng.chance(*p) && target.covers(sender, route);
         }
-        let port = rt.ports[link as usize]
-            .as_mut()
-            .expect("route links are switch-sourced");
-        match port.enqueue(now, wire_bytes) {
-            EnqueueOutcome::Dropped => {
-                self.arena.remove(pkt);
-                self.flowscope.packet_dropped(id, now);
-                self.trace.emit(now, || TraceEvent::PacketDrop {
-                    flow,
-                    locus: DropLocus::Switch,
-                });
-            }
-            EnqueueOutcome::Enqueued { departs, marked } => {
-                self.flowscope.boundary(id, Stage::PropToSwitch, now);
-                self.flowscope.boundary(id, Stage::SwitchQueue, departs);
-                if marked {
-                    self.arena.get_mut(pkt).mark_ce();
-                    self.trace
-                        .emit(now, || TraceEvent::EcnMark { flow, host: false });
-                }
-                if !last {
-                    self.q.schedule(
-                        departs + self.cfg.link_prop,
-                        Ev::ArriveSwitch { pkt, hop: hop + 1 },
-                    );
-                } else if rt.dst_is_focus[flow as usize] {
-                    self.q
-                        .schedule(departs + self.cfg.link_prop, Ev::ArriveRxNic { pkt });
-                } else {
-                    // Non-focus destinations skip the focus host model:
-                    // deliver after a fixed stack delay. The remaining
-                    // prop + stack time folds into the Stack stage at
-                    // delivery (sparse stamping conserves exactly).
-                    self.q.schedule(
-                        departs + self.cfg.link_prop + self.cfg.rx_stack_delay,
-                        Ev::DeliverStack { pkt },
-                    );
-                }
-            }
+        if hit {
+            c.drops += 1;
+        }
+        hit
+    }
+
+    /// Forward a packet across hop `hop` of its fabric route: enqueue into
+    /// that egress port, stamp the per-hop flowscope boundaries
+    /// (accumulating stamps keep the exact stage-sum = e2e conservation
+    /// identity over any hop count), and schedule the next hop — or the
+    /// delivery, once the route is exhausted.
+    fn forward_hop(&mut self, now: Nanos, pkt: PacketRef, flow: u32, hop: u32) {
+        let route = self.fabric.route(flow);
+        let port = route[hop as usize];
+        let last = hop as usize + 1 == route.len();
+        // An open link-down window kills the port's link: arrivals at its
+        // ingress are lost (packets already queued in the port still depart).
+        if let Some(c) = self.chaos.as_mut().filter(|c| c.port_down(port)) {
+            c.drops += 1;
+            return self.drop_packet(now, pkt, DropLocus::Fault);
+        }
+        let (id, wire_bytes) = {
+            let p = self.arena.get(pkt);
+            (p.id, p.wire_bytes())
+        };
+        let EnqueueOutcome::Enqueued { departs, marked } =
+            self.fabric.port_mut(port).enqueue(now, wire_bytes)
+        else {
+            return self.drop_packet(now, pkt, DropLocus::Switch);
+        };
+        // Propagation closes now; switch residency closes at the (future)
+        // departure instant — safe to stamp early, any later stamp is later
+        // still.
+        self.flowscope.boundary(id, Stage::PropToSwitch, now);
+        self.flowscope.boundary(id, Stage::SwitchQueue, departs);
+        if marked {
+            self.arena.get_mut(pkt).mark_ce();
+            self.trace
+                .emit(now, || TraceEvent::EcnMark { flow, host: false });
+        }
+        let arrive = departs + self.cfg.link_prop;
+        if !last {
+            self.q
+                .schedule(arrive, Ev::ArriveSwitch { pkt, hop: hop + 1 });
+        } else if self.fabric.ends_at_focus(flow) {
+            self.q.schedule(arrive, Ev::ArriveRxNic { pkt });
+        } else {
+            // Non-focus destinations skip the focus host model: deliver
+            // after a fixed stack delay. The remaining prop + stack time
+            // folds into the Stack stage at delivery (sparse stamping
+            // conserves exactly).
+            self.q
+                .schedule(arrive + self.cfg.rx_stack_delay, Ev::DeliverStack { pkt });
         }
     }
 
@@ -1020,14 +907,9 @@ impl Simulation {
                     let rate = Rate::gbps(100.0 * c.sender_rate_scale(s));
                     self.senders[s].set_rate(rate);
                 }
-                if let Some(rt) = &mut self.topo {
-                    let nominal = self.cfg.switch.rate.as_gbps();
-                    for (l, port) in rt.ports.iter_mut().enumerate() {
-                        if let Some(port) = port {
-                            let scale = c.fabric_rate_scale(l as u32);
-                            port.set_rate(Rate::gbps(nominal * scale));
-                        }
-                    }
+                let nominal = self.cfg.switch.rate.as_gbps();
+                for (p, port) in self.fabric.ports_mut() {
+                    port.set_rate(Rate::gbps(nominal * c.port_rate_scale(p)));
                 }
             }
             ChaosKind::BurstLoss => {
@@ -1343,22 +1225,6 @@ impl Simulation {
         self.perf.exit();
     }
 
-    /// Cumulative (drops, marks, forwarded) across the active fabric: the
-    /// topology's egress ports when one is attached, the single legacy
-    /// switch port otherwise.
-    fn fabric_totals(&self) -> (u64, u64, u64) {
-        match &self.topo {
-            Some(rt) => rt.ports.iter().flatten().fold((0, 0, 0), |(d, m, f), p| {
-                (d + p.drops(), m + p.marks(), f + p.forwarded())
-            }),
-            None => (
-                self.switch.drops(),
-                self.switch.marks(),
-                self.switch.forwarded(),
-            ),
-        }
-    }
-
     /// Update registry gauges from the host probe and the latest signal
     /// sample, run the invariant watchdog, and snapshot a telemetry sample
     /// — when a pipeline is attached and a sample is due. Every value is a
@@ -1375,7 +1241,7 @@ impl Simulation {
             .map(|_| f64::from(self.rx.mba().requested_level()))
             .unwrap_or(0.0);
         let signal = self.last_signal;
-        let ecn_marks = self.echo.host_marks + self.fabric_totals().1;
+        let ecn_marks = self.echo.host_marks + self.fabric.totals().1;
         let fault_counts = (
             self.fault.drops(),
             self.fault.corruptions(),
@@ -1385,28 +1251,6 @@ impl Simulation {
             .chaos
             .as_ref()
             .map(|c| (c.fired, c.drops, c.open as f64));
-        // The first few fabric ports are interesting individually (hotspot
-        // visibility on multi-switch runs); beyond that, totals suffice.
-        let port_stats: Vec<(String, f64, u64, u64)> = match &mut self.topo {
-            Some(rt) => {
-                let topo = &rt.topo;
-                rt.ports
-                    .iter_mut()
-                    .enumerate()
-                    .filter_map(|(l, p)| {
-                        let p = p.as_mut()?;
-                        Some((
-                            topo.link(l as u32).name.clone(),
-                            p.backlog_bytes(now) as f64,
-                            p.marks(),
-                            p.drops(),
-                        ))
-                    })
-                    .take(8)
-                    .collect()
-            }
-            None => Vec::new(),
-        };
         // The first few flows are interesting individually (Fig 8's
         // convergence view); beyond that per-flow series are noise.
         let flow_rates: Vec<(usize, f64)> = self
@@ -1464,11 +1308,7 @@ impl Simulation {
             reg.counter_set("fabric.fault.drops", fault_counts.0);
             reg.counter_set("fabric.fault.corruptions", fault_counts.1);
             reg.counter_set("fabric.fault.passed", fault_counts.2);
-            for (name, backlog, marks, drops) in &port_stats {
-                reg.gauge_set(&format!("fabric.port.{name}.backlog_bytes"), *backlog);
-                reg.counter_set(&format!("fabric.port.{name}.marks"), *marks);
-                reg.counter_set(&format!("fabric.port.{name}.drops"), *drops);
-            }
+            self.fabric.record_ports(now, reg);
             if let Some((fired, drops, open)) = chaos_counts {
                 reg.counter_set("chaos.injections", fired);
                 reg.counter_set("chaos.drops", drops);
@@ -1488,7 +1328,7 @@ impl Simulation {
         for (i, f) in self.flows.iter().enumerate() {
             self.stats_base[i] = f.stats;
         }
-        self.switch_base = self.fabric_totals();
+        self.switch_base = self.fabric.totals();
         self.flow_goodput.fill(0);
         self.level_sum = 0.0;
         self.level_ticks = 0;
@@ -1535,7 +1375,7 @@ impl Simulation {
             .map(|(i, f)| f.stats.tlp_probes - self.stats_base[i].tlp_probes)
             .sum();
         let nic_drops = self.rx.nic_drops();
-        let (fab_drops, fab_marks, _) = self.fabric_totals();
+        let (fab_drops, fab_marks, _) = self.fabric.totals();
         let switch_drops = fab_drops - self.switch_base.0;
         let fabric_marks = fab_marks - self.switch_base.1;
         let total_drops = nic_drops + switch_drops + self.corrupt_drops;

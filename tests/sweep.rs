@@ -122,3 +122,59 @@ fn single_cell_grid_matches_direct_run() {
     assert_eq!(runs[0].metrics.retransmits, direct.retransmits);
     assert_eq!(runs[0].metrics.mean_level, direct.mean_level);
 }
+
+#[test]
+fn implicit_fabric_runs_are_pinned() {
+    use hostcc_experiments::figures::Budget;
+    use hostcc_experiments::sweep::CellMetrics;
+    use hostcc_experiments::{Scenario, Simulation};
+
+    // The paper's single-switch fabric carries every figure, so its
+    // forwarding is pinned bit for bit: a quick run of each preset, the
+    // two chaos faults that act on the fabric (sender-link degrade and
+    // burst loss), and one named-fabric cell as the control. Changing
+    // any constant here means a forwarding change moved published numbers.
+    let hostcc_chaos = |name: &str| {
+        GridSpec::new(
+            name,
+            Scenario::with_congestion(3.0)
+                .enable_hostcc()
+                .with_chaos(name),
+        )
+    };
+    let cases = [
+        (
+            GridSpec::preset("baseline").unwrap(),
+            0xb00c_5c17_f58e_765d,
+            105_983,
+        ),
+        (
+            GridSpec::preset("hostcc").unwrap(),
+            0x7b62_d2cc_9b85_8025,
+            76_305,
+        ),
+        (
+            GridSpec::preset("incast").unwrap(),
+            0xd629_6843_d5f4_a1d1,
+            80_314,
+        ),
+        (hostcc_chaos("brownout"), 0xddd2_6ccf_2c6c_9732, 69_292),
+        (hostcc_chaos("burst-loss"), 0x0211_d975_2fcc_a52f, 48_925),
+        (
+            GridSpec::preset("fat-tree-incast").unwrap(),
+            0xb70f_e3b3_4416_95fa,
+            78_447,
+        ),
+    ];
+    for (mut spec, fingerprint, events) in cases {
+        spec.base = Budget::quick().apply(spec.base);
+        let cell = spec.expand().unwrap().remove(0);
+        let mut sim = Simulation::new(cell.scenario);
+        let r = sim.run();
+        let got = (
+            CellMetrics::from_result(&r).fingerprint(),
+            sim.events_processed(),
+        );
+        assert_eq!(got, (fingerprint, events), "{}", spec.name);
+    }
+}
