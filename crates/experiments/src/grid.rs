@@ -479,8 +479,10 @@ impl GridSpec {
                 )
             })
             .map(|v| self.degree = v),
-            "flows" => split(values, str::parse::<u32>).map(|v| self.flows = v),
-            "incast" => split(values, str::parse::<u32>).map(|v| self.incast = v),
+            "flows" => split(values, |v| checked(v, |&n: &u32| n >= 1, "1 or more"))
+                .map(|v| self.flows = v),
+            "incast" => split(values, |v| checked(v, |&n: &u32| n >= 1, "1 or more"))
+                .map(|v| self.incast = v),
             "topology" => split(values, |v: &str| {
                 if v == "off" || TopologyKind::parse(v).is_some() {
                     Ok(v.to_string())
@@ -1022,11 +1024,18 @@ mod tests {
             ("bt", "inf", "finite number > 0"),
             ("it", "nan", "finite number >= 0"),
             ("it", "-1", "finite number >= 0"),
+            ("flows", "0", "1 or more"),
+            ("flows", "4,0", "1 or more"),
+            ("incast", "0", "1 or more"),
         ] {
             let err = g.set_axis(axis, value).unwrap_err();
             assert!(err.contains(valid), "{axis}={value}: {err}");
         }
         g.set_axis("mtu", "131").unwrap();
+        let mut one = GridSpec::new("one", Scenario::paper_baseline());
+        one.set_axis("flows", "1,8").unwrap();
+        one.set_axis("incast", "1").unwrap();
+        assert_eq!((one.flows, one.incast), (vec![1, 8], vec![1]));
         let err = g.set_axis("cc", "quic").unwrap_err();
         assert!(err.contains("dcqcn"), "{err}");
         assert!(err.contains("bbr-lite"), "{err}");

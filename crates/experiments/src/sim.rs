@@ -3,8 +3,19 @@
 //!
 //! Architecture: packet motion is event-driven (the [`Ev`] enum); the
 //! receiver host integrates on a fixed 100 ns tick. The main loop drains
-//! all events up to the next tick boundary, then advances the host model,
-//! the hostCC controller, the flows' timers and the workload generators.
+//! all events up to the next tick boundary, then runs the tick.
+//!
+//! Every tick always advances the host model (sender and receiver
+//! datapaths), the hostCC controller and the monitoring sampler, and
+//! hands the host's DMA-completed packets up the stack. Per-flow and
+//! per-receiver work runs only when due, so skipping it changes nothing:
+//! - a flow's timers and pump run when a timer deadline has passed, or
+//!   when it is marked unpumped (never pumped yet, or its RPC client just
+//!   queued a message); an ACK pumps its flow on arrival;
+//! - the copy-engine drain runs when there are copied bytes and
+//!   unconsumed socket data (a running total, not a per-tick sum);
+//! - the window-reopen scan runs while some advertised window is below
+//!   one MSS (a running count).
 //!
 //! ```text
 //! Flow.poll_send → FqLink(sender NIC) → prop → [SwitchPort(ECN/drop) →
@@ -232,10 +243,23 @@ pub struct Simulation {
     /// Compiled chaos timeline, if the scenario carries one.
     chaos: Option<ChaosRt>,
 
+    /// Per flow: pumped to exhaustion, and nothing since can have given it
+    /// a packet to send except a timer (checked against
+    /// [`Flow::next_deadline`]) or an ACK (whose handler pumps). False
+    /// until the first pump and after its RPC client queues a message.
+    /// Starting all-false keeps the build to one zeroed allocation.
+    pumped: Vec<bool>,
+
     // Window accounting.
     flow_goodput: Vec<u64>,
     copied_carry: f64,
+    /// Sum of every receiver's unconsumed bytes (the copy engine's drain
+    /// target), kept wherever `on_data` and `app_read` run.
+    unconsumed: u64,
     last_advertised_rwnd: Vec<u64>,
+    /// Entries of `last_advertised_rwnd` below one MSS: the receivers that
+    /// may owe a window update.
+    closed_rwnd: usize,
     stats_base: Vec<FlowStats>,
     switch_base: (u64, u64, u64), // drops, marks, forwarded
     level_sum: f64,
@@ -478,9 +502,12 @@ impl Simulation {
             fault,
             corrupt_drops: 0,
             chaos,
+            pumped: vec![false; n_flows],
             flow_goodput: vec![0; n_flows],
             copied_carry: 0.0,
+            unconsumed: 0,
             last_advertised_rwnd: vec![u64::MAX; n_flows],
+            closed_rwnd: 0,
             stats_base: vec![FlowStats::default(); n_flows],
             switch_base: (0, 0, 0),
             level_sum: 0.0,
@@ -720,16 +747,17 @@ impl Simulation {
                 let pkt = self.arena.remove(pkt);
                 self.flowscope.delivered(pkt.id, pkt.payload_bytes(), now);
                 let idx = pkt.flow.0 as usize;
+                let before = self.recvs[idx].unconsumed();
                 let mut ack = self.recvs[idx].on_data(&pkt, now);
+                self.unconsumed += self.recvs[idx].unconsumed() - before;
                 // A non-focus destination has no modeled host: its
                 // application consumes at line rate, so drain the socket
                 // right away and advertise the reopened window.
                 if !self.fabric.ends_at_focus(pkt.flow.0) {
-                    let unconsumed = self.recvs[idx].unconsumed();
-                    self.flow_goodput[idx] += self.recvs[idx].app_read(unconsumed);
+                    self.app_read(idx, u64::MAX);
                     ack.rwnd = self.recvs[idx].rwnd();
                 }
-                self.last_advertised_rwnd[idx] = ack.rwnd;
+                self.advertise(idx, ack.rwnd);
                 for c in self.recvs[idx].take_completed() {
                     for (fi, rpc) in &mut self.rpcs {
                         if *fi == idx {
@@ -988,6 +1016,28 @@ impl Simulation {
         self.chaos = Some(c);
     }
 
+    /// Application read of up to `bytes` from receiver `i`, credited to the
+    /// flow's goodput and taken off the running unconsumed total.
+    fn app_read(&mut self, i: usize, bytes: u64) -> u64 {
+        let take = self.recvs[i].app_read(bytes);
+        self.flow_goodput[i] += take;
+        self.unconsumed -= take;
+        take
+    }
+
+    /// Record the window advertised to flow `i`, keeping the count of
+    /// sub-MSS (closed) windows.
+    fn advertise(&mut self, i: usize, rwnd: u64) {
+        let mss = self.cfg.mss();
+        let was_closed = self.last_advertised_rwnd[i] < mss;
+        self.last_advertised_rwnd[i] = rwnd;
+        match (was_closed, rwnd < mss) {
+            (false, true) => self.closed_rwnd += 1,
+            (true, false) => self.closed_rwnd -= 1,
+            _ => {}
+        }
+    }
+
     fn pump_flow(&mut self, idx: usize, now: Nanos) {
         let sender = self.sender_of_flow[idx];
         // Sender 0 may route through the sender host model (TX DMA).
@@ -1124,43 +1174,43 @@ impl Simulation {
         //    receive-window reopening.
         self.copied_carry += out.copied_app_bytes;
         self.tick_out = out;
-        if self.copied_carry >= 1.0 {
-            let total_unconsumed: u64 = self.recvs.iter().map(|r| r.unconsumed()).sum();
-            if total_unconsumed > 0 {
-                let drainable = (self.copied_carry as u64).min(total_unconsumed);
-                let mut remaining = drainable;
-                let n = self.recvs.len();
-                for i in 0..n {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let share = ((drainable as u128 * self.recvs[i].unconsumed() as u128)
-                        / total_unconsumed as u128) as u64;
-                    let take = self.recvs[i].app_read(share.min(remaining));
-                    self.flow_goodput[i] += take;
-                    remaining -= take;
+        // Shares are of the total before this drain; the reads shrink
+        // the running total as they go.
+        let total_unconsumed = self.unconsumed;
+        if self.copied_carry >= 1.0 && total_unconsumed > 0 {
+            let drainable = (self.copied_carry as u64).min(total_unconsumed);
+            let mut remaining = drainable;
+            let n = self.recvs.len();
+            for i in 0..n {
+                if remaining == 0 {
+                    break;
                 }
-                // Round-off leftovers: first-come, first-served.
-                for i in 0..n {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let take = self.recvs[i].app_read(remaining);
-                    self.flow_goodput[i] += take;
-                    remaining -= take;
-                }
-                self.copied_carry -= (drainable - remaining) as f64;
+                let share = ((drainable as u128 * self.recvs[i].unconsumed() as u128)
+                    / total_unconsumed as u128) as u64;
+                remaining -= self.app_read(i, share.min(remaining));
             }
+            // Round-off leftovers: first-come, first-served.
+            for i in 0..n {
+                if remaining == 0 {
+                    break;
+                }
+                remaining -= self.app_read(i, remaining);
+            }
+            self.copied_carry -= (drainable - remaining) as f64;
         }
 
         // 5. Receive-window reopening: if a flow's advertised window was
         //    closed below one MSS and the application has since drained the
-        //    socket, send a window update (Linux does the same).
+        //    socket, send a window update (Linux does the same). Only runs
+        //    while some window is closed.
         let mss = self.cfg.mss();
         for i in 0..self.recvs.len() {
+            if self.closed_rwnd == 0 {
+                break;
+            }
             let rwnd = self.recvs[i].rwnd();
             if self.last_advertised_rwnd[i] < mss && rwnd >= mss {
-                self.last_advertised_rwnd[i] = rwnd;
+                self.advertise(i, rwnd);
                 let msg = self.acks.insert(AckMsg {
                     cum: self.recvs[i].cum_ack(),
                     ece: false,
@@ -1208,21 +1258,41 @@ impl Simulation {
         self.sample_telemetry(now, eff_level);
         self.perf.exit();
 
-        // 7. Workloads and flow timers.
+        // 7. Workloads and flow timers. Only due flows get tick work: a
+        //    flow whose timers are not due and that is already pumped would
+        //    fire nothing and send nothing (`poll_send` is not time-gated,
+        //    and every ACK pumps its flow to exhaustion on arrival).
         self.perf.enter(PerfScope::TickWorkload);
-        for k in 0..self.rpcs.len() {
-            let (idx, _) = self.rpcs[k];
-            let (_, rpc) = &mut self.rpcs[k];
-            let flow = &mut self.flows[idx];
-            rpc.maybe_send(now, flow);
+        for (idx, rpc) in &mut self.rpcs {
+            if rpc.maybe_send(now, &mut self.flows[*idx]) {
+                self.pumped[*idx] = false;
+            }
         }
         self.perf.exit();
         self.perf.enter(PerfScope::TickTransport);
         for i in 0..self.flows.len() {
-            self.flows[i].on_tick(now);
-            self.pump_flow(i, now);
+            let timer_due = self.flows[i].next_deadline().is_some_and(|d| d <= now);
+            if timer_due || !self.pumped[i] {
+                self.flows[i].on_tick(now);
+                self.pump_flow(i, now);
+                self.pumped[i] = true;
+            }
         }
         self.perf.exit();
+
+        debug_assert_eq!(
+            self.unconsumed,
+            self.recvs.iter().map(Receiver::unconsumed).sum::<u64>(),
+            "running unconsumed total drifted"
+        );
+        debug_assert_eq!(
+            self.closed_rwnd,
+            self.last_advertised_rwnd
+                .iter()
+                .filter(|&&r| r < mss)
+                .count(),
+            "closed-window count drifted"
+        );
     }
 
     /// Update registry gauges from the host probe and the latest signal

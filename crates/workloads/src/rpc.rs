@@ -114,20 +114,26 @@ impl RpcClient {
     /// Issue the next request when due: closed loop sends one at a time
     /// after think time; open loop fires at Poisson intervals regardless
     /// of outstanding requests. Call before polling the flow for packets.
-    pub fn maybe_send(&mut self, now: Nanos, flow: &mut Flow) {
+    /// Returns whether at least one message was queued on `flow` (the
+    /// flow then has new data to send).
+    pub fn maybe_send(&mut self, now: Nanos, flow: &mut Flow) -> bool {
         match self.cfg.open_loop_rate {
             None => {
                 if !self.outstanding.is_empty() || now < self.next_send_at {
-                    return;
+                    return false;
                 }
                 self.send_one(now, flow);
+                true
             }
             Some(rate) => {
+                let mut sent = false;
                 while now >= self.next_send_at {
                     self.send_one(now, flow);
+                    sent = true;
                     let gap_ns = self.rng.exp(1e9 / rate.max(1e-9));
                     self.next_send_at += Nanos::from_nanos(gap_ns.max(1.0) as u64);
                 }
+                sent
             }
         }
     }
@@ -288,6 +294,45 @@ mod tests {
         }
         assert_eq!(c.completed, ends.len() as u64);
         assert!(!c.busy());
+    }
+
+    #[test]
+    fn closed_loop_reports_whether_it_queued() {
+        let mut c = client();
+        let mut f = flow();
+        assert!(c.maybe_send(Nanos::ZERO, &mut f), "idle client sends");
+        // A request is outstanding: nothing is queued.
+        assert!(!c.maybe_send(Nanos::from_micros(1), &mut f));
+        let end = c.outstanding.front().unwrap().end_offset;
+        c.on_completion(end, Nanos::from_micros(50));
+        // Before `next_send_at` (inside the think time): nothing queued.
+        assert!(!c.maybe_send(Nanos::from_micros(54), &mut f));
+        assert!(!c.busy());
+        assert!(c.maybe_send(Nanos::from_micros(55), &mut f));
+        assert_eq!(c.outstanding_count(), 1);
+    }
+
+    #[test]
+    fn open_loop_reports_whether_it_queued() {
+        let cfg = RpcConfig {
+            open_loop_rate: Some(100_000.0), // ~10 µs gaps
+            ..RpcConfig::default()
+        };
+        let mut c = RpcClient::new(cfg, Rng::new(5));
+        let mut f = flow();
+        // The first request is due at t = 0.
+        assert!(c.maybe_send(Nanos::ZERO, &mut f));
+        assert_eq!(c.outstanding_count(), 1);
+        // Before the next Poisson arrival nothing is queued, outstanding
+        // requests notwithstanding.
+        let next = c.next_send_at;
+        assert!(next > Nanos::ZERO);
+        assert!(!c.maybe_send(next - Nanos::from_nanos(1), &mut f));
+        assert_eq!(c.outstanding_count(), 1);
+        // A catch-up far past the next arrival queues several at once.
+        assert!(c.maybe_send(Nanos::from_millis(1), &mut f));
+        assert!(c.outstanding_count() > 2, "{}", c.outstanding_count());
+        assert!(!c.maybe_send(Nanos::from_millis(1), &mut f));
     }
 
     #[test]

@@ -178,3 +178,84 @@ fn implicit_fabric_runs_are_pinned() {
         assert_eq!(got, (fingerprint, events), "{}", spec.name);
     }
 }
+
+#[test]
+fn tick_skip_paths_are_pinned() {
+    use hostcc_experiments::figures::Budget;
+    use hostcc_experiments::sweep::CellMetrics;
+    use hostcc_experiments::{CcMix, Scenario, Simulation};
+
+    // The tick loop does per-flow and per-receiver work only when it is
+    // due, so every path that makes a flow or a window due is pinned bit
+    // for bit: RPC message queueing, the TX-host pump, a CC mix, non-focus
+    // deliveries (ring all-reduce), net_stop, receive-window reopening and
+    // TLP/RTO timers. Changing any constant here means a skip moved
+    // published numbers.
+    let quick = |s: Scenario| Budget::quick().apply(s);
+    let mut net_stop = Scenario::with_congestion(3.0).enable_hostcc();
+    net_stop.net_stop = Some(Nanos::from_millis(4));
+    // A small socket buffer drained by two copy cores closes windows
+    // below one MSS during the initial-window burst, so the reopen path
+    // sends window updates.
+    let mut small_buf = Scenario::with_congestion(3.0);
+    small_buf.rcv_buf = 8192;
+    small_buf.host.net_cores = 2;
+    // Loss on short RPC messages leaves tails that only a timer repairs;
+    // the latency window is long enough to pass the 10 ms PTO floor.
+    let mut lossy = Scenario::paper_baseline().with_rpc(1);
+    lossy.flows_per_sender = vec![1];
+    lossy.fault.drop_chance = 0.01;
+    let mix = CcMix::parse("dctcp:4+cubic:4").unwrap();
+    let cases = [
+        (
+            "rpc",
+            quick(GridSpec::preset("hostcc").unwrap().base.with_rpc(4)),
+            0x68c3_5761_61a8_e772,
+            81_672,
+        ),
+        (
+            "sender-host",
+            quick(Scenario::paper_baseline().with_sender_congestion(3.0, true)),
+            0xa291_28e4_385a_4dc5,
+            104_907,
+        ),
+        (
+            "mix",
+            quick(Scenario::with_congestion(3.0).with_cc_mix(mix)),
+            0xec49_f787_8923_2b94,
+            45_683,
+        ),
+        (
+            "ring",
+            quick(Scenario::ring_all_reduce(3, 2)),
+            0x24dd_121e_3f29_70f4,
+            522_698,
+        ),
+        ("net-stop", quick(net_stop), 0x01ea_3c07_0f36_a4e8, 42_850),
+        (
+            "small-rcv-buf",
+            quick(small_buf),
+            0x5001_5461_8f27_c338,
+            4_042,
+        ),
+        (
+            "lossy-rpc",
+            Budget::quick().apply_latency(lossy),
+            0x8e9d_a2fc_b07a_e954,
+            19_325,
+        ),
+    ];
+    for (name, scenario, fingerprint, events) in cases {
+        let cell = GridSpec::new(name, scenario).expand().unwrap().remove(0);
+        let mut sim = Simulation::new(cell.scenario);
+        let r = sim.run();
+        if name == "lossy-rpc" {
+            assert!(r.timeouts + r.tlp_probes > 0, "no timer fired");
+        }
+        let got = (
+            CellMetrics::from_result(&r).fingerprint(),
+            sim.events_processed(),
+        );
+        assert_eq!(got, (fingerprint, events), "{name}");
+    }
+}
