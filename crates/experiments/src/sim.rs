@@ -11,7 +11,9 @@
 //! per-receiver work runs only when due, so skipping it changes nothing:
 //! - a flow's timers and pump run when a timer deadline has passed, or
 //!   when it is marked unpumped (never pumped yet, or its RPC client just
-//!   queued a message); an ACK pumps its flow on arrival;
+//!   queued a message); an ACK pumps its flow on arrival. The flows are
+//!   visited only once a lower bound on their deadlines (lowered by every
+//!   pump and RPC enqueue, recomputed by each visit) has passed;
 //! - the copy-engine drain runs when there are copied bytes and
 //!   unconsumed socket data (a running total, not a per-tick sum);
 //! - the window-reopen scan runs while some advertised window is below
@@ -249,6 +251,9 @@ pub struct Simulation {
     /// until the first pump and after its RPC client queues a message.
     /// Starting all-false keeps the build to one zeroed allocation.
     pumped: Vec<bool>,
+    /// Lower bound on every flow's [`Flow::next_deadline`], and at most
+    /// `now` while some flow is unpumped: before it, no flow is due.
+    deadline_floor: Nanos,
 
     // Window accounting.
     flow_goodput: Vec<u64>,
@@ -503,6 +508,7 @@ impl Simulation {
             corrupt_drops: 0,
             chaos,
             pumped: vec![false; n_flows],
+            deadline_floor: Nanos::ZERO,
             flow_goodput: vec![0; n_flows],
             copied_carry: 0.0,
             unconsumed: 0,
@@ -1038,44 +1044,52 @@ impl Simulation {
         }
     }
 
+    /// Send everything flow `idx` may send, then lower the deadline floor
+    /// to the timers that sending armed.
     fn pump_flow(&mut self, idx: usize, now: Nanos) {
         let sender = self.sender_of_flow[idx];
         // Sender 0 may route through the sender host model (TX DMA).
-        if sender == 0 {
-            if let Some(tx) = &mut self.tx_host {
-                while let Some(pkt) = self.flows[idx].poll_send(now) {
-                    self.flowscope.packet_sent(pkt.id, pkt.flow.0, now);
-                    tx.enqueue(pkt);
-                }
-                return;
+        let tx_host = if sender == 0 {
+            self.tx_host.as_mut()
+        } else {
+            None
+        };
+        if let Some(tx) = tx_host {
+            while let Some(pkt) = self.flows[idx].poll_send(now) {
+                self.flowscope.packet_sent(pkt.id, pkt.flow.0, now);
+                tx.enqueue(pkt);
             }
+        } else {
+            // Intern the whole send burst, then hand it to the fq link in
+            // one call. Bit-identical to per-packet enqueue: every packet
+            // lands in the same per-flow FIFO, and the one possible
+            // departure (link was idle) is the first packet's either way.
+            debug_assert!(self.burst.is_empty());
+            let mut flow = FlowId(idx as u32);
+            while let Some(pkt) = self.flows[idx].poll_send(now) {
+                flow = pkt.flow;
+                let bytes = pkt.wire_bytes();
+                let id = pkt.id;
+                self.flowscope.packet_sent(id, flow.0, now);
+                self.burst.push((self.arena.insert(pkt), bytes, id));
+            }
+            let mut burst = std::mem::take(&mut self.burst);
+            if let Some(Departure { at, pkt }) =
+                self.senders[sender].enqueue_burst(now, flow, &mut burst)
+            {
+                self.q.schedule(
+                    at,
+                    Ev::Depart {
+                        sender: sender as u32,
+                        pkt,
+                    },
+                );
+            }
+            self.burst = burst;
         }
-        // Intern the whole send burst, then hand it to the fq link in one
-        // call. Bit-identical to per-packet enqueue: every packet lands in
-        // the same per-flow FIFO, and the one possible departure (link was
-        // idle) is the first packet's either way.
-        debug_assert!(self.burst.is_empty());
-        let mut flow = FlowId(idx as u32);
-        while let Some(pkt) = self.flows[idx].poll_send(now) {
-            flow = pkt.flow;
-            let bytes = pkt.wire_bytes();
-            let id = pkt.id;
-            self.flowscope.packet_sent(id, flow.0, now);
-            self.burst.push((self.arena.insert(pkt), bytes, id));
+        if let Some(d) = self.flows[idx].next_deadline() {
+            self.deadline_floor = self.deadline_floor.min(d);
         }
-        let mut burst = std::mem::take(&mut self.burst);
-        if let Some(Departure { at, pkt }) =
-            self.senders[sender].enqueue_burst(now, flow, &mut burst)
-        {
-            self.q.schedule(
-                at,
-                Ev::Depart {
-                    sender: sender as u32,
-                    pkt,
-                },
-            );
-        }
-        self.burst = burst;
     }
 
     fn tick(&mut self, now: Nanos) {
@@ -1261,22 +1275,31 @@ impl Simulation {
         // 7. Workloads and flow timers. Only due flows get tick work: a
         //    flow whose timers are not due and that is already pumped would
         //    fire nothing and send nothing (`poll_send` is not time-gated,
-        //    and every ACK pumps its flow to exhaustion on arrival).
+        //    and every ACK pumps its flow to exhaustion on arrival). Before
+        //    the deadline floor no flow is due, so none is visited.
         self.perf.enter(PerfScope::TickWorkload);
         for (idx, rpc) in &mut self.rpcs {
             if rpc.maybe_send(now, &mut self.flows[*idx]) {
                 self.pumped[*idx] = false;
+                self.deadline_floor = self.deadline_floor.min(now);
             }
         }
         self.perf.exit();
         self.perf.enter(PerfScope::TickTransport);
-        for i in 0..self.flows.len() {
-            let timer_due = self.flows[i].next_deadline().is_some_and(|d| d <= now);
-            if timer_due || !self.pumped[i] {
-                self.flows[i].on_tick(now);
-                self.pump_flow(i, now);
-                self.pumped[i] = true;
+        if now >= self.deadline_floor {
+            let mut floor = Nanos::MAX;
+            for i in 0..self.flows.len() {
+                let timer_due = self.flows[i].next_deadline().is_some_and(|d| d <= now);
+                if timer_due || !self.pumped[i] {
+                    self.flows[i].on_tick(now);
+                    self.pump_flow(i, now);
+                    self.pumped[i] = true;
+                }
+                if let Some(d) = self.flows[i].next_deadline() {
+                    floor = floor.min(d);
+                }
             }
+            self.deadline_floor = floor;
         }
         self.perf.exit();
 
@@ -1292,6 +1315,13 @@ impl Simulation {
                 .filter(|&&r| r < mss)
                 .count(),
             "closed-window count drifted"
+        );
+        debug_assert!(
+            self.flows
+                .iter()
+                .filter_map(Flow::next_deadline)
+                .all(|d| d >= self.deadline_floor),
+            "a flow deadline is below the deadline floor"
         );
     }
 

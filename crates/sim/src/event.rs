@@ -29,6 +29,27 @@
 //! Occupancy bitmaps (four words per level) make "next occupied slot"
 //! a couple of `trailing_zeros` instructions, so sparse schedules do not
 //! pay a 256-slot linear scan.
+//!
+//! The per-tick loop (`pop_before` until `None`, then `advance_to`)
+//! neither re-derives what the queue already knows nor allocates:
+//!
+//! * **Head.** The earliest pending firing time, when known. `schedule`
+//!   lowers it; a level-0 extraction sets it from the next occupied slot
+//!   of the same level-0 window (nothing coarser or overflowed can be
+//!   earlier) and otherwise marks it unknown. `pop_before` and
+//!   `advance_to` read it and fall back to [`EventQueue::peek_time`],
+//!   which may scan a coarse slot for its minimum, only when unknown.
+//!   A tick with no event due costs two comparisons.
+//! * **Buffers.** Slot `Vec`s are reused, never freed. A level-0 slot
+//!   keeps its buffer (the cursor is back within 256 ns). A cascade
+//!   drains its coarse slot's buffer in place and parks it on a spare
+//!   list, and placement into a slot with no buffer takes one from
+//!   there. Coarse slots are revisited rarely (a level-2 slot every
+//!   2^24 ns), so leaving each its own buffer would hold memory in
+//!   proportion to how many slots a run has touched, i.e. to run length;
+//!   pooled, the coarse buffers number the most coarse slots ever
+//!   occupied at once. A steady-state schedule/pop cycle allocates
+//!   nothing.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -110,12 +131,17 @@ pub struct EventQueue<E> {
     /// `LEVELS * SLOTS` buckets, flattened; `slots[level * SLOTS + s]`.
     /// Every entry in an occupied level-0 slot shares one firing time.
     slots: Vec<Vec<ScheduledEvent<E>>>,
+    /// Emptied coarse-slot buffers, kept for the next coarse placement.
+    spare: Vec<Vec<ScheduledEvent<E>>>,
     /// Per-level occupancy bitmaps over the `SLOTS` buckets.
     occ: [[u64; WORDS]; LEVELS],
     /// Events beyond the wheel horizon, earliest first.
     overflow: BinaryHeap<ScheduledEvent<E>>,
     /// Lower bound on every pending firing time (`cursor ≤ now`).
     cursor: u64,
+    /// The earliest pending firing time when known (`None`: unknown, ask
+    /// `peek_time`). Exact whenever `Some`.
+    head: Option<Nanos>,
     /// Entries currently in the wheel (excluding `overflow`).
     wheel_len: usize,
     now: Nanos,
@@ -134,9 +160,11 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             occ: [[0; WORDS]; LEVELS],
             overflow: BinaryHeap::new(),
             cursor: 0,
+            head: None,
             wheel_len: 0,
             now: Nanos::ZERO,
             seq: 0,
@@ -216,8 +244,11 @@ impl<E> EventQueue<E> {
         );
         // An idle queue lets the cursor catch up to the clock for free
         // (nothing to relocate), keeping future placements fine-grained.
-        if self.wheel_len == 0 && self.overflow.is_empty() {
+        if self.is_empty() {
             self.cursor = self.now.as_nanos();
+            self.head = Some(at);
+        } else {
+            self.head = self.head.map(|h| h.min(at));
         }
         let seq = self.seq;
         self.seq += 1;
@@ -282,7 +313,7 @@ impl<E> EventQueue<E> {
     /// This is the primitive the experiment drivers use to interleave the
     /// packet-level event stream with the fixed-tick host integration.
     pub fn pop_before(&mut self, deadline: Nanos) -> Option<(Nanos, E)> {
-        match self.peek_time() {
+        match self.head_time() {
             Some(t) if t <= deadline => self.pop(),
             _ => None,
         }
@@ -295,7 +326,7 @@ impl<E> EventQueue<E> {
     /// before `at` would be skipped.
     pub fn advance_to(&mut self, at: Nanos) {
         assert!(at >= self.now, "advance_to moved time backwards");
-        if let Some(t) = self.peek_time() {
+        if let Some(t) = self.head_time() {
             assert!(
                 t >= at,
                 "advance_to({at}) would skip an event pending at {t}"
@@ -305,6 +336,21 @@ impl<E> EventQueue<E> {
             self.cursor = at.as_nanos();
         }
         self.now = at;
+    }
+
+    /// The earliest pending firing time, from the head cache when it is
+    /// known and from [`EventQueue::peek_time`] (then cached) otherwise.
+    fn head_time(&mut self) -> Option<Nanos> {
+        debug_assert!(
+            self.head.is_none() || self.head == self.peek_time(),
+            "cached head {:?} differs from the queue's {:?}",
+            self.head,
+            self.peek_time()
+        );
+        if self.head.is_none() {
+            self.head = self.peek_time();
+        }
+        self.head
     }
 
     /// Insert `ev` at the highest level where its time differs from the
@@ -323,15 +369,23 @@ impl<E> EventQueue<E> {
             (63 - diff.leading_zeros()) as usize / SLOT_BITS as usize
         };
         let s = slot_of(t, level);
-        self.slots[level * SLOTS + s].push(ev);
+        let slot = &mut self.slots[level * SLOTS + s];
+        if slot.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *slot = buf;
+            }
+        }
+        slot.push(ev);
         self.occ[level][s / 64] |= 1u64 << (s % 64);
         self.wheel_len += 1;
     }
 
     /// Extract the minimum-`seq` entry from level-0 slot `s`, advancing
-    /// the cursor and clock to its (shared) firing time.
+    /// the cursor and clock to its (shared) firing time, and cache the
+    /// next head when it lies in the same level-0 window.
     fn take_from_level0(&mut self, s: usize) -> (Nanos, E) {
-        let t = (self.cursor & !(SLOTS as u64 - 1)) | s as u64;
+        let window = self.cursor & !(SLOTS as u64 - 1);
+        let t = window | s as u64;
         let batch = &mut self.slots[s];
         let mut min = 0;
         for i in 1..batch.len() {
@@ -349,6 +403,11 @@ impl<E> EventQueue<E> {
         self.cursor = t;
         self.now = ev.at;
         self.popped += 1;
+        // Every coarse or overflowed entry lies beyond this window, so its
+        // next occupied slot, if any, is the head.
+        self.head = self
+            .next_occupied(0, s)
+            .map(|next| Nanos::from_nanos(window | next as u64));
         (ev.at, ev.event)
     }
 
@@ -369,12 +428,13 @@ impl<E> EventQueue<E> {
                 (self.cursor >> shift) << shift
             };
             self.cursor = upper | ((s as u64) << (SLOT_BITS * level as u32));
-            let batch = std::mem::take(&mut self.slots[level * SLOTS + s]);
+            let mut batch = std::mem::take(&mut self.slots[level * SLOTS + s]);
             self.occ[level][s / 64] &= !(1u64 << (s % 64));
             self.wheel_len -= batch.len();
-            for ev in batch {
+            for ev in batch.drain(..) {
                 self.place(ev);
             }
+            self.spare.push(batch);
             return;
         }
         debug_assert!(false, "cascade_once on a wheel with no coarse entries");
@@ -576,6 +636,59 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(times, sorted, "pop order must be time order");
         assert_eq!(q.events_processed(), 13);
+    }
+
+    /// Buffer capacity held across every wheel slot, the spare list and
+    /// the overflow heap.
+    fn capacity<E>(q: &EventQueue<E>) -> usize {
+        q.slots
+            .iter()
+            .chain(&q.spare)
+            .map(Vec::capacity)
+            .sum::<usize>()
+            + q.spare.capacity()
+            + q.overflow.capacity()
+    }
+
+    #[test]
+    fn steady_state_cycles_allocate_nothing() {
+        // One cycle schedules a burst spanning twenty level-1 windows from
+        // an idle queue, then drains it the way the tick loop does. Each
+        // cycle starts one level-1 rotation (2^16 ns) after the last, so
+        // all fill the same slots in the same order. Pooled buffers can
+        // change slots between cycles, so the first few may still grow
+        // one; once a whole cycle leaves the capacity unchanged, repeats
+        // must find every buffer they need.
+        fn cycle(q: &mut EventQueue<u64>, mut check: impl FnMut(&EventQueue<u64>)) {
+            let base = ((q.now().as_nanos() >> 16) + 1) << 16;
+            q.advance_to(Nanos::from_nanos(base));
+            for i in 0..200u64 {
+                q.schedule(Nanos::from_nanos(base + (i * 613) % 5_000), i);
+                check(q);
+            }
+            let mut tick = base;
+            while !q.is_empty() {
+                tick += 100;
+                while q.pop_before(Nanos::from_nanos(tick)).is_some() {
+                    check(q);
+                }
+                q.advance_to(Nanos::from_nanos(tick));
+            }
+        }
+        let mut q = EventQueue::new();
+        let mut warm = 0;
+        for _ in 0..8 {
+            cycle(&mut q, |_| {});
+            let after = capacity(&q);
+            if after == warm {
+                break;
+            }
+            warm = after;
+        }
+        assert!(warm > 0);
+        for _ in 0..4 {
+            cycle(&mut q, |q| assert_eq!(capacity(q), warm));
+        }
     }
 
     #[test]

@@ -3,6 +3,28 @@
 use hostcc_sim::{EventQueue, Ewma, Nanos, Rate, Rng};
 use proptest::prelude::*;
 
+/// One step of a tick loop, for the queue oracle below.
+#[derive(Debug, Clone)]
+enum TickOp {
+    /// Schedule one event `delta` after `now`.
+    Schedule(u64),
+    /// Drain every event due by `now + step` with `pop_before`, scheduling
+    /// one follow-up `follow` after the first event popped, then
+    /// `advance_to` the deadline.
+    Tick { step: u64, follow: u64 },
+}
+
+/// Scheduling deltas spanning level 0, the coarse levels and the
+/// beyond-horizon overflow heap.
+fn wheel_delta() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..300,
+        256u64..1 << 16,
+        1u64 << 20..1u64 << 44,
+        1u64 << 48..1u64 << 54
+    ]
+}
+
 proptest! {
     /// Popping always yields events in non-decreasing time order, regardless
     /// of the insertion order.
@@ -99,6 +121,79 @@ proptest! {
         }
         // Drain what is left; the tail must match the oracle too.
         model.sort(); // (time, seq) — seq breaks ties exactly like FIFO
+        let got: Vec<(u64, usize)> =
+            std::iter::from_fn(|| q.pop()).map(|(t, e)| (t.as_nanos(), e)).collect();
+        prop_assert_eq!(got, model);
+        prop_assert!(q.drained());
+    }
+
+    /// Oracle equivalence through the tick loop's own API: schedules
+    /// interleaved with `pop_before(deadline)` drains (which schedule a
+    /// follow-up mid-drain, as event handlers do) and `advance_to(deadline)`.
+    /// The deadline mostly steps like the 100 ns host tick and sometimes
+    /// leaps across coarse levels, so the queue's cached head is read
+    /// after schedules, level-0 pops, cascades and overflow migrations.
+    #[test]
+    fn event_queue_tick_loop_matches_heap_oracle(
+        ops in prop::collection::vec(
+            prop_oneof![
+                wheel_delta().prop_map(TickOp::Schedule),
+                (
+                    prop_oneof![1u64..200, 1u64 << 8..1u64 << 20, 1u64 << 40..1u64 << 50],
+                    wheel_delta(),
+                )
+                    .prop_map(|(step, follow)| TickOp::Tick { step, follow }),
+            ],
+            1..250,
+        ),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model: Vec<(u64, usize)> = Vec::new(); // (time, seq); seq == id
+        let mut seq = 0usize;
+        let mut schedule = |q: &mut EventQueue<usize>, model: &mut Vec<(u64, usize)>, at: u64| {
+            q.schedule(Nanos::from_nanos(at), seq);
+            model.push((at, seq));
+            seq += 1;
+        };
+        for op in ops {
+            match op {
+                TickOp::Schedule(delta) => {
+                    let at = q.now().as_nanos() + delta;
+                    schedule(&mut q, &mut model, at);
+                }
+                TickOp::Tick { step, follow } => {
+                    let deadline = q.now().as_nanos() + step;
+                    let mut first = true;
+                    loop {
+                        let got = q.pop_before(Nanos::from_nanos(deadline));
+                        let want = model
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, &(t, _))| t <= deadline)
+                            .min_by_key(|(_, &(t, s))| (t, s))
+                            .map(|(i, _)| i);
+                        match (got, want) {
+                            (Some((t, e)), Some(i)) => {
+                                let (mt, ms) = model.remove(i);
+                                prop_assert_eq!((t.as_nanos(), e), (mt, ms));
+                                if first {
+                                    schedule(&mut q, &mut model, mt + follow);
+                                    first = false;
+                                }
+                            }
+                            (None, None) => break,
+                            (g, w) => prop_assert!(false, "queue {g:?} vs oracle index {w:?}"),
+                        }
+                    }
+                    q.advance_to(Nanos::from_nanos(deadline));
+                    prop_assert_eq!(q.now().as_nanos(), deadline);
+                    let head = model.iter().map(|&(t, _)| t).min();
+                    prop_assert_eq!(q.peek_time().map(Nanos::as_nanos), head);
+                }
+            }
+        }
+        // Drain what is left; the tail must match the oracle too.
+        model.sort();
         let got: Vec<(u64, usize)> =
             std::iter::from_fn(|| q.pop()).map(|(t, e)| (t.as_nanos(), e)).collect();
         prop_assert_eq!(got, model);

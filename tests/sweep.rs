@@ -188,9 +188,10 @@ fn tick_skip_paths_are_pinned() {
     // The tick loop does per-flow and per-receiver work only when it is
     // due, so every path that makes a flow or a window due is pinned bit
     // for bit: RPC message queueing, the TX-host pump, a CC mix, non-focus
-    // deliveries (ring all-reduce), net_stop, receive-window reopening and
-    // TLP/RTO timers. Changing any constant here means a skip moved
-    // published numbers.
+    // deliveries (ring all-reduce), net_stop, receive-window reopening,
+    // TLP/RTO timers (also armed through the TX-host pump) and a sparse
+    // event queue under link flaps. Changing any constant here means a
+    // skip moved published numbers.
     let quick = |s: Scenario| Budget::quick().apply(s);
     let mut net_stop = Scenario::with_congestion(3.0).enable_hostcc();
     net_stop.net_stop = Some(Nanos::from_millis(4));
@@ -205,6 +206,10 @@ fn tick_skip_paths_are_pinned() {
     let mut lossy = Scenario::paper_baseline().with_rpc(1);
     lossy.flows_per_sender = vec![1];
     lossy.fault.drop_chance = 0.01;
+    let lossy_tx_host = lossy.clone().with_sender_congestion(3.0, true);
+    let flap = Scenario::with_congestion(3.0)
+        .enable_hostcc()
+        .with_chaos("flap");
     let mix = CcMix::parse("dctcp:4+cubic:4").unwrap();
     let cases = [
         (
@@ -244,12 +249,19 @@ fn tick_skip_paths_are_pinned() {
             0x8e9d_a2fc_b07a_e954,
             19_325,
         ),
+        (
+            "lossy-sender-host",
+            Budget::quick().apply_latency(lossy_tx_host),
+            0x34f8_7bb3_0694_f8f3,
+            26_380,
+        ),
+        ("flap", quick(flap), 0xb659_3a8a_3c56_a4d1, 72_378),
     ];
     for (name, scenario, fingerprint, events) in cases {
         let cell = GridSpec::new(name, scenario).expand().unwrap().remove(0);
         let mut sim = Simulation::new(cell.scenario);
         let r = sim.run();
-        if name == "lossy-rpc" {
+        if name.starts_with("lossy") {
             assert!(r.timeouts + r.tlp_probes > 0, "no timer fired");
         }
         let got = (
