@@ -62,7 +62,11 @@ impl Fabric {
     /// depend only on (topology, flow, seed), so multi-hop runs are
     /// bit-identical at any sweep worker count. Host uplinks carry no port
     /// (the sender's `FqLink` *is* that link).
-    pub fn from_topology(topo: &Topology, cfg: &Scenario, sender_of_flow: &[usize]) -> Self {
+    pub fn from_topology(
+        topo: &Topology,
+        cfg: &Scenario,
+        sender_of_flow: impl ExactSizeIterator<Item = usize>,
+    ) -> Self {
         let links: Vec<u32> = (0..topo.links().len() as u32)
             .filter(|&l| topo.is_switch_sourced(l))
             .collect();
@@ -82,7 +86,7 @@ impl Fabric {
             series,
         };
         let receiver = topo.receiver();
-        for (i, &s) in sender_of_flow.iter().enumerate() {
+        for (i, s) in sender_of_flow.enumerate() {
             let src = s as u32;
             let dst = match cfg.pattern {
                 TrafficPattern::Incast => receiver,

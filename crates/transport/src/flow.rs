@@ -74,6 +74,34 @@ pub struct FlowStats {
     pub acks: u64,
 }
 
+impl FlowStats {
+    /// Apply `op` to each counter of `self` and `other`, field by field.
+    fn zip(self, other: FlowStats, op: fn(u64, u64) -> u64) -> FlowStats {
+        FlowStats {
+            sent: op(self.sent, other.sent),
+            retransmits: op(self.retransmits, other.retransmits),
+            timeouts: op(self.timeouts, other.timeouts),
+            tlp_probes: op(self.tlp_probes, other.tlp_probes),
+            acked_bytes: op(self.acked_bytes, other.acked_bytes),
+            ece_acks: op(self.ece_acks, other.ece_acks),
+            acks: op(self.acks, other.acks),
+        }
+    }
+
+    /// The counts accrued since `base` (an earlier snapshot of the same
+    /// counters).
+    pub fn since(self, base: FlowStats) -> FlowStats {
+        self.zip(base, |a, b| a - b)
+    }
+}
+
+/// Field-wise totals over several flows.
+impl std::iter::Sum for FlowStats {
+    fn sum<I: Iterator<Item = FlowStats>>(iter: I) -> FlowStats {
+        iter.fold(FlowStats::default(), |acc, s| acc.zip(s, |a, b| a + b))
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     seq: u64,
