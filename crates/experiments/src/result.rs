@@ -27,7 +27,8 @@ pub struct RunResult {
     /// Application goodput of all flows (incl. RPC bytes).
     pub goodput_all: Rate,
     /// Packet drop percentage: (NIC + switch + injected) / data packets
-    /// sent.
+    /// sent. Injected loss is every fault-locus drop: link loss and
+    /// corruption, chaos burst loss and dead fabric ingresses.
     pub drop_rate_pct: f64,
     /// Drops at the receiver NIC.
     pub nic_drops: u64,
@@ -93,11 +94,6 @@ impl RunResult {
     /// Latency whiskers {P50, P90, P99, P99.9, P99.99} for one RPC size.
     pub fn rpc_whiskers(&self, size: u64) -> Option<[Nanos; 5]> {
         self.rpc.get(&size).and_then(|r| r.histogram.whiskers())
-    }
-
-    /// Total drops across all loss points.
-    pub fn total_drops(&self) -> u64 {
-        self.nic_drops + self.switch_drops
     }
 
     /// A recorded telemetry series by metric name (e.g.
