@@ -304,6 +304,8 @@ fn observer_outputs_are_pinned() {
     use hostcc_experiments::figures::Budget;
     use hostcc_experiments::{Scenario, Simulation};
     use hostcc_flowscope::{FlowScope, FlowscopeHandle};
+    use hostcc_perf::{PerfHandle, PerfProfiler};
+    use hostcc_telemetry::{Telemetry, TelemetryHandle};
     use hostcc_trace::{TraceFilter, TraceHandle, Tracer};
 
     // Every observer attached at once to a run that drives all of them:
@@ -312,44 +314,64 @@ fn observer_outputs_are_pinned() {
     // latencies). The observers only read model state, so these pins
     // move only when a change reorders or drops an emission, a gauge or
     // a stamp — which the on-vs-off and worker-count checks cannot see.
-    let mut s = Budget::quick().apply(
+    let scenario = Budget::quick().apply(
         Scenario::with_congestion(3.0)
             .enable_hostcc()
             .with_sender_congestion(3.0, true)
             .with_chaos("msr-jitter"),
     );
-    s.record = true;
-    let mut sim = Simulation::new(s);
+    let pinned = |sim: &mut Simulation| {
+        let r = sim.run();
+        let counts: Vec<(&str, u64)> = r
+            .trace
+            .expect("tracing was enabled")
+            .iter()
+            .map(|(k, c)| (k.name(), c))
+            .collect();
+        let telemetry = r
+            .telemetry
+            .expect("telemetry was attached")
+            .summary
+            .fingerprint();
+        let flowscope = r.flowscope.expect("recorder was attached").fingerprint();
+        assert_eq!(
+            counts,
+            [
+                ("pcie_credit_stall", 248),
+                ("pcie_credit_grant", 248),
+                ("iio_occupancy_cl", 36_405),
+                ("ddio_eviction_fraction", 1),
+                ("mba_level_request", 74),
+                ("mba_level_effective", 74),
+                ("signal_sample", 5_552),
+                ("hostcc_regime", 241),
+                ("ecn_mark", 3_174),
+                ("cc_cwnd", 12_812),
+                ("nic_backlog_bytes", 2_756),
+                ("chaos_inject", 2),
+            ]
+        );
+        assert_eq!(
+            (telemetry, flowscope),
+            (0x3be9_f5d4_d102_9597, 0x7e9c_652e_4bb8_9399)
+        );
+    };
+
+    // Trace then flowscope, with `record` installing the telemetry.
+    let mut recorded = scenario.clone();
+    recorded.record = true;
+    let mut sim = Simulation::new(recorded);
     sim.set_trace(TraceHandle::new(Tracer::counting(TraceFilter::all())));
     sim.set_flowscope(FlowscopeHandle::new(FlowScope::new()));
-    let r = sim.run();
-    let counts: Vec<(&str, u64)> = r
-        .trace
-        .expect("tracing was enabled")
-        .iter()
-        .map(|(k, c)| (k.name(), c))
-        .collect();
-    let telemetry = r.telemetry.expect("record=true").summary.fingerprint();
-    let flowscope = r.flowscope.expect("recorder was attached").fingerprint();
-    assert_eq!(
-        counts,
-        [
-            ("pcie_credit_stall", 248),
-            ("pcie_credit_grant", 248),
-            ("iio_occupancy_cl", 36_405),
-            ("ddio_eviction_fraction", 1),
-            ("mba_level_request", 74),
-            ("mba_level_effective", 74),
-            ("signal_sample", 5_552),
-            ("hostcc_regime", 241),
-            ("ecn_mark", 3_174),
-            ("cc_cwnd", 12_812),
-            ("nic_backlog_bytes", 2_756),
-            ("chaos_inject", 2),
-        ]
-    );
-    assert_eq!(
-        (telemetry, flowscope),
-        (0x3be9_f5d4_d102_9597, 0x7e9c_652e_4bb8_9399)
-    );
+    pinned(&mut sim);
+
+    // All four attached in reverse order, the profiler included: the
+    // attach order and the wall-clock profiler change nothing.
+    let mut sim = Simulation::new(scenario);
+    sim.set_flowscope(FlowscopeHandle::new(FlowScope::new()));
+    sim.set_perf(PerfHandle::new(PerfProfiler::new()));
+    sim.set_telemetry(TelemetryHandle::new(Telemetry::default()));
+    sim.set_trace(TraceHandle::new(Tracer::counting(TraceFilter::all())));
+    pinned(&mut sim);
+    assert!(sim.perf().report().is_some_and(|p| p.total_ns > 0));
 }
