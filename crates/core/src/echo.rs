@@ -41,13 +41,13 @@ impl EcnEcho {
         self.processed += 1;
         if pkt.ecn.is_ce() {
             self.fabric_marks += 1;
-            self.flowscope.ecn_mark(pkt.flow.0, false);
+            self.flowscope.with_mut(|s| s.ecn_mark(pkt.flow.0, false));
             return;
         }
         if mark {
             pkt.mark_ce();
             self.host_marks += 1;
-            self.flowscope.ecn_mark(pkt.flow.0, true);
+            self.flowscope.with_mut(|s| s.ecn_mark(pkt.flow.0, true));
         }
     }
 

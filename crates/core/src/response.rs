@@ -139,7 +139,7 @@ impl HostCc {
             stats: RegimeStats::default(),
             last_sample: None,
             nic_ewma,
-            trace: TraceHandle::disabled(),
+            trace: TraceHandle::default(),
         }
     }
 
@@ -254,7 +254,8 @@ impl HostCc {
                 Regime::R3 => 3,
                 Regime::R4 => 4,
             };
-            self.trace.emit(now, || TraceEvent::RegimeChange { regime });
+            self.trace
+                .with_mut(|t| t.record(now, TraceEvent::RegimeChange { regime }));
         }
         self.stats.visits[match self.regime {
             Regime::R1 => 0,
@@ -462,7 +463,7 @@ mod tests {
         // Starts in R4; congested + target-missed signals move it to R3.
         drive(&mut hc, &mut m, 93.0, 5.4, 200);
         assert_eq!(hc.regime(), Regime::R3);
-        let c = trace.counts().unwrap();
+        let c = trace.report().unwrap();
         assert!(c.of(TraceKind::RegimeChange) >= 1);
         trace.with(|t| {
             let first = t.records().next().unwrap();

@@ -35,7 +35,8 @@
 //! `--telemetry` attaches the gauge sampler and invariant watchdog
 //! (hostcc-telemetry): the run prints a summary line, `--telemetry-out DIR`
 //! writes `telemetry.csv` (wide CSV, one column per gauge), `telemetry.jsonl`,
-//! `telemetry.prom` (Prometheus text) and `summary.json`.
+//! `telemetry.prom` (Prometheus text) and `summary.json`. Like `--trace`,
+//! `--telemetry-out` needs exactly one scenario target.
 //! `--telemetry-interval` sets the sampling cadence in simulated
 //! nanoseconds (default 700), `--telemetry-filter` keeps only metrics under
 //! the given dot-separated prefixes (e.g. `host.iio,core.signals`), and
@@ -225,6 +226,28 @@ fn resolve_targets(requested: &[String]) -> Result<Vec<String>, String> {
             .collect())
     } else {
         Ok(requested.to_vec())
+    }
+}
+
+/// `--trace` writes one file and `--telemetry-out` one directory's worth
+/// of files per run, so each needs exactly one scenario target among the
+/// resolved `targets` (figure targets run no traced or sampled scenario).
+fn check_single_run_outputs(
+    targets: &[String],
+    trace: bool,
+    telemetry_out: bool,
+) -> Result<(), String> {
+    let scenarios = targets
+        .iter()
+        .filter(|t| SCENARIOS.iter().any(|(n, _)| *n == t.as_str()))
+        .count();
+    let outputs = [
+        (trace, "--trace", "one output file"),
+        (telemetry_out, "--telemetry-out", "one output directory"),
+    ];
+    match outputs.iter().find(|(on, ..)| *on && scenarios != 1) {
+        Some((_, flag, what)) => Err(format!("{flag} needs exactly one scenario target ({what})")),
+        None => Ok(()),
     }
 }
 
@@ -1157,15 +1180,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if trace_path.is_some() {
-        let traceable = targets
-            .iter()
-            .filter(|t| SCENARIOS.iter().any(|(n, _)| *n == t.as_str()))
-            .count();
-        if traceable != 1 {
-            eprintln!("--trace needs exactly one scenario target (one output file)");
-            return usage();
-        }
+    if let Err(e) =
+        check_single_run_outputs(&targets, trace_path.is_some(), telemetry_out.is_some())
+    {
+        eprintln!("{e}");
+        return usage();
     }
     for t in &targets {
         if let Some((name, make)) = SCENARIOS.iter().find(|(n, _)| n == t) {
@@ -1238,6 +1257,24 @@ mod tests {
         let t = resolve_targets(&names(&["fig3", "hostcc", "fig2"])).unwrap();
         assert_eq!(t, names(&["fig3", "hostcc", "fig2"]));
         assert!(resolve_targets(&[]).is_err());
+    }
+
+    #[test]
+    fn single_run_outputs_need_exactly_one_scenario_target() {
+        let two = names(&["baseline", "hostcc"]);
+        for (trace, out) in [(true, false), (false, true)] {
+            let err = check_single_run_outputs(&two, trace, out).unwrap_err();
+            assert!(err.contains("exactly one scenario target"), "{err}");
+            assert!(check_single_run_outputs(&names(&["hostcc"]), trace, out).is_ok());
+            // Figure targets are not scenario runs: they neither count
+            // towards the one nor stand in for it.
+            let with_figs = names(&["fig2", "hostcc", "fig10"]);
+            assert!(check_single_run_outputs(&with_figs, trace, out).is_ok());
+            assert!(check_single_run_outputs(&names(&["fig2"]), trace, out).is_err());
+        }
+        assert!(check_single_run_outputs(&two, false, false).is_ok());
+        let err = check_single_run_outputs(&two, false, true).unwrap_err();
+        assert!(err.starts_with("--telemetry-out"), "{err}");
     }
 
     #[test]

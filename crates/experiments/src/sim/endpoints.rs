@@ -3,9 +3,7 @@
 //! that let the tick skip idle endpoints without rescanning the table.
 
 use hostcc_fabric::{ArenaRef, FlowId, PacketRef};
-use hostcc_flowscope::FlowscopeHandle;
 use hostcc_sim::{Nanos, Rng};
-use hostcc_trace::TraceHandle;
 use hostcc_transport::{
     AckInfo, BbrLite, CongestionControl, Cubic, Dcqcn, Dctcp, Flow, FlowConfig, FlowStats,
     Receiver, Reno, Swift, Timely,
@@ -13,7 +11,7 @@ use hostcc_transport::{
 use hostcc_workloads::RpcClient;
 
 use super::hosts::{Burst, Sender};
-use super::{Ctx, Ev, FIRST_SENDER};
+use super::{Ctx, Ev, Observers, FIRST_SENDER};
 use crate::fabric::Fabric;
 use crate::scenario::{CcKind, Scenario};
 
@@ -75,8 +73,6 @@ pub(super) struct Endpoints {
     /// Reused pump burst buffer.
     burst: Burst,
     net_stopped: bool,
-    /// Stamps each packet's delivery to its socket.
-    flowscope: FlowscopeHandle,
 }
 
 impl Endpoints {
@@ -144,24 +140,20 @@ impl Endpoints {
         self.eps[flow as usize].sender as usize
     }
 
-    pub fn set_trace(&mut self, trace: &TraceHandle) {
-        for e in &mut self.eps {
-            e.flow.set_trace(trace.clone());
-        }
-    }
-
     /// Register every flow with the flow ledger (greedy = NetApp-T bulk
     /// flow, so RPC flows are excluded from fairness/convergence scoring)
-    /// and hand each flow a clone of the handle.
-    pub fn set_flowscope(&mut self, flowscope: &FlowscopeHandle) {
+    /// and hand each flow its observers.
+    pub fn observe(&mut self, obs: &Observers) {
         for (i, e) in self.eps.iter_mut().enumerate() {
             // Registering with the flow's protocol name gives the frozen
             // result per-CC-group ledger splits — how heterogeneous mixes
             // are scored (victim vs aggressor class).
-            flowscope.register_flow_grouped(i as u32, i < self.first_rpc, e.flow.cc_name());
-            e.flow.set_flowscope(flowscope.clone());
+            let (flow, greedy, group) = (i as u32, i < self.first_rpc, e.flow.cc_name());
+            obs.flowscope
+                .with_mut(|s| s.register_flow_grouped(flow, greedy, group));
+            e.flow.set_trace(obs.trace.clone());
+            e.flow.set_flowscope(obs.flowscope.clone());
         }
-        self.flowscope = flowscope.clone();
     }
 
     /// Application read of up to `bytes` from endpoint `i`'s socket,
@@ -200,7 +192,9 @@ impl Endpoints {
     /// completes any RPC message it ends).
     pub fn deliver(&mut self, ctx: &mut Ctx, now: Nanos, pkt: PacketRef, fabric: &Fabric) {
         let pkt = ctx.arena.remove(pkt);
-        self.flowscope.delivered(pkt.id, pkt.payload_bytes(), now);
+        ctx.obs
+            .flowscope
+            .with_mut(|s| s.delivered(pkt.id, pkt.payload_bytes(), now));
         let i = pkt.flow.0 as usize;
         let before = self.eps[i].recv.unconsumed();
         let mut ack = self.eps[i].recv.on_data(&pkt, now);

@@ -7,13 +7,12 @@ use hostcc_core::{
     EcnEcho, HostCc, HostCcConfig, Sample, SignalConfig, SignalSampler, TargetPolicy,
 };
 use hostcc_fabric::{Departure, FqLink, Packet, PacketRef};
-use hostcc_flowscope::FlowscopeHandle;
 use hostcc_host::{MsrReadModel, RxHost, TickOutput, TxHost};
 use hostcc_sim::{Nanos, Rate, Rng};
-use hostcc_trace::{TraceEvent, TraceHandle};
+use hostcc_trace::TraceEvent;
 use hostcc_transport::Flow;
 
-use super::{chaos::Saved, Ctx, Ev, FIRST_SENDER};
+use super::{chaos::Saved, Ctx, Ev, Observers, FIRST_SENDER};
 use crate::scenario::Scenario;
 
 /// Line rate of every sender NIC (the paper's 100 Gbps testbed links).
@@ -47,8 +46,6 @@ pub(super) struct Sender {
     hostcc: Option<Box<HostCc>>,
     /// Reused TX-DMA release buffer for `TxHost::tick_into`.
     released: Vec<Packet>,
-    /// Stamps each packet's send instant.
-    flowscope: FlowscopeHandle,
 }
 
 impl Sender {
@@ -78,7 +75,6 @@ impl Sender {
             tx: congested.then(|| Box::new(TxHost::new(cfg.host.clone(), cfg.sender_mapp_degree))),
             hostcc: hostcc.map(Box::new),
             released: Vec::new(),
-            flowscope: FlowscopeHandle::disabled(),
         }
     }
 
@@ -89,12 +85,14 @@ impl Sender {
         depart(ctx, self.id, self.nic.on_depart(now));
     }
 
-    /// Take everything `flow` may send now: into the TX DMA queue when
-    /// this sender has a host model, else straight onto the NIC.
+    /// Take everything `flow` may send now, stamping each packet's send
+    /// instant: into the TX DMA queue when this sender has a host model,
+    /// else straight onto the NIC.
     pub fn send(&mut self, ctx: &mut Ctx, now: Nanos, flow: &mut Flow, burst: &mut Burst) {
+        let fs = &ctx.obs.flowscope;
         if let Some(tx) = &mut self.tx {
             while let Some(pkt) = flow.poll_send(now) {
-                self.flowscope.packet_sent(pkt.id, pkt.flow.0, now);
+                fs.with_mut(|s| s.packet_sent(pkt.id, pkt.flow.0, now));
                 tx.enqueue(pkt);
             }
             return;
@@ -107,7 +105,9 @@ impl Sender {
         let mut id = None;
         while let Some(pkt) = flow.poll_send(now) {
             let (fid, bytes, pid) = (pkt.flow, pkt.wire_bytes(), pkt.id);
-            self.flowscope.packet_sent(pid, fid.0, now);
+            ctx.obs
+                .flowscope
+                .with_mut(|s| s.packet_sent(pid, fid.0, now));
             burst.push((ctx.arena.insert(pkt), bytes, pid));
             id = Some(fid);
         }
@@ -152,15 +152,12 @@ impl Sender {
         self.nic.set_rate(Rate::gbps(NIC_GBPS * scale));
     }
 
-    pub fn set_trace(&mut self, trace: &TraceHandle) {
+    /// Hand the link and the sender response their observers.
+    pub fn observe(&mut self, obs: &Observers) {
+        self.nic.set_flowscope(obs.flowscope.clone());
         if let Some(hc) = &mut self.hostcc {
-            hc.set_trace(trace.clone());
+            hc.set_trace(obs.trace.clone());
         }
-    }
-
-    pub fn set_flowscope(&mut self, flowscope: &FlowscopeHandle) {
-        self.nic.set_flowscope(flowscope.clone());
-        self.flowscope = flowscope.clone();
     }
 
     pub fn reset_window(&mut self) {
@@ -193,8 +190,6 @@ pub(super) struct Focus {
     echo_outage: u32,
     /// Reused host tick output (cleared and refilled by `tick_into`).
     out: TickOutput,
-    /// Emits the echo's marks.
-    trace: TraceHandle,
 }
 
 impl Focus {
@@ -236,7 +231,6 @@ impl Focus {
             aggressor_boost: 0.0,
             echo_outage: 0,
             out: TickOutput::default(),
-            trace: TraceHandle::disabled(),
         }
     }
 
@@ -288,10 +282,10 @@ impl Focus {
             let was_ce = pkt.ecn.is_ce();
             self.echo.process(&mut pkt, mark);
             if !was_ce && pkt.ecn.is_ce() {
-                self.trace.emit(now, || TraceEvent::EcnMark {
-                    flow: pkt.flow.0,
-                    host: true,
-                });
+                let flow = pkt.flow.0;
+                ctx.obs
+                    .trace
+                    .with_mut(|t| t.record(now, TraceEvent::EcnMark { flow, host: true }));
             }
             let pkt = ctx.arena.insert(pkt);
             ctx.q.schedule(now + stack_delay, Ev::DeliverStack { pkt });
@@ -355,17 +349,15 @@ impl Focus {
         }
     }
 
-    pub fn set_trace(&mut self, trace: &TraceHandle) {
-        self.rx.set_trace(trace.clone());
+    /// Hand the host datapath, the controller and the echo their
+    /// observers.
+    pub fn observe(&mut self, obs: &Observers) {
+        self.rx.set_trace(obs.trace.clone());
+        self.rx.set_flowscope(obs.flowscope.clone());
         if let Some(hc) = &mut self.hostcc {
-            hc.set_trace(trace.clone());
+            hc.set_trace(obs.trace.clone());
         }
-        self.trace = trace.clone();
-    }
-
-    pub fn set_flowscope(&mut self, flowscope: &FlowscopeHandle) {
-        self.rx.set_flowscope(flowscope.clone());
-        self.echo.set_flowscope(flowscope.clone());
+        self.echo.set_flowscope(obs.flowscope.clone());
     }
 
     pub fn reset_window(&mut self) {

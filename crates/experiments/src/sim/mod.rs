@@ -7,7 +7,7 @@
 //!
 //! [`Simulation`] is an assembly of owned components, each holding its
 //! own state, invariants and event arms, dispatched with a shared [`Ctx`]
-//! (the event queue plus the packet and ACK arenas):
+//! (the event queue, the packet and ACK arenas, and the [`Observers`]):
 //! - `senders` ([`hosts::Sender`]): a NIC link each, plus a host model
 //!   (TX DMA, MBA, optional hostCC) on a sender the scenario congests;
 //!   `Ev::Depart`, tick phase 0 and link flap/degrade chaos;
@@ -61,7 +61,7 @@ use hostcc_fabric::{
 use hostcc_flowscope::{FlowscopeHandle, Stage};
 use hostcc_host::MBA_LEVELS;
 use hostcc_metrics::{Cdf, Histogram};
-use hostcc_perf::{PerfHandle, PerfScope};
+use hostcc_perf::{PerfHandle, PerfProfiler, PerfScope};
 use hostcc_sim::{EventQueue, Nanos, Rate, Rng};
 use hostcc_telemetry::{Telemetry, TelemetryHandle, WatchdogInput};
 use hostcc_trace::{DropLocus, TraceEvent, TraceHandle};
@@ -103,8 +103,8 @@ enum Ev {
     Chaos { inj: u32 },
 }
 
-/// What every component's event arm shares: the event queue and the
-/// arenas its events hold handles into.
+/// What every component's event arm shares: the event queue, the arenas
+/// its events hold handles into, and the observers.
 #[derive(Default)]
 struct Ctx {
     q: EventQueue<Ev>,
@@ -114,6 +114,26 @@ struct Ctx {
     arena: PacketArena,
     /// In-flight ACK payloads, same lifetime discipline.
     acks: Arena<AckInfo>,
+    obs: Observers,
+}
+
+/// The four observers, each disabled until its `Simulation::set_*`
+/// attaches one. They only read model state, so an observed run is
+/// bit-identical to an unobserved one. Event arms record through `ctx.obs`;
+/// the domain objects that record on their own (the RX host, the hostCC
+/// controllers, the ECN echo, the fq links and the flows) hold clones,
+/// handed out by each component's `observe`.
+#[derive(Default)]
+struct Observers {
+    trace: TraceHandle,
+    /// Registry gauges, the periodic sampler and the invariant watchdog;
+    /// `Scenario::record` attaches a default pipeline.
+    telemetry: TelemetryHandle,
+    /// Wall-clock attribution: the event loop opens an `Engine` scope and
+    /// nests per-event-kind and per-tick-phase scopes inside it.
+    perf: PerfHandle,
+    /// Per-flow ledger and packet-lifecycle recorder.
+    flowscope: FlowscopeHandle,
 }
 
 /// The measurement window: the accumulators [`Simulation::collect`]
@@ -175,28 +195,6 @@ pub struct Simulation {
     chaos: Option<ChaosRt>,
     window: Window,
     next_tick: Nanos,
-    /// Shared telemetry pipeline: registry gauges, the periodic sampler
-    /// and the invariant watchdog. Disabled by default; `Scenario::record`
-    /// attaches a default pipeline, `set_telemetry` a configured one.
-    telemetry: TelemetryHandle,
-    /// Shared tracer handle; disabled by default. Clones of this handle
-    /// live inside the RX host, the controllers and every flow; the copy
-    /// here covers the fabric-level emissions (switch drops/marks, fault
-    /// drops, host echo marks, signal samples), which happen in the
-    /// simulation loop because the fabric types don't know flow identity.
-    trace: TraceHandle,
-    /// Wall-clock attribution handle; disabled by default. The event loop
-    /// opens an `Engine` scope and nests per-event-kind and per-tick-phase
-    /// scopes inside it. Profiling only reads the wall clock — never any
-    /// simulation state — so a profiled run is bit-identical to an
-    /// unprofiled one (pinned by test below).
-    perf: PerfHandle,
-    /// Per-flow ledger and packet-lifecycle recorder; disabled by default.
-    /// Clones live in every fq link, the RX host, every flow and the ECN
-    /// echo; the copy here stamps the boundaries owned by the event loop
-    /// (send, switch residency, drops, final stack delivery) because the
-    /// fabric types there don't hold packet identity.
-    flowscope: FlowscopeHandle,
 }
 
 impl Simulation {
@@ -225,11 +223,9 @@ impl Simulation {
         let mut ctx = Ctx::default();
         let spec = cfg.chaos.as_deref();
         let chaos = spec.map(|s| ChaosRt::new(s, cfg.seed, topo.as_ref(), &fabric, &mut ctx.q));
-        let telemetry = if cfg.record {
-            TelemetryHandle::new(Telemetry::default())
-        } else {
-            TelemetryHandle::disabled()
-        };
+        if cfg.record {
+            ctx.obs.telemetry = TelemetryHandle::new(Telemetry::default());
+        }
 
         Simulation {
             ctx,
@@ -241,39 +237,37 @@ impl Simulation {
             chaos,
             window: Window::default(),
             next_tick: cfg.host.tick,
-            telemetry,
-            trace: TraceHandle::disabled(),
-            perf: PerfHandle::disabled(),
-            flowscope: FlowscopeHandle::disabled(),
             cfg,
         }
     }
 
-    /// Enable tracing: clones of `trace` are pushed into every instrumented
-    /// component (RX host incl. its MBA, every hostCC controller, every
-    /// flow). Call before `run`; the handle can be inspected afterwards.
+    /// Enable tracing: the RX host (incl. its MBA), every hostCC
+    /// controller and every flow get a clone. Call before `run`; the
+    /// handle can be inspected afterwards.
     pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.focus.set_trace(&trace);
-        for s in &mut self.senders {
-            s.set_trace(&trace);
-        }
-        self.endpoints.set_trace(&trace);
-        self.trace = trace;
+        self.ctx.obs.trace = trace;
+        self.observe();
     }
 
-    /// Attach a flow-ledger recorder: clones are pushed into every fq link,
-    /// the RX host, every flow and the ECN echo, and every flow is
-    /// registered up front (greedy = NetApp-T bulk flow, so RPC flows are
-    /// excluded from fairness/convergence scoring). Call before `run`;
+    /// Attach a flow-ledger recorder: every fq link, the RX host, every
+    /// flow and the ECN echo get a clone, and every flow is registered up
+    /// front (greedy = NetApp-T bulk flow, so RPC flows are excluded from
+    /// fairness/convergence scoring). Call before `run`;
     /// [`RunResult::flowscope`](crate::RunResult::flowscope) carries the
     /// frozen result.
     pub fn set_flowscope(&mut self, flowscope: FlowscopeHandle) {
-        self.endpoints.set_flowscope(&flowscope);
+        self.ctx.obs.flowscope = flowscope;
+        self.observe();
+    }
+
+    /// Hand the observers to every component.
+    fn observe(&mut self) {
+        let obs = &self.ctx.obs;
+        self.focus.observe(obs);
         for s in &mut self.senders {
-            s.set_flowscope(&flowscope);
+            s.observe(obs);
         }
-        self.focus.set_flowscope(&flowscope);
-        self.flowscope = flowscope;
+        self.endpoints.observe(obs);
     }
 
     /// Attach a telemetry pipeline (replacing the default one
@@ -282,19 +276,21 @@ impl Simulation {
     /// [`RunResult::telemetry`](crate::RunResult::telemetry) carries the
     /// frozen result.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
-        self.telemetry = telemetry;
+        self.ctx.obs.telemetry = telemetry;
     }
 
-    /// Attach a wall-clock attribution profiler. Call before `run`; read
-    /// the report back through [`Simulation::perf`] afterwards.
+    /// Attach a wall-clock attribution profiler. Profiling only reads the
+    /// wall clock, so a profiled run is bit-identical to an unprofiled
+    /// one. Call before `run`; read the report back through
+    /// [`Simulation::perf`] afterwards.
     pub fn set_perf(&mut self, perf: PerfHandle) {
-        self.perf = perf;
+        self.ctx.obs.perf = perf;
     }
 
     /// The shared perf handle (disabled unless [`Simulation::set_perf`]
     /// enabled it).
     pub fn perf(&self) -> &PerfHandle {
-        &self.perf
+        &self.ctx.obs.perf
     }
 
     /// Total simulation events popped from the queue so far (sim-rate
@@ -305,7 +301,7 @@ impl Simulation {
 
     /// The shared trace handle (for export).
     pub fn trace(&self) -> &TraceHandle {
-        &self.trace
+        &self.ctx.obs.trace
     }
 
     /// Install a dynamic target-bandwidth policy (replaces the fixed B_T;
@@ -327,9 +323,9 @@ impl Simulation {
     pub fn run(&mut self) -> RunResult {
         let warm_end = self.cfg.warmup;
         self.advance_to(warm_end);
-        self.perf.enter(PerfScope::Engine);
+        self.ctx.obs.perf.with_mut(|p| p.enter(PerfScope::Engine));
         self.reset_window();
-        self.perf.exit();
+        self.ctx.obs.perf.with_mut(PerfProfiler::exit);
         let end = warm_end + self.cfg.measure;
         self.advance_to(end);
         self.collect(self.cfg.measure)
@@ -342,19 +338,20 @@ impl Simulation {
     /// attributed time covers essentially the full wall time of the call
     /// (`Engine` self-time is the queue/loop overhead).
     pub fn advance_to(&mut self, t_end: Nanos) {
-        self.perf.enter(PerfScope::Engine);
+        let perf = self.ctx.obs.perf.clone();
+        perf.with_mut(|p| p.enter(PerfScope::Engine));
         while self.next_tick <= t_end {
             let tick_at = self.next_tick;
             while let Some((t, ev)) = self.ctx.q.pop_before(tick_at) {
-                self.perf.enter(Self::ev_scope(&ev));
+                perf.with_mut(|p| p.enter(Self::ev_scope(&ev)));
                 self.handle(t, ev);
-                self.perf.exit();
+                perf.with_mut(PerfProfiler::exit);
             }
             self.ctx.q.advance_to(tick_at);
-            self.tick(tick_at);
+            self.tick(tick_at, &perf);
             self.next_tick = tick_at + self.cfg.host.tick;
         }
-        self.perf.exit();
+        perf.with_mut(PerfProfiler::exit);
     }
 
     /// The attribution bucket for an event dispatch.
@@ -398,11 +395,11 @@ impl Simulation {
     fn drop_packet(&mut self, now: Nanos, pkt: PacketRef, locus: DropLocus) {
         self.window.fault_drops += u64::from(locus == DropLocus::Fault);
         let p = self.ctx.arena.remove(pkt);
-        self.flowscope.packet_dropped(p.id, now);
-        self.trace.emit(now, || TraceEvent::PacketDrop {
-            flow: p.flow.0,
-            locus,
-        });
+        let obs = &self.ctx.obs;
+        obs.flowscope.with_mut(|s| s.packet_dropped(p.id, now));
+        let flow = p.flow.0;
+        obs.trace
+            .with_mut(|t| t.record(now, TraceEvent::PacketDrop { flow, locus }));
     }
 
     /// Is a packet of `flow` lost entering the fabric? Every open
@@ -441,15 +438,19 @@ impl Simulation {
         // Propagation closes now; switch residency closes at the (future)
         // departure instant — safe to stamp early, any later stamp is later
         // still.
-        self.flowscope.boundary(id, Stage::PropToSwitch, now);
-        self.flowscope.boundary(id, Stage::SwitchQueue, departs);
+        let ctx = &mut self.ctx;
+        ctx.obs.flowscope.with_mut(|s| {
+            s.boundary(id, Stage::PropToSwitch, now);
+            s.boundary(id, Stage::SwitchQueue, departs);
+        });
         if marked {
-            self.ctx.arena.get_mut(pkt).mark_ce();
-            self.trace
-                .emit(now, || TraceEvent::EcnMark { flow, host: false });
+            ctx.arena.get_mut(pkt).mark_ce();
+            ctx.obs
+                .trace
+                .with_mut(|t| t.record(now, TraceEvent::EcnMark { flow, host: false }));
         }
         let arrive = departs + self.cfg.link_prop;
-        let q = &mut self.ctx.q;
+        let q = &mut ctx.q;
         if !last {
             q.schedule(arrive, Ev::ArriveSwitch { pkt, hop: hop + 1 });
         } else if self.fabric.ends_at_focus(flow) {
@@ -470,10 +471,11 @@ impl Simulation {
             return;
         };
         let (event, kind, start, magnitude) = c.fire(idx);
-        self.trace.emit(now, || TraceEvent::ChaosInject {
-            index: event as u32,
-            start,
-        });
+        let index = event as u32;
+        self.ctx
+            .obs
+            .trace
+            .with_mut(|t| t.record(now, TraceEvent::ChaosInject { index, start }));
         match kind {
             // Flaps and pause pulses take their targeted link down (every
             // sender link when untargeted). Sender links transition on the
@@ -501,11 +503,14 @@ impl Simulation {
         }
     }
 
-    fn tick(&mut self, now: Nanos) {
-        let ctx = &mut self.ctx;
+    /// One host tick, its phases timed under `perf` (the loop's clone of
+    /// `ctx.obs.perf`).
+    fn tick(&mut self, now: Nanos, perf: &PerfHandle) {
+        let enter = |scope| perf.with_mut(|p| p.enter(scope));
+        let exit = || perf.with_mut(PerfProfiler::exit);
         // Host phase: onset control plus the sender/receiver host
         // datapath integration (phases 0 and 1 below).
-        self.perf.enter(PerfScope::TickHost);
+        enter(PerfScope::TickHost);
         self.focus
             .mapp_onset(now, self.cfg.mapp_start, self.cfg.mapp_degree);
         // Network demand ending (policy-layer studies).
@@ -517,39 +522,44 @@ impl Simulation {
         //    scenario skips a per-tick walk over all of a fabric's senders.
         if self.cfg.sender_mapp_degree > 0.0 {
             for s in &mut self.senders {
-                s.tick(ctx, now);
+                s.tick(&mut self.ctx, now);
             }
         }
         // 1. Receiver host datapath.
         self.focus.tick(now);
-        self.perf.exit();
+        exit();
 
         // 2. hostCC control loop.
-        self.perf.enter(PerfScope::TickCore);
+        enter(PerfScope::TickCore);
         let mark = self.focus.control(now);
-        self.perf.exit();
+        exit();
 
         // Transport phase: deliveries, application reads and window
         // reopening (phases 3–5).
-        self.perf.enter(PerfScope::TickTransport);
+        enter(PerfScope::TickTransport);
         // 3. Deliveries: receiver-side ECN echo, then up the stack.
+        let ctx = &mut self.ctx;
         let copied = self.focus.deliver(ctx, now, mark, self.cfg.rx_stack_delay);
         // 4. Copy engine drain → per-flow application reads.
         self.endpoints.drain(copied);
         // 5. Receive-window reopening.
         self.endpoints.reopen(ctx, now);
-        self.perf.exit();
+        exit();
 
         // 6. Monitoring sampler (independent of hostCC).
-        self.perf.enter(PerfScope::TickCore);
+        enter(PerfScope::TickCore);
         if let Some(sample) = self.focus.sample(now) {
-            self.trace.emit(now, || TraceEvent::SignalSample {
-                is: sample.is,
-                bs_gbps: sample.bs.as_gbps(),
-                read_ns: sample.read_latency().as_nanos(),
+            let obs = &self.ctx.obs;
+            obs.trace.with_mut(|t| {
+                let ev = TraceEvent::SignalSample {
+                    is: sample.is,
+                    bs_gbps: sample.bs.as_gbps(),
+                    read_ns: sample.read_latency().as_nanos(),
+                };
+                t.record(now, ev)
             });
             self.window.record_sample(&sample);
-            self.telemetry.with_mut(|t| {
+            obs.telemetry.with_mut(|t| {
                 t.registry_mut().histogram_record(
                     "core.signals.read_latency_ns",
                     sample.read_latency().as_nanos() as f64,
@@ -559,19 +569,19 @@ impl Simulation {
         let eff_level = f64::from(self.focus.rx.mba_mut().effective_level(now));
         self.window.level_sum += eff_level;
         self.window.level_ticks += 1;
-        self.perf.exit();
+        exit();
 
-        self.perf.enter(PerfScope::TickTelemetry);
+        enter(PerfScope::TickTelemetry);
         self.sample_telemetry(now, eff_level);
-        self.perf.exit();
+        exit();
 
         // 7. Workloads and flow timers.
-        self.perf.enter(PerfScope::TickWorkload);
+        enter(PerfScope::TickWorkload);
         self.endpoints.run_workloads(now);
-        self.perf.exit();
-        self.perf.enter(PerfScope::TickTransport);
+        exit();
+        enter(PerfScope::TickTransport);
         self.endpoints.tick(&mut self.ctx, now, &mut self.senders);
-        self.perf.exit();
+        exit();
 
         self.endpoints.check();
     }
@@ -582,7 +592,8 @@ impl Simulation {
     /// plain read of existing model state, so the instrumented run is
     /// bit-identical to an uninstrumented one.
     fn sample_telemetry(&mut self, now: Nanos, eff_level: f64) {
-        if self.telemetry.with(|t| t.due(now)) != Some(true) {
+        let telemetry = &self.ctx.obs.telemetry;
+        if telemetry.with(|t| t.due(now)) != Some(true) {
             return;
         }
         let probe = self.focus.rx.probe();
@@ -603,7 +614,7 @@ impl Simulation {
             mba_effective: eff_level as u8,
             mba_levels: MBA_LEVELS,
         };
-        self.telemetry.with_mut(|t| {
+        telemetry.with_mut(|t| {
             let reg = t.registry_mut();
             let focus = &self.focus;
             if let Some(s) = focus.last_signal {
@@ -652,9 +663,10 @@ impl Simulation {
         }
         self.endpoints.reset_window();
         self.window = Window::open(&self.endpoints, &self.fabric);
-        self.telemetry.with_mut(|t| t.reset_window());
         let now = self.ctx.q.now();
-        self.flowscope.with_mut(|f| f.reset_window(now));
+        let obs = &self.ctx.obs;
+        obs.telemetry.with_mut(Telemetry::reset_window);
+        obs.flowscope.with_mut(|f| f.reset_window(now));
     }
 
     fn collect(&mut self, window: Nanos) -> RunResult {
@@ -673,6 +685,7 @@ impl Simulation {
             100.0 * total_drops as f64 / stats.sent as f64
         };
         let mem_peak = self.cfg.host.mem_peak;
+        let (obs, now) = (&self.ctx.obs, self.ctx.q.now());
 
         let mut rpc = HashMap::<u64, RpcResult>::new();
         for (&size, h) in self.endpoints.rpc_clients().flat_map(|c| &c.histograms) {
@@ -709,9 +722,9 @@ impl Simulation {
             rpc,
             read_is_cdf: std::mem::take(&mut w.read_is_cdf),
             read_bs_cdf: std::mem::take(&mut w.read_bs_cdf),
-            telemetry: self.telemetry.result(),
-            trace: self.trace.counts(),
-            flowscope: self.flowscope.result(self.ctx.q.now()),
+            telemetry: obs.telemetry.report(),
+            trace: obs.trace.report(),
+            flowscope: obs.flowscope.with(|f| f.freeze(now)),
         }
     }
 }

@@ -73,7 +73,7 @@ impl FqLink {
             up: true,
             backlog_bytes: 0,
             sent: 0,
-            flowscope: FlowscopeHandle::disabled(),
+            flowscope: FlowscopeHandle::default(),
         }
     }
 
@@ -159,7 +159,8 @@ impl FqLink {
         }
         self.backlog_bytes += wire_bytes;
         self.flow_bytes[idx] += wire_bytes;
-        self.flowscope.boundary(id, Stage::TxDma, now);
+        self.flowscope
+            .with_mut(|s| s.boundary(id, Stage::TxDma, now));
         self.queues[idx].push_back((pkt, wire_bytes, id));
         if self.in_service_until.is_none() {
             return self.start_next(now);
@@ -187,11 +188,11 @@ impl FqLink {
         let burst_bytes: u64 = pkts.iter().map(|&(_, b, _)| b).sum();
         self.backlog_bytes += burst_bytes;
         self.flow_bytes[idx] += burst_bytes;
-        if self.flowscope.is_enabled() {
+        self.flowscope.with_mut(|s| {
             for &(_, _, id) in pkts.iter() {
-                self.flowscope.boundary(id, Stage::TxDma, now);
+                s.boundary(id, Stage::TxDma, now);
             }
-        }
+        });
         self.queues[idx].extend(pkts.drain(..));
         if self.in_service_until.is_none() {
             return self.start_next(now);
@@ -228,8 +229,10 @@ impl FqLink {
         self.sent += 1;
         // Serialize closes at the (future) departure instant; safe to stamp
         // early because any later stamp for this packet is later still.
-        self.flowscope.boundary(id, Stage::FqQueue, now);
-        self.flowscope.boundary(id, Stage::Serialize, at);
+        self.flowscope.with_mut(|s| {
+            s.boundary(id, Stage::FqQueue, now);
+            s.boundary(id, Stage::Serialize, at);
+        });
         Some(Departure { at, pkt })
     }
 }
@@ -467,16 +470,22 @@ mod tests {
         let fs = FlowscopeHandle::new(FlowScope::new());
         l.set_flowscope(fs.clone());
         // Two packets: #1 serves immediately, #2 waits one service time.
-        fs.packet_sent(1, 0, Nanos::ZERO);
-        fs.packet_sent(2, 0, Nanos::ZERO);
+        fs.with_mut(|s| {
+            s.packet_sent(1, 0, Nanos::ZERO);
+            s.packet_sent(2, 0, Nanos::ZERO);
+        });
         let (f, b, i, r) = pkt(&mut arena, 0, 1, 4030);
         let d1 = l.enqueue(Nanos::ZERO, f, b, i, r).unwrap();
         let (f, b, i, r) = pkt(&mut arena, 0, 2, 4030);
         assert!(l.enqueue(Nanos::ZERO, f, b, i, r).is_none());
         let d2 = l.on_depart(d1.at).unwrap();
-        fs.delivered(1, 4030, d1.at);
-        fs.delivered(2, 4030, d2.at);
-        let res = fs.result(d2.at).unwrap();
+        let res = fs
+            .with_mut(|s| {
+                s.delivered(1, 4030, d1.at);
+                s.delivered(2, 4030, d2.at);
+                s.freeze(d2.at)
+            })
+            .unwrap();
         // #1: zero fq queueing, 328 ns serialize; #2: 328 ns of each.
         assert_eq!(res.summary.stage_total_ns[Stage::FqQueue as usize], 328);
         assert_eq!(res.summary.stage_total_ns[Stage::Serialize as usize], 656);

@@ -172,7 +172,9 @@ impl FlowScope {
         &mut self.flows[idx]
     }
 
-    /// Declare a flow's class before the run.
+    /// Declare a flow's class before the run (greedy = NetApp-T bulk
+    /// flow; non-greedy flows are excluded from fairness/convergence
+    /// scoring).
     pub fn register_flow(&mut self, flow: u32, greedy: bool) {
         self.flow_mut(flow).greedy = greedy;
     }
@@ -187,9 +189,8 @@ impl FlowScope {
         fl.group = Some(group.to_string());
     }
 
-    /// Open a life record (see [`FlowscopeHandle::packet_sent`]).
-    ///
-    /// [`FlowscopeHandle::packet_sent`]: crate::FlowscopeHandle::packet_sent
+    /// A data packet left the sender's transport: open its life record
+    /// (`at` is the packet's `sent_at`).
     pub fn packet_sent(&mut self, id: u64, flow: u32, at: Nanos) {
         let fl = self.flow_mut(flow);
         if fl.first_sent_at.is_none() {
@@ -207,7 +208,7 @@ impl FlowScope {
         );
     }
 
-    /// Close `stage` for packet `id` at `at`.
+    /// Packet `id` crossed the boundary that closes `stage` at `at`.
     pub fn boundary(&mut self, id: u64, stage: Stage, at: Nanos) {
         let Some(life) = self.live.get_mut(&id) else {
             self.orphan_stamps += 1;
@@ -229,7 +230,9 @@ impl FlowScope {
         self.flow_mut(life.flow).drops += 1;
     }
 
-    /// Close [`Stage::Stack`] and fold the completed life into the ledgers.
+    /// The packet cleared the receive stack: close [`Stage::Stack`], fold
+    /// the completed life into the ledgers and conservation-check the
+    /// stage sums against the measured end-to-end delay.
     pub fn delivered(&mut self, id: u64, payload_bytes: u64, at: Nanos) {
         let Some(mut life) = self.live.remove(&id) else {
             self.orphan_stamps += 1;

@@ -6,9 +6,9 @@
 //!
 //! Four layers:
 //!
-//! * **Attribution** — [`PerfProfiler`] behind a cloneable [`PerfHandle`]:
-//!   a scope stack the simulation loop enters and exits around every event
-//!   dispatch and host-tick phase. Attribution is *self-time* (entering a
+//! * **Attribution** — [`PerfProfiler`] behind a cloneable [`PerfHandle`]
+//!   (a [`Probe`](hostcc_sim::Probe)): a scope stack the simulation loop
+//!   enters and exits around every event dispatch and host-tick phase. Attribution is *self-time* (entering a
 //!   nested scope pauses its parent), so the per-scope nanoseconds sum to
 //!   the total profiled wall time exactly. The disabled handle is a single
 //!   `Option` check; profiling only ever reads the wall clock, so profiled
@@ -33,10 +33,12 @@
 //! use hostcc_perf::{PerfHandle, PerfProfiler, PerfScope};
 //!
 //! let perf = PerfHandle::new(PerfProfiler::new());
-//! perf.enter(PerfScope::Engine);
-//! perf.enter(PerfScope::EvArriveSwitch); // pauses Engine
-//! perf.exit();
-//! perf.exit();
+//! perf.with_mut(|p| {
+//!     p.enter(PerfScope::Engine);
+//!     p.enter(PerfScope::EvArriveSwitch); // pauses Engine
+//!     p.exit();
+//!     p.exit();
+//! });
 //! let report = perf.report().unwrap();
 //! assert_eq!(report.attributed_ns(), report.total_ns);
 //! assert_eq!(report.scope_enters[PerfScope::Engine as usize], 1);

@@ -20,11 +20,9 @@
 //! they vary run to run, and results must stay bit-identical for a given
 //! scenario and seed.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::Instant;
 
-use hostcc_sim::{json, Nanos};
+use hostcc_sim::{json, Nanos, Probe, Snapshot};
 
 /// One attribution bucket: an event-dispatch kind or a host-tick phase.
 ///
@@ -277,49 +275,18 @@ impl PerfProfiler {
     }
 }
 
-/// The cloneable handle instrumented code holds. Disabled, every call is
-/// a single `Option` check and the wall clock is never read.
-#[derive(Debug, Clone, Default)]
-pub struct PerfHandle(Option<Rc<RefCell<PerfProfiler>>>);
+impl Snapshot for PerfProfiler {
+    type Report = PerfReport;
 
-impl PerfHandle {
-    /// The no-op handle.
-    pub fn disabled() -> Self {
-        PerfHandle(None)
-    }
-
-    /// A handle owning a fresh profiler; clones share it.
-    pub fn new(profiler: PerfProfiler) -> Self {
-        PerfHandle(Some(Rc::new(RefCell::new(profiler))))
-    }
-
-    /// Whether attribution is being collected at all.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Open `scope` (no-op when disabled).
-    #[inline]
-    pub fn enter(&self, scope: PerfScope) {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().enter(scope);
-        }
-    }
-
-    /// Close the innermost scope (no-op when disabled).
-    #[inline]
-    pub fn exit(&self) {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().exit();
-        }
-    }
-
-    /// Snapshot the report, if enabled.
-    pub fn report(&self) -> Option<PerfReport> {
-        self.0.as_ref().map(|p| p.borrow().report())
+    fn snapshot(&self) -> PerfReport {
+        self.report()
     }
 }
+
+/// The shared profiler instrumented code holds, or nothing (the
+/// [`Default`]). Disabled, every `with_mut` is a single `Option` check
+/// and the wall clock is never read.
+pub type PerfHandle = Probe<PerfProfiler>;
 
 /// A closed attribution measurement: self-time nanoseconds and enter
 /// counts per scope, plus the covered wall window.
@@ -689,18 +656,18 @@ mod tests {
 
     #[test]
     fn handle_disabled_is_inert_and_enabled_round_trips() {
-        let off = PerfHandle::disabled();
-        off.enter(PerfScope::Engine);
-        off.exit();
+        let off = PerfHandle::default();
+        off.with_mut(|p| p.enter(PerfScope::Engine));
+        off.with_mut(PerfProfiler::exit);
         assert!(off.report().is_none());
         assert!(!off.is_enabled());
 
         let on = PerfHandle::new(PerfProfiler::new());
         let clone = on.clone();
-        on.enter(PerfScope::Engine);
-        clone.enter(PerfScope::TickHost);
-        clone.exit();
-        on.exit();
+        on.with_mut(|p| p.enter(PerfScope::Engine));
+        clone.with_mut(|p| p.enter(PerfScope::TickHost));
+        clone.with_mut(PerfProfiler::exit);
+        on.with_mut(PerfProfiler::exit);
         let r = on.report().unwrap();
         assert_eq!(r.scope_enters[PerfScope::Engine as usize], 1);
         assert_eq!(r.scope_enters[PerfScope::TickHost as usize], 1);

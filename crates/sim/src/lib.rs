@@ -16,6 +16,9 @@
 //!   one FNV-1a hasher behind every fingerprint, the one seed derivation
 //!   behind every per-cell, per-chaos-event and per-route RNG stream, and
 //!   the one set of JSON value renderers behind every exported document.
+//! * [`Probe`] — the one optional-observer handle: a shared recorder (a
+//!   tracer, telemetry pipeline, profiler or flow ledger) or nothing, with
+//!   [`Snapshot`] as its read-back.
 //!
 //! The engine is single-threaded on purpose: the hostCC experiments need a
 //! single logical clock across the host substrate, the fabric and the
@@ -29,6 +32,7 @@ mod event;
 mod ewma;
 mod hash;
 pub mod json;
+mod probe;
 mod rate;
 mod rng;
 mod time;
@@ -36,6 +40,7 @@ mod time;
 pub use event::{EventQueue, ScheduledEvent};
 pub use ewma::Ewma;
 pub use hash::{derive_seed, Fnv64};
+pub use probe::{Probe, Snapshot};
 pub use rate::Rate;
 pub use rng::Rng;
 pub use time::Nanos;

@@ -16,9 +16,9 @@
 //! - [`InvariantWatchdog`] — conservation checks (NIC packets, PCIe
 //!   credits, IIO byte accounting, MBA level range) evaluated at every
 //!   sample, with a strict mode that fails the run on the first leak;
-//! - [`TelemetryHandle`] — a cloneable shared handle in the style of
-//!   `TraceHandle`: when disabled, instrumentation costs one `Option`
-//!   check and never evaluates its closures.
+//! - [`TelemetryHandle`] — the [`Probe`](hostcc_sim::Probe) over a
+//!   [`Telemetry`] pipeline: when disabled, instrumentation costs one
+//!   `Option` check and never evaluates its closures.
 //!
 //! ```
 //! use hostcc_sim::Nanos;
@@ -34,7 +34,7 @@
 //!         t.check_and_sample(Nanos::from_nanos(700), &input);
 //!     }
 //! });
-//! let result = handle.result().unwrap();
+//! let result = handle.report().unwrap();
 //! assert_eq!(result.summary.samples, 1);
 //! assert_eq!(result.summary.total_violations(), 0);
 //! assert!(hostcc_telemetry::wide_csv(&result.series)

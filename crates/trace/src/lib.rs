@@ -15,9 +15,10 @@
 //!   [`Tracer::counting`] gives a ring-less counting-only mode for
 //!   experiment sweeps, and [`TraceCounts::merge`] folds per-worker counts
 //!   together deterministically at join time.
-//! * [`TraceHandle`] — the cloneable handle instrumented components hold.
-//!   The disabled handle is a single `Option` check and never constructs
-//!   the event, so un-traced runs pay (and change) nothing.
+//! * [`TraceHandle`] — the [`Probe`](hostcc_sim::Probe) over a [`Tracer`]
+//!   that instrumented components hold. The disabled handle is a single
+//!   `Option` check and never constructs the event, so un-traced runs pay
+//!   (and change) nothing.
 //! * [`write_chrome_trace`] / [`write_jsonl`] — exporters: a Chrome
 //!   trace-event JSON document (open in [Perfetto](https://ui.perfetto.dev)
 //!   or `chrome://tracing`) with one track per component category, and a
@@ -32,11 +33,11 @@
 //! };
 //!
 //! let handle = TraceHandle::new(Tracer::new(1024, TraceFilter::all()));
-//! // Components emit through their (cloned) handle:
-//! handle.emit(Nanos::from_micros(1), || TraceEvent::IioOccupancy {
-//!     cachelines: 64.0,
+//! // Components record through their (cloned) handle:
+//! handle.with_mut(|t| {
+//!     t.record(Nanos::from_micros(1), TraceEvent::IioOccupancy { cachelines: 64.0 })
 //! });
-//! assert_eq!(handle.counts().unwrap().total(), 1);
+//! assert_eq!(handle.report().unwrap().total(), 1);
 //!
 //! let mut json = Vec::new();
 //! handle

@@ -191,8 +191,8 @@ impl Flow {
             peer_rwnd: u64::MAX,
             packet_id: (u64::from(id.0)) << 40,
             stats: FlowStats::default(),
-            trace: TraceHandle::disabled(),
-            flowscope: FlowscopeHandle::disabled(),
+            trace: TraceHandle::default(),
+            flowscope: FlowscopeHandle::default(),
             cfg,
         }
     }
@@ -212,11 +212,17 @@ impl Flow {
     fn trace_cwnd(&self, now: Nanos, before: u64) {
         let cwnd = self.w.cwnd as u64;
         if cwnd != before {
-            self.trace.emit(now, || TraceEvent::CcUpdate {
-                flow: self.id.0,
-                cwnd_bytes: cwnd,
+            let flow = self.id.0;
+            self.trace.with_mut(|t| {
+                t.record(
+                    now,
+                    TraceEvent::CcUpdate {
+                        flow,
+                        cwnd_bytes: cwnd,
+                    },
+                )
             });
-            self.flowscope.cwnd_sample(self.id.0, now, cwnd);
+            self.flowscope.with_mut(|s| s.cwnd_sample(flow, now, cwnd));
         }
     }
 
@@ -363,7 +369,7 @@ impl Flow {
         self.stats.sent += 1;
         if retransmit {
             self.stats.retransmits += 1;
-            self.flowscope.retransmit(self.id.0);
+            self.flowscope.with_mut(|s| s.retransmit(self.id.0));
             if let Some(seg) = self.segs.iter_mut().find(|s| s.seq == seq) {
                 seg.retransmitted = true;
                 seg.sent_at = now;
@@ -702,7 +708,7 @@ mod tests {
         for _ in 0..3 {
             f.on_ack(Nanos::from_micros(50), MSS, false, u64::MAX);
         }
-        let c = trace.counts().unwrap();
+        let c = trace.report().unwrap();
         assert!(c.of(TraceKind::CcUpdate) >= 2, "growth + decrease traced");
         trace.with(|t| {
             for r in t.records() {
