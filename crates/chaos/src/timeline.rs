@@ -207,7 +207,7 @@ impl ChaosEvent {
     }
 }
 
-/// Parse a duration literal: `<number><ns|us|ms|s>`.
+/// Parse a duration literal: `<number><ns|us|ms|s>`, at most `u64::MAX` ns.
 fn parse_duration(tok: &str) -> Result<Nanos, String> {
     let (num, scale) = if let Some(v) = tok.strip_suffix("ns") {
         (v, 1.0)
@@ -226,7 +226,15 @@ fn parse_duration(tok: &str) -> Result<Nanos, String> {
     if !v.is_finite() || v < 0.0 {
         return Err(format!("negative or non-finite duration '{tok}'"));
     }
-    Ok(Nanos::from_nanos((v * scale).round() as u64))
+    let ns = (v * scale).round();
+    // `u64::MAX as f64` rounds up to 2^64, the first value that does not fit.
+    if ns >= u64::MAX as f64 {
+        return Err(format!(
+            "duration '{tok}' out of range (0 to {} ns)",
+            u64::MAX
+        ));
+    }
+    Ok(Nanos::from_nanos(ns as u64))
 }
 
 fn parse_event(spec: &str) -> Result<ChaosEvent, String> {
@@ -286,16 +294,26 @@ fn parse_event(spec: &str) -> Result<ChaosEvent, String> {
                 .parse::<f64>()
                 .map_err(|_| format!("event '{spec}': bad percentage '{tok}'"))?
                 / 100.0;
-        } else if let Ok(d) = parse_duration(tok) {
-            duration = d;
+        } else if let Ok(m) = tok.parse::<f64>() {
+            // No number literal ends in a duration unit, so trying the
+            // magnitude first never shadows a duration.
+            magnitude = m;
         } else {
-            magnitude = tok.parse::<f64>().map_err(|_| {
-                format!("event '{spec}': '{tok}' is neither a number, a percentage, nor a duration")
+            duration = parse_duration(tok).map_err(|e| {
+                format!(
+                    "event '{spec}': '{tok}' is neither a number, a percentage, nor a duration: {e}"
+                )
             })?;
         }
     }
     if duration == Nanos::ZERO {
         return Err(format!("event '{spec}': zero duration"));
+    }
+    if start.checked_add(duration).is_none() {
+        return Err(format!(
+            "event '{spec}': window end is out of range (start + duration must be at most {} ns)",
+            u64::MAX
+        ));
     }
     kind.validate_magnitude(magnitude)
         .map_err(|e| format!("event '{spec}': {e}"))?;
@@ -605,10 +623,32 @@ mod tests {
             ("flap@2ms+0ns", "zero duration"),
             ("burstloss@2ms:1.5", "out of range"),
             ("pause@2ms:0.2", "out of range"),
+            ("flap@1ms:2x", "neither a number"),
         ] {
             let err = ChaosTimeline::parse(spec).unwrap_err();
             assert!(err.contains(needle), "spec '{spec}': {err}");
         }
+    }
+
+    #[test]
+    fn out_of_range_times_are_rejected_naming_the_range() {
+        let range = format!("{} ns", u64::MAX);
+        for spec in [
+            "flap@99999999999999999999us+1us",
+            "flap@1us+99999999999999999999us",
+            "flap@1us:99999999999999999999us",
+        ] {
+            let err = ChaosTimeline::parse(spec).unwrap_err();
+            assert!(err.contains("out of range"), "spec '{spec}': {err}");
+            assert!(err.contains(&range), "spec '{spec}': {err}");
+        }
+        // Both fit in u64 ns on their own, but the window end does not.
+        let err = ChaosTimeline::parse("flap@18446744073s+1s").unwrap_err();
+        assert!(err.contains("window end is out of range"), "{err}");
+        assert!(err.contains(&range), "{err}");
+        // The largest representable window end still parses.
+        let t = ChaosTimeline::parse("flap@18446744073709549568ns+2047ns").unwrap();
+        assert_eq!(t.end(), Nanos::MAX);
     }
 
     #[test]

@@ -48,6 +48,8 @@ pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<Resilien
     let mut base = budget.apply(Scenario::with_congestion(3.0).with_rpc(budget.rpc_clients));
     base.record = true;
     base.chaos = Some(spec.to_string());
+    // Resolve link targets here: an arm thread would only panic on them.
+    base.check_chaos()?;
     let off = base.clone();
     let on = base.clone().enable_hostcc();
 
@@ -260,6 +262,15 @@ mod tests {
     fn timelines_past_the_run_end_are_rejected() {
         let err = run_chaos("flap@40ms+1ms", &Budget::quick(), 1).unwrap_err();
         assert!(err.contains("widen the budget"), "{err}");
+    }
+
+    #[test]
+    fn unknown_link_targets_are_rejected_before_the_arms_run() {
+        for workers in [1, 2] {
+            let err = run_chaos("flap@link:zz@1us+1us", &Budget::quick(), workers).unwrap_err();
+            assert!(err.contains("matches no link"), "{err}");
+            assert!(err.contains("valid targets"), "{err}");
+        }
     }
 
     #[test]

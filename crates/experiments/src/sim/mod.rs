@@ -83,8 +83,9 @@ const FIRST_SENDER: u32 = 0;
 ///
 /// Kept to 16 bytes: packets and ACK payloads live in arenas
 /// ([`Ctx::arena`] / [`Ctx::acks`]) and events carry 8-byte handles. The
-/// timing wheel copies every element it cascades, so event size is a
-/// direct hot-path cost (the old by-value variant was 88 bytes).
+/// event queue's heap moves whole 32-byte entries on every sift step, so
+/// event size is a direct hot-path cost (the old by-value variant was 88
+/// bytes). `tests::events_stay_sixteen_bytes` pins the size.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// A packet's last bit left sender `sender`'s NIC.
@@ -806,6 +807,12 @@ mod tests {
         s.warmup = Nanos::from_millis(2);
         s.measure = Nanos::from_millis(4);
         Simulation::new(s).run()
+    }
+
+    #[test]
+    fn events_stay_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
+        assert_eq!(std::mem::size_of::<hostcc_sim::ScheduledEvent<Ev>>(), 32);
     }
 
     #[test]

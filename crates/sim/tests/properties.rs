@@ -14,9 +14,9 @@ enum TickOp {
     Tick { step: u64, follow: u64 },
 }
 
-/// Scheduling deltas spanning level 0, the coarse levels and the
-/// beyond-horizon overflow heap.
-fn wheel_delta() -> impl Strategy<Value = u64> {
+/// Scheduling deltas from a few nanoseconds (dense same-instant ties) to
+/// months of simulated time.
+fn spread_delta() -> impl Strategy<Value = u64> {
     prop_oneof![
         0u64..300,
         256u64..1 << 16,
@@ -53,8 +53,7 @@ proptest! {
         prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
 
-    /// Oracle equivalence: the timing wheel must pop exactly what the old
-    /// `BinaryHeap<Reverse<(time, seq)>>` queue popped — a stable sort by
+    /// Oracle equivalence: the queue must pop exactly a stable sort by
     /// (time, scheduling order). Times are drawn from a small range so the
     /// run is dense with same-timestamp ties.
     #[test]
@@ -73,16 +72,15 @@ proptest! {
         prop_assert_eq!(got, oracle);
     }
 
-    /// Oracle equivalence under interleaved schedule/pop, with timestamps
-    /// spanning every wheel level *and* the far-future overflow heap
-    /// (deltas past 2^48 ns exceed the wheel horizon). Scheduling relative
-    /// to the advancing `now` also exercises cursor cascades mid-stream.
+    /// Oracle equivalence under interleaved schedule/pop, with deltas from
+    /// nanoseconds to months. Scheduling relative to the advancing
+    /// `now` pushes new minima and far-future events mid-stream.
     #[test]
     fn event_queue_matches_heap_oracle_interleaved(
         ops in prop::collection::vec(
             prop_oneof![
-                // Mostly schedules: dense near-term, mid-level, and
-                // beyond-horizon deltas.
+                // Mostly schedules: dense near-term, mid-range and
+                // far-future deltas.
                 (prop_oneof![0u64..2_000, 1u64 << 20..1u64 << 44, 1u64 << 48..1u64 << 54])
                     .prop_map(Some),
                 Just(None), // pop
@@ -131,16 +129,16 @@ proptest! {
     /// interleaved with `pop_before(deadline)` drains (which schedule a
     /// follow-up mid-drain, as event handlers do) and `advance_to(deadline)`.
     /// The deadline mostly steps like the 100 ns host tick and sometimes
-    /// leaps across coarse levels, so the queue's cached head is read
-    /// after schedules, level-0 pops, cascades and overflow migrations.
+    /// leaps microseconds to days ahead, so the head is read after
+    /// schedules, pops, empty ticks and long idle gaps.
     #[test]
     fn event_queue_tick_loop_matches_heap_oracle(
         ops in prop::collection::vec(
             prop_oneof![
-                wheel_delta().prop_map(TickOp::Schedule),
+                spread_delta().prop_map(TickOp::Schedule),
                 (
                     prop_oneof![1u64..200, 1u64 << 8..1u64 << 20, 1u64 << 40..1u64 << 50],
-                    wheel_delta(),
+                    spread_delta(),
                 )
                     .prop_map(|(step, follow)| TickOp::Tick { step, follow }),
             ],
@@ -200,9 +198,8 @@ proptest! {
         prop_assert!(q.drained());
     }
 
-    /// Far-future stress: every event lands beyond the wheel horizon, so
-    /// the overflow heap carries them all and must refill the wheel in
-    /// oracle order as time advances.
+    /// Far-future stress: every event lies days to decades ahead, and
+    /// the queue must still pop them in oracle order.
     #[test]
     fn event_queue_overflow_only_schedules(
         times in prop::collection::vec((1u64 << 48)..(1u64 << 60), 1..100),
