@@ -28,7 +28,7 @@ pub enum ChaosPhase {
 pub struct Injection {
     /// Absolute simulated firing time.
     pub at: Nanos,
-    /// Index into [`ChaosDriver::timeline`]`.events`.
+    /// Index into `ChaosDriver::timeline``.events`.
     pub event: usize,
     /// Open or close.
     pub phase: ChaosPhase,
@@ -108,11 +108,6 @@ impl ChaosDriver {
             injections,
             seeds,
         }
-    }
-
-    /// The timeline this driver was compiled from.
-    pub fn timeline(&self) -> &ChaosTimeline {
-        &self.timeline
     }
 
     /// The sorted injection schedule.

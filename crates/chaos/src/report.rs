@@ -72,7 +72,7 @@ pub struct ArmReport {
 impl ArmReport {
     /// Violations *not* covered by an annotated fault window — these are
     /// simulator defects, never acceptable.
-    pub fn unannotated_violations(&self) -> u64 {
+    pub(crate) fn unannotated_violations(&self) -> u64 {
         self.violations.saturating_sub(self.annotated_violations)
     }
 

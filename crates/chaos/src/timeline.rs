@@ -87,7 +87,7 @@ impl ChaosKind {
     }
 
     /// Default event duration when the spec omits one.
-    pub fn default_duration(self) -> Nanos {
+    pub(crate) fn default_duration(self) -> Nanos {
         match self {
             ChaosKind::LinkFlap => Nanos::from_micros(500),
             ChaosKind::LinkDegrade => Nanos::from_millis(1),
@@ -105,7 +105,7 @@ impl ChaosKind {
     /// kind-specific (rate fraction, drop probability, pulse count,
     /// latency multiplier, jitter fraction, extra degree; unused for
     /// flap/ddio/echo).
-    pub fn default_magnitude(self) -> f64 {
+    pub(crate) fn default_magnitude(self) -> f64 {
         match self {
             ChaosKind::LinkFlap => 0.0,
             ChaosKind::LinkDegrade => 0.5,
@@ -121,7 +121,7 @@ impl ChaosKind {
 
     /// True for kinds that act on a physical link and hence accept (and,
     /// on multi-link topologies, require) a `link:<name>` target.
-    pub fn is_link_fault(self) -> bool {
+    pub(crate) fn is_link_fault(self) -> bool {
         matches!(
             self,
             ChaosKind::LinkFlap
@@ -176,8 +176,8 @@ pub struct ChaosEvent {
     /// When the fault window opens (absolute simulated time).
     pub start: Nanos,
     /// How long the window stays open.
-    pub duration: Nanos,
-    /// Kind-specific magnitude (see [`ChaosKind::default_magnitude`]).
+    pub(crate) duration: Nanos,
+    /// Kind-specific magnitude (see `ChaosKind::default_magnitude`).
     pub magnitude: f64,
 }
 

@@ -19,7 +19,7 @@ pub struct EcnEcho {
     /// Packets that arrived already CE-marked (fabric marks).
     pub fabric_marks: u64,
     /// Packets processed.
-    pub processed: u64,
+    pub(crate) processed: u64,
     /// Flow-ledger recorder: attributes CE marks per flow, classified as
     /// host-echo vs fabric (disabled by default).
     flowscope: FlowscopeHandle,
@@ -48,15 +48,6 @@ impl EcnEcho {
             pkt.mark_ce();
             self.host_marks += 1;
             self.flowscope.with_mut(|s| s.ecn_mark(pkt.flow.0, true));
-        }
-    }
-
-    /// Fraction of processed packets marked by the host echo.
-    pub fn host_mark_fraction(&self) -> f64 {
-        if self.processed == 0 {
-            0.0
-        } else {
-            self.host_marks as f64 / self.processed as f64
         }
     }
 
@@ -114,7 +105,7 @@ mod tests {
             let mut p = pkt();
             e.process(&mut p, i < 3);
         }
-        assert!((e.host_mark_fraction() - 0.3).abs() < 1e-12);
+        assert_eq!((e.host_marks, e.processed), (3, 10));
         e.reset_window();
         assert_eq!(e.processed, 0);
     }

@@ -57,6 +57,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod echo;
 mod policy;
@@ -64,6 +65,6 @@ mod response;
 mod signals;
 
 pub use echo::EcnEcho;
-pub use policy::{FixedTarget, PriorityShareTarget, TargetPolicy};
+pub use policy::{PriorityShareTarget, TargetPolicy};
 pub use response::{HostCc, HostCcConfig, Regime, SignalSource};
 pub use signals::{Sample, SignalConfig, SignalSampler};

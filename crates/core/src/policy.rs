@@ -3,9 +3,10 @@
 //! hostCC deliberately does not fix a host resource-allocation policy: "we
 //! envision hostCC to embody various host resource allocation policies"
 //! (§3.2). The controller consumes a target network bandwidth `B_T` from a
-//! [`TargetPolicy`]; the paper's evaluation uses a fixed target
-//! ([`FixedTarget`], 80 Gbps), and [`PriorityShareTarget`] demonstrates a
-//! dynamic policy that scales the target with observed demand.
+//! [`TargetPolicy`] when one is attached. The paper's evaluation uses a
+//! fixed target (`HostCcConfig::bt`, 80 Gbps, no policy attached), and
+//! [`PriorityShareTarget`] demonstrates a dynamic policy that scales the
+//! target with observed demand.
 
 use hostcc_sim::{Nanos, Rate};
 
@@ -19,20 +20,6 @@ pub trait TargetPolicy: std::fmt::Debug {
     fn name(&self) -> &'static str;
 }
 
-/// The paper's policy: a fixed `B_T`.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedTarget(pub Rate);
-
-impl TargetPolicy for FixedTarget {
-    fn target(&mut self, _now: Nanos, _observed_bs: Rate) -> Rate {
-        self.0
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-}
-
 /// A demand-following policy: the target tracks a fraction of the peak
 /// bandwidth the network traffic has recently demonstrated, bounded to
 /// `[floor, ceiling]`. When network demand falls, host-local traffic gets
@@ -40,11 +27,11 @@ impl TargetPolicy for FixedTarget {
 #[derive(Debug, Clone, Copy)]
 pub struct PriorityShareTarget {
     /// Lower bound on the target.
-    pub floor: Rate,
+    pub(crate) floor: Rate,
     /// Upper bound on the target.
-    pub ceiling: Rate,
+    pub(crate) ceiling: Rate,
     /// Fraction of the demonstrated peak to defend.
-    pub fraction: f64,
+    pub(crate) fraction: f64,
     peak: Rate,
     /// Decay applied to the demonstrated peak each update (forgets old
     /// bursts over ~1000 updates).
@@ -81,16 +68,6 @@ impl TargetPolicy for PriorityShareTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixed_is_fixed() {
-        let mut p = FixedTarget(Rate::gbps(80.0));
-        assert_eq!(p.target(Nanos::ZERO, Rate::gbps(10.0)), Rate::gbps(80.0));
-        assert_eq!(
-            p.target(Nanos::from_secs(1), Rate::gbps(100.0)),
-            Rate::gbps(80.0)
-        );
-    }
 
     #[test]
     fn share_tracks_demonstrated_peak() {

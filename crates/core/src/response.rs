@@ -49,7 +49,7 @@ pub struct HostCcConfig {
     /// Disabling this yields the "host-local response only" ablation.
     pub echo: bool,
     /// Signal sampling configuration.
-    pub signal: SignalConfig,
+    pub(crate) signal: SignalConfig,
 }
 
 impl HostCcConfig {
@@ -102,11 +102,11 @@ pub enum Regime {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RegimeStats {
     /// Samples spent in each regime (indexed R1..R4).
-    pub visits: [u64; 4],
+    pub(crate) visits: [u64; 4],
     /// MBA level increases requested.
-    pub level_ups: u64,
+    pub(crate) level_ups: u64,
     /// MBA level decreases requested.
-    pub level_downs: u64,
+    pub(crate) level_downs: u64,
 }
 
 /// The hostCC controller instance at one receiver host.
@@ -148,11 +148,6 @@ impl HostCc {
         self.trace = trace;
     }
 
-    /// The configuration.
-    pub fn cfg(&self) -> &HostCcConfig {
-        &self.cfg
-    }
-
     /// Change the target bandwidth at runtime (policy layer).
     pub fn set_bt(&mut self, bt: Rate) {
         self.cfg.bt = bt;
@@ -166,16 +161,6 @@ impl HostCc {
     /// Smoothed `B_S`.
     pub fn bs(&self) -> Rate {
         self.sampler.bs()
-    }
-
-    /// Estimated host delay (delay-based CC extension, §6).
-    pub fn host_delay(&self) -> Option<Nanos> {
-        self.sampler.host_delay()
-    }
-
-    /// Most recent raw sample.
-    pub fn last_sample(&self) -> Option<&Sample> {
-        self.last_sample.as_ref()
     }
 
     /// Current regime.
@@ -202,7 +187,7 @@ impl HostCc {
     /// Whether host congestion is currently detected (`I_S > I_T`, or the
     /// smoothed NIC backlog above its threshold for the NIC-signal
     /// variant).
-    pub fn host_congested(&self) -> bool {
+    pub(crate) fn host_congested(&self) -> bool {
         match self.cfg.signal_source {
             SignalSource::IioOccupancy => self.sampler.is() > self.cfg.it,
             SignalSource::NicBuffer => self.nic_ewma.get() > self.cfg.nic_it_bytes,

@@ -1,6 +1,6 @@
 //! Host congestion signal collection (paper §3.1, §4.1).
 
-use hostcc_host::{CounterSnapshot, MsrBank, MsrReadModel, CACHELINE};
+use hostcc_host::{CounterSnapshot, MsrBank, MsrReadModel};
 use hostcc_sim::{Ewma, Nanos, Rate, Rng};
 
 /// Configuration of the signal sampler.
@@ -9,11 +9,11 @@ pub struct SignalConfig {
     /// Nominal sampling period. The effective period is
     /// `max(period, read latency)`; with the defaults both are sub-µs,
     /// matching the paper's "sub-microsecond granularity".
-    pub period: Nanos,
+    pub(crate) period: Nanos,
     /// EWMA weight for `I_S` (paper default 1/8).
-    pub is_weight: f64,
+    pub(crate) is_weight: f64,
     /// EWMA weight for `B_S` (paper default 1/256).
-    pub bs_weight: f64,
+    pub(crate) bs_weight: f64,
 }
 
 impl Default for SignalConfig {
@@ -95,17 +95,6 @@ impl SignalSampler {
     /// Current smoothed PCIe bandwidth.
     pub fn bs(&self) -> Rate {
         Rate::bytes_per_ns(self.bs_ewma.get())
-    }
-
-    /// Estimated host delay `ℓ_p + ℓ_m` via Little's law on the smoothed
-    /// signals (paper §3.1 / §6: the delay-based-CC extension).
-    pub fn host_delay(&self) -> Option<Nanos> {
-        let bs = self.bs_ewma.get();
-        if bs <= 0.0 || !self.is_ewma.is_primed() {
-            return None;
-        }
-        let ns = self.is_ewma.get() * CACHELINE as f64 / bs;
-        Some(Nanos::from_nanos(ns.round() as u64))
     }
 
     /// Whether a sample is due at `now`.
@@ -254,25 +243,6 @@ mod tests {
         }
         let after = s.bs().as_gbps();
         assert!(after > before * 0.88, "before={before} after={after}");
-    }
-
-    #[test]
-    fn host_delay_from_littles_law() {
-        let mut s = sampler();
-        let mut bank = MsrBank::new();
-        let mut now = Nanos::ZERO;
-        s.maybe_sample(now, &bank);
-        for _ in 0..2000 {
-            feed(&mut bank, 65.0, 12.875, Nanos::from_micros(1));
-            now += Nanos::from_micros(1);
-            s.maybe_sample(now, &bank);
-        }
-        // delay = 65 × 64 / 12.875 ≈ 323 ns.
-        let d = s.host_delay().expect("delay available");
-        assert!(
-            (d.as_nanos() as i64 - 323).unsigned_abs() < 15,
-            "host delay = {d}"
-        );
     }
 
     #[test]

@@ -918,6 +918,16 @@ fn report_comparison(
     }
 }
 
+/// A regression-gate threshold: a finite percentage >= 0. `inf` (or an
+/// overflowing `1e999`) would switch the gate off, so it is rejected like a
+/// negative value.
+fn parse_pct(flag: &str, value: Option<&String>) -> Result<f64, String> {
+    value
+        .and_then(|v| v.parse::<f64>().ok())
+        .filter(|pct| pct.is_finite() && *pct >= 0.0)
+        .ok_or_else(|| format!("{flag} needs a finite, non-negative percentage"))
+}
+
 fn bench_main(args: &[String]) -> ExitCode {
     let mut suite: Option<String> = None;
     let mut opts = BenchOptions::default();
@@ -977,22 +987,14 @@ fn bench_main(args: &[String]) -> ExitCode {
                     None => return bench_usage(),
                 }
             }
-            "--threshold" => {
+            "--threshold" | "--alloc-threshold" => {
+                let flag = &args[i];
                 i += 1;
-                match args.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(pct) if pct >= 0.0 => threshold = pct,
-                    _ => {
-                        eprintln!("--threshold needs a non-negative percentage");
-                        return bench_usage();
-                    }
-                }
-            }
-            "--alloc-threshold" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(pct) if pct >= 0.0 => alloc_threshold = pct,
-                    _ => {
-                        eprintln!("--alloc-threshold needs a non-negative percentage");
+                match parse_pct(flag, args.get(i)) {
+                    Ok(pct) if flag == "--threshold" => threshold = pct,
+                    Ok(pct) => alloc_threshold = pct,
+                    Err(e) => {
+                        eprintln!("{e}");
                         return bench_usage();
                     }
                 }
@@ -1278,6 +1280,19 @@ mod tests {
     }
 
     #[test]
+    fn parse_pct_requires_a_finite_non_negative_value() {
+        let pct = |s: &str| parse_pct("--alloc-threshold", Some(&s.to_string()));
+        assert_eq!(pct("75"), Ok(75.0));
+        assert_eq!(pct("0"), Ok(0.0));
+        for bad in ["inf", "1e999", "-1", "NaN", "five"] {
+            let err = pct(bad).unwrap_err();
+            assert!(err.contains("--alloc-threshold"), "{bad}: {err}");
+            assert!(err.contains("finite, non-negative"), "{bad}: {err}");
+        }
+        assert!(parse_pct("--threshold", None).is_err());
+    }
+
+    #[test]
     fn build_spec_accepts_presets_and_axes() {
         assert_eq!(build_spec(&names(&["fig2"])).unwrap().cell_count(), 8);
         // A preset's axes can be overridden afterwards.
@@ -1300,5 +1315,20 @@ mod tests {
             build_spec(&names(&["fig2", "baseline"])).is_err(),
             "preset after axes/preset"
         );
+        // Out-of-range axis values name the valid range.
+        for (args, valid) in [
+            (&["mtu=0"][..], "valid: 131 or more"),
+            (&["degree=nan"], "valid: a finite number >= 0"),
+            (&["drop=2"], "valid: a probability in [0, 1]"),
+            (&["level=200"], "valid: 0..=4"),
+            (&["hostcc=on", "bt=0"], "valid: a finite number > 0"),
+            (&["hostcc=on", "it=-1"], "valid: a finite number >= 0"),
+            (&["flows=0"], "valid: 1 or more"),
+            (&["incast=0"], "valid: 1 or more"),
+        ] {
+            let err = build_spec(&names(args)).unwrap_err();
+            assert!(err.contains("out of range"), "{args:?}: {err}");
+            assert!(err.contains(valid), "{args:?}: {err}");
+        }
     }
 }

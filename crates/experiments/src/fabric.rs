@@ -42,7 +42,7 @@ pub(crate) struct Fabric {
 impl Fabric {
     /// The paper's single switch: one port that all `flows` cross on their
     /// way to the focus host.
-    pub fn implicit(port: SwitchPortConfig, flows: usize) -> Self {
+    pub(crate) fn implicit(port: SwitchPortConfig, flows: usize) -> Self {
         let route = Route {
             first: 0,
             len: 1,
@@ -62,7 +62,7 @@ impl Fabric {
     /// depend only on (topology, flow, seed), so multi-hop runs are
     /// bit-identical at any sweep worker count. Host uplinks carry no port
     /// (the sender's `FqLink` *is* that link).
-    pub fn from_topology(
+    pub(crate) fn from_topology(
         topo: &Topology,
         cfg: &Scenario,
         sender_of_flow: impl ExactSizeIterator<Item = usize>,
@@ -111,42 +111,42 @@ impl Fabric {
     }
 
     /// The port a topology link feeds (None for host uplinks).
-    pub fn port_of_link(&self, link: u32) -> Option<u32> {
+    pub(crate) fn port_of_link(&self, link: u32) -> Option<u32> {
         self.links.binary_search(&link).ok().map(|p| p as u32)
     }
 
     /// The ports `flow` crosses, in order (`Ev::ArriveSwitch::hop` indexes
     /// this).
-    pub fn route(&self, flow: u32) -> &[u32] {
+    pub(crate) fn route(&self, flow: u32) -> &[u32] {
         let r = self.routes[flow as usize];
         &self.hops[r.first as usize..(r.first + r.len) as usize]
     }
 
     /// Does `flow` end at the focus receiver host (full host model) rather
     /// than a modeled-as-a-sink peer?
-    pub fn ends_at_focus(&self, flow: u32) -> bool {
+    pub(crate) fn ends_at_focus(&self, flow: u32) -> bool {
         self.routes[flow as usize].to_focus
     }
 
     /// Egress port `port`.
-    pub fn port_mut(&mut self, port: u32) -> &mut SwitchPort {
+    pub(crate) fn port_mut(&mut self, port: u32) -> &mut SwitchPort {
         &mut self.ports[port as usize]
     }
 
     /// Every port with its id.
-    pub fn ports_mut(&mut self) -> impl Iterator<Item = (u32, &mut SwitchPort)> {
+    pub(crate) fn ports_mut(&mut self) -> impl Iterator<Item = (u32, &mut SwitchPort)> {
         (0..).zip(self.ports.iter_mut())
     }
 
     /// Cumulative (drops, marks, forwarded) over every port.
-    pub fn totals(&self) -> (u64, u64, u64) {
+    pub(crate) fn totals(&self) -> (u64, u64, u64) {
         self.ports.iter().fold((0, 0, 0), |(d, m, f), p| {
             (d + p.drops(), m + p.marks(), f + p.forwarded())
         })
     }
 
     /// Mirror the named ports' backlog, marks and drops into `reg`.
-    pub fn record_ports(&mut self, now: hostcc_sim::Nanos, reg: &mut MetricRegistry) {
+    pub(crate) fn record_ports(&mut self, now: hostcc_sim::Nanos, reg: &mut MetricRegistry) {
         for (p, [backlog, marks, drops]) in self.ports.iter_mut().zip(&self.series) {
             reg.gauge_set(backlog, p.backlog_bytes(now) as f64);
             reg.counter_set(marks, p.marks());

@@ -31,9 +31,9 @@ pub struct Budget {
     pub measure: Nanos,
     /// Measurement window for tail-latency experiments (needs enough
     /// closed-loop RPCs to resolve P99.9 against 200 ms timeouts).
-    pub latency_measure: Nanos,
+    pub(crate) latency_measure: Nanos,
     /// Parallel RPC client connections (sample-rate knob).
-    pub rpc_clients: usize,
+    pub(crate) rpc_clients: usize,
 }
 
 impl Budget {
@@ -83,11 +83,11 @@ pub struct FigureReport {
     /// Figure identifier, e.g. "Figure 10".
     pub id: &'static str,
     /// What the figure shows.
-    pub title: &'static str,
+    pub(crate) title: &'static str,
     /// One table per panel, with a panel caption.
     pub panels: Vec<(String, Table)>,
     /// Free-form observations (paper-vs-measured commentary).
-    pub notes: Vec<String>,
+    pub(crate) notes: Vec<String>,
 }
 
 impl FigureReport {

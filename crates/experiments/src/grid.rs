@@ -23,7 +23,7 @@ use crate::scenario::{CcSel, Scenario};
 
 /// Hard cap on the number of cells one grid may expand to — a typo guard
 /// (`seed=1..`), not a capacity limit.
-pub const MAX_CELLS: usize = 65_536;
+pub(crate) const MAX_CELLS: usize = 65_536;
 
 /// Every grid axis name, in canonical order — the single source of truth
 /// quoted by the unknown-axis error here and by the CLI usage text.
@@ -40,7 +40,7 @@ pub struct Cell {
     /// [`derive_seed`] and the row label in sweep outputs.
     pub key: String,
     /// The individual `(axis, value)` pairs of [`Cell::key`].
-    pub params: Vec<(&'static str, String)>,
+    pub(crate) params: Vec<(&'static str, String)>,
     /// The ready-to-run scenario (seed already derived).
     pub scenario: Scenario,
 }
@@ -68,19 +68,19 @@ pub struct GridSpec {
     /// windows and the base RNG seed).
     pub base: Scenario,
     /// Receiver DDIO on/off.
-    pub ddio: Vec<bool>,
+    pub(crate) ddio: Vec<bool>,
     /// hostCC controller on/off (`on` applies the DDIO-matched paper
     /// config, `off` removes any controller the base had).
     pub hostcc: Vec<bool>,
     /// hostCC target network bandwidth `B_T` in Gbps (requires hostCC on
     /// in every cell).
-    pub bt_gbps: Vec<f64>,
+    pub(crate) bt_gbps: Vec<f64>,
     /// hostCC IIO occupancy threshold `I_T` (requires hostCC on in every
     /// cell).
     pub it: Vec<f64>,
     /// Fixed MBA response level 0–4 (conflicts with hostCC, which would
     /// steer the level away).
-    pub mba_level: Vec<u8>,
+    pub(crate) mba_level: Vec<u8>,
     /// Congestion-control selection per cell: a single protocol or a
     /// heterogeneous per-flow mix (`dctcp:4+cubic:4`).
     pub cc: Vec<CcSel>,
@@ -89,21 +89,21 @@ pub struct GridSpec {
     /// Greedy flows on a single sender (resets the base to one sender).
     pub flows: Vec<u32>,
     /// Total greedy flows split over two incast senders.
-    pub incast: Vec<u32>,
+    pub(crate) incast: Vec<u32>,
     /// Fabric topology per cell: `off` (the implicit fabric, the paper's
     /// one switch port) or a kind name from [`hostcc_fabric::TopologyKind`] (`dumbbell`,
     /// `leaf-spine`, `fat-tree`). Attaching a topology reshapes the sender
     /// set, so this axis conflicts with `flows`/`incast`.
-    pub topology: Vec<String>,
+    pub(crate) topology: Vec<String>,
     /// Rack (leaf) count for leaf–spine cells, `k` for fat-tree cells
     /// (needs a topology, from this grid's axis or the base scenario).
     pub racks: Vec<u32>,
     /// Hosts per rack for leaf–spine/dumbbell cells (needs a topology).
     pub hosts_per_rack: Vec<u32>,
     /// MTU in bytes.
-    pub mtu: Vec<u64>,
+    pub(crate) mtu: Vec<u64>,
     /// Switch ECN marking threshold in KiB (the DCTCP `K` knob).
-    pub ecn_kb: Vec<u64>,
+    pub(crate) ecn_kb: Vec<u64>,
     /// Fault-injection drop probability on the sender→switch link.
     pub drop_chance: Vec<f64>,
     /// Chaos timeline per cell: a preset name or spec string from
@@ -129,7 +129,7 @@ fn fmt_f64(v: f64) -> String {
 
 /// Resize `s` to `spec`, or, when the spec is invalid, only record it:
 /// `expand()` then reports the spec's `validate()` error, where resizing
-/// would first underflow `sender_count()` (e.g. `racks=0`).
+/// would first panic in `sender_count()` (e.g. `racks=0`).
 fn set_topology(s: &mut Scenario, spec: TopologySpec) {
     if spec.validate().is_ok() {
         *s = s.clone().with_topology(spec);

@@ -12,7 +12,7 @@ use hostcc_trace::TraceCounts;
 #[derive(Debug, Clone)]
 pub struct RpcResult {
     /// Full latency histogram.
-    pub histogram: Histogram,
+    pub(crate) histogram: Histogram,
     /// Completed RPCs of this size.
     pub count: u64,
 }
@@ -43,7 +43,7 @@ pub struct RunResult {
     /// MApp memory bandwidth / theoretical peak.
     pub mapp_mem_util: f64,
     /// MApp application-level throughput in Gbps (the Fig 9 right axis).
-    pub mapp_app_gbps: f64,
+    pub(crate) mapp_app_gbps: f64,
     /// Retransmitted packets.
     pub retransmits: u64,
     /// RTO events.
@@ -65,9 +65,9 @@ pub struct RunResult {
     /// Per-size RPC latency results (empty if no RPC workload).
     pub rpc: HashMap<u64, RpcResult>,
     /// Signal read-latency CDFs (occupancy read, insertion read).
-    pub read_is_cdf: Cdf,
+    pub(crate) read_is_cdf: Cdf,
     /// CDF of the `R_INS` read latency.
-    pub read_bs_cdf: Cdf,
+    pub(crate) read_bs_cdf: Cdf,
     /// The run's telemetry (recorded series, registry, mergeable summary)
     /// when a telemetry pipeline was attached — via `Scenario::record` or
     /// [`Simulation::set_telemetry`](crate::Simulation::set_telemetry).

@@ -59,7 +59,7 @@ impl CcKind {
     /// All protocol names joined for error messages — the single source
     /// of truth every "unknown protocol" diagnostic quotes, so a new
     /// [`CcKind`] shows up everywhere at once.
-    pub fn known_names() -> String {
+    pub(crate) fn known_names() -> String {
         let names: Vec<_> = CcKind::ALL.iter().map(|k| k.name()).collect();
         names.join(", ")
     }
@@ -71,7 +71,7 @@ impl CcKind {
 /// Greedy flows are assigned to groups in flow-index order — the first
 /// `n₀` flows run `kind₀`, the next `n₁` run `kind₁`, and so on; indices
 /// past the declared total wrap around, so a mix stays valid when the
-/// `flows` axis is swept independently. The canonical [`CcMix::label`] is
+/// `flows` axis is swept independently. The canonical `CcMix::label` is
 /// the grid-cell key text, which keeps per-cell seed derivation purely
 /// textual.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,7 +123,7 @@ impl CcMix {
     }
 
     /// The canonical `name:count+name:count` label (grid keys, reports).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let parts: Vec<_> = self
             .groups
             .iter()
@@ -134,7 +134,7 @@ impl CcMix {
 
     /// The CC kind for greedy flow `idx` (flow-index order, wrapping past
     /// the declared total).
-    pub fn kind_for_flow(&self, idx: u32) -> CcKind {
+    pub(crate) fn kind_for_flow(&self, idx: u32) -> CcKind {
         let mut i = idx % self.total_flows();
         for &(kind, n) in &self.groups {
             if i < n {
@@ -176,7 +176,7 @@ impl CcSel {
     }
 
     /// The canonical cell-key label.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             CcSel::Kind(k) => k.name().to_string(),
             CcSel::Mix(m) => m.label(),
@@ -202,7 +202,7 @@ pub struct Scenario {
     /// RNG seed: every run is exactly repeatable from this.
     pub seed: u64,
     /// MTU in bytes (paper default 4096, Fig 3/11 sweep {1500, 4000, 9000}).
-    pub mtu: u64,
+    pub(crate) mtu: u64,
     /// Number of sender hosts (1; 2 for the Fig 13 incast).
     pub senders: usize,
     /// Greedy (NetApp-T) flows per sender.
@@ -212,9 +212,9 @@ pub struct Scenario {
     /// Number of parallel RPC client connections (sample-rate knob; the
     /// paper's netperf uses 1 — more clients gather tail samples faster
     /// without materially changing load).
-    pub rpc_clients: usize,
+    pub(crate) rpc_clients: usize,
     /// MApp congestion degree at the receiver.
-    pub mapp_degree: f64,
+    pub(crate) mapp_degree: f64,
     /// Start MApp at this time instead of t = 0 (abrupt-onset studies).
     pub mapp_start: Nanos,
     /// Stop all greedy (NetApp-T) flows at this time (None = never):
@@ -224,11 +224,11 @@ pub struct Scenario {
     /// MApp congestion degree at sender 0 (sender-side host congestion:
     /// TX DMA reads starve; paper Fig 5's sender-side response exercises
     /// this). 0 disables the sender host model entirely.
-    pub sender_mapp_degree: f64,
+    pub(crate) sender_mapp_degree: f64,
     /// Run a sender-side hostCC response (only meaningful with
     /// `sender_mapp_degree > 0`): keeps network TX from being starved by
     /// backpressuring the sender's host-local traffic.
-    pub sender_hostcc: bool,
+    pub(crate) sender_hostcc: bool,
     /// Receiver host model.
     pub host: HostConfig,
     /// hostCC controller (None = vanilla network CC).
@@ -238,20 +238,20 @@ pub struct Scenario {
     pub cc: CcKind,
     /// Heterogeneous per-flow CC mix for the greedy flows (None = every
     /// flow runs `cc`). See [`CcMix`] for assignment order.
-    pub cc_mix: Option<CcMix>,
+    pub(crate) cc_mix: Option<CcMix>,
     /// Pin the receiver's MBA to a fixed response level for the whole run
     /// (the Fig 9 actuator-efficacy sweep). Only meaningful without hostCC,
     /// which would otherwise steer the level away — `validate` rejects the
     /// combination.
-    pub forced_mba_level: Option<u8>,
+    pub(crate) forced_mba_level: Option<u8>,
     /// Switch egress port toward the receiver.
-    pub switch: SwitchPortConfig,
+    pub(crate) switch: SwitchPortConfig,
     /// One-way per-link propagation (incl. per-hop stack overheads).
-    pub link_prop: Nanos,
+    pub(crate) link_prop: Nanos,
     /// Receive-side stack delay from DMA completion to transport.
-    pub rx_stack_delay: Nanos,
+    pub(crate) rx_stack_delay: Nanos,
     /// Fixed reverse-path delay for ACKs (uncongested direction).
-    pub ack_delay: Nanos,
+    pub(crate) ack_delay: Nanos,
     /// Per-flow receive socket buffer.
     pub rcv_buf: u64,
     /// Warm-up before measurement starts.
@@ -271,10 +271,10 @@ pub struct Scenario {
     /// switch port, which every flow crosses to the focus host. With a
     /// topology, `senders` must equal the spec's sender count and every
     /// flow's route crosses one `SwitchPort` per switch-sourced link.
-    pub topology: Option<TopologySpec>,
+    pub(crate) topology: Option<TopologySpec>,
     /// How greedy flows map onto hosts (incast fan-in vs ring collective;
     /// only [`TrafficPattern::Incast`] is valid without a topology).
-    pub pattern: TrafficPattern,
+    pub(crate) pattern: TrafficPattern,
 }
 
 impl Scenario {
@@ -335,10 +335,7 @@ impl Scenario {
 
     /// Enable DDIO on the receiver host.
     pub fn enable_ddio(mut self) -> Self {
-        self.host = HostConfig {
-            ddio_enabled: true,
-            ..self.host
-        };
+        self.host.ddio_enabled = true;
         // If hostCC was already configured, retune its threshold.
         if self.hostcc.is_some() {
             self.hostcc = Some(HostCcConfig::paper_ddio());
@@ -372,7 +369,7 @@ impl Scenario {
     /// Run on a multi-switch fabric: `senders` becomes the topology's
     /// sender-host count and the current greedy-flow total is
     /// redistributed over them (ring pattern: one flow per sender).
-    pub fn with_topology(mut self, spec: TopologySpec) -> Self {
+    pub(crate) fn with_topology(mut self, spec: TopologySpec) -> Self {
         let n = spec.sender_count();
         self.topology = Some(spec);
         let total = match self.pattern {
@@ -386,7 +383,7 @@ impl Scenario {
 
     /// Select the collective traffic pattern (ring resets to one flow per
     /// sender — each host streams one chunk to its ring successor).
-    pub fn with_pattern(mut self, pattern: TrafficPattern) -> Self {
+    pub(crate) fn with_pattern(mut self, pattern: TrafficPattern) -> Self {
         self.pattern = pattern;
         if pattern == TrafficPattern::RingAllReduce {
             self.flows_per_sender = vec![1; self.senders];
@@ -397,7 +394,7 @@ impl Scenario {
     /// Incast across a leaf–spine fabric: `total_flows` spread over all
     /// `racks × hosts_per_rack − 1` sender hosts, converging on the focus
     /// receiver in the last rack (3 switch hops from any other rack).
-    pub fn leaf_spine_incast(
+    pub(crate) fn leaf_spine_incast(
         racks: u32,
         hosts_per_rack: u32,
         total_flows: u32,
@@ -469,18 +466,9 @@ impl Scenario {
         self
     }
 
-    /// The CC label for grid keys and reports: the mix label when a mix
-    /// is set, the plain protocol name otherwise.
-    pub fn cc_label(&self) -> String {
-        match &self.cc_mix {
-            Some(mix) => mix.label(),
-            None => self.cc.name().to_string(),
-        }
-    }
-
     /// The CC kind greedy flow `idx` runs (global flow-index order across
     /// senders).
-    pub fn cc_for_greedy_flow(&self, idx: u32) -> CcKind {
+    pub(crate) fn cc_for_greedy_flow(&self, idx: u32) -> CcKind {
         match &self.cc_mix {
             Some(mix) => mix.kind_for_flow(idx),
             None => self.cc,
@@ -488,15 +476,15 @@ impl Scenario {
     }
 
     /// Total greedy flows.
-    pub fn total_greedy_flows(&self) -> u32 {
+    pub(crate) fn total_greedy_flows(&self) -> u32 {
         self.flows_per_sender.iter().sum()
     }
 
     /// Smallest MTU a scenario accepts: headers plus a 65-byte payload.
-    pub const MIN_MTU: u64 = hostcc_fabric::HEADER_BYTES as u64 + 65;
+    pub(crate) const MIN_MTU: u64 = hostcc_fabric::HEADER_BYTES as u64 + 65;
 
     /// Maximum segment size for this MTU.
-    pub fn mss(&self) -> u64 {
+    pub(crate) fn mss(&self) -> u64 {
         self.mtu - u64::from(hostcc_fabric::HEADER_BYTES)
     }
 
@@ -539,7 +527,7 @@ impl Scenario {
     /// graceful surface `GridSpec::expand` and the CLI use, so a bad
     /// `@link:` target lists the valid names instead of panicking deep in a
     /// sweep worker.
-    pub fn check_chaos(&self) -> Result<(), String> {
+    pub(crate) fn check_chaos(&self) -> Result<(), String> {
         let Some(spec) = &self.chaos else {
             return Ok(());
         };
@@ -553,7 +541,7 @@ impl Scenario {
     }
 
     /// Approximate base RTT of the scenario (diagnostics).
-    pub fn base_rtt(&self) -> Nanos {
+    pub(crate) fn base_rtt(&self) -> Nanos {
         // data: ser ×2 + prop ×2 + host + stack; ack: fixed.
         let ser = Rate::gbps(100.0).time_for_bytes(self.mtu) * 2;
         ser + self.link_prop * 2 + Nanos::from_micros(1) + self.rx_stack_delay + self.ack_delay
@@ -715,10 +703,8 @@ mod tests {
         s.validate();
         assert_eq!(s.total_greedy_flows(), 8);
         assert_eq!(s.cc, CcKind::Swift);
-        assert_eq!(s.cc_label(), "swift:3+reno:5");
+        assert_eq!(s.cc_mix.as_ref().unwrap().label(), "swift:3+reno:5");
         assert_eq!(s.cc_for_greedy_flow(2), CcKind::Swift);
         assert_eq!(s.cc_for_greedy_flow(3), CcKind::Reno);
-        // Homogeneous scenarios label with the plain name.
-        assert_eq!(Scenario::paper_baseline().cc_label(), "dctcp");
     }
 }

@@ -77,9 +77,9 @@ pub(super) struct ChaosRt {
     targets: Vec<ChaosTarget>,
     open: Vec<Open>,
     /// Per event: what its host-side window saved on opening.
-    pub saved: Vec<Option<Saved>>,
+    pub(crate) saved: Vec<Option<Saved>>,
     /// Injections fired so far (telemetry counter).
-    pub fired: u64,
+    pub(crate) fired: u64,
     /// Packets dropped by burst-loss windows and dead fabric ingresses
     /// (telemetry counter).
     pub drops: u64,
@@ -92,7 +92,7 @@ impl ChaosRt {
     /// every injection up front on `q`: the schedule depends only on the
     /// scenario (spec text + seed), so chaos runs are bit-identical at any
     /// sweep worker count.
-    pub fn new(
+    pub(super) fn new(
         spec: &str,
         seed: u64,
         topo: Option<&Topology>,
@@ -137,7 +137,7 @@ impl ChaosRt {
     /// Fire injection `idx`: count it and open or close its window. The
     /// caller applies the edge to the components it perturbs: (event,
     /// kind, opening?, magnitude).
-    pub fn fire(&mut self, idx: usize) -> (usize, ChaosKind, bool, f64) {
+    pub(super) fn fire(&mut self, idx: usize) -> (usize, ChaosKind, bool, f64) {
         let inj = self.driver.injections()[idx];
         let e = self.driver.event(inj.event);
         let (event, kind, magnitude) = (inj.event, e.kind, e.magnitude);
@@ -158,12 +158,12 @@ impl ChaosRt {
     }
 
     /// Fault windows currently open (telemetry gauge).
-    pub fn open_windows(&self) -> usize {
+    pub(super) fn open_windows(&self) -> usize {
         self.open.len()
     }
 
     /// Is sender `s`'s NIC link inside an open down window?
-    pub fn sender_down(&self, s: usize) -> bool {
+    pub(super) fn sender_down(&self, s: usize) -> bool {
         self.open
             .iter()
             .any(|w| w.downs() && w.target.covers(s, &[]))
@@ -171,7 +171,7 @@ impl ChaosRt {
 
     /// Is fabric port `port` inside an open down window? An arrival at a
     /// dead ingress is lost, and counted here.
-    pub fn port_down(&mut self, port: u32) -> bool {
+    pub(super) fn port_down(&mut self, port: u32) -> bool {
         let down = self
             .open
             .iter()
@@ -191,12 +191,12 @@ impl ChaosRt {
     }
 
     /// Rate multiplier for sender `s`'s NIC link.
-    pub fn sender_rate_scale(&self, s: usize) -> f64 {
+    pub(super) fn sender_rate_scale(&self, s: usize) -> f64 {
         self.rate_scale(|t| t.covers(s, &[]))
     }
 
     /// Rate multiplier for fabric port `port`.
-    pub fn port_rate_scale(&self, port: u32) -> f64 {
+    pub(super) fn port_rate_scale(&self, port: u32) -> f64 {
         self.rate_scale(|t| t == ChaosTarget::Port(port))
     }
 
@@ -205,7 +205,7 @@ impl ChaosRt {
     /// hit's target covers the packet's path. Every open burst draws for
     /// every packet, so the streams stay aligned however the other bursts
     /// land.
-    pub fn burst_hit(&mut self, sender: usize, route: &[u32]) -> bool {
+    pub(super) fn burst_hit(&mut self, sender: usize, route: &[u32]) -> bool {
         let mut hit = false;
         for w in &mut self.open {
             if w.kind == ChaosKind::BurstLoss {

@@ -79,7 +79,7 @@ impl Endpoints {
     /// Build every flow of `cfg`: each sender's greedy flows, then the RPC
     /// clients (on the first sender), forking their RNGs from `rng`. The
     /// ACK delays are drawn later, by [`Endpoints::jitter_ack_delays`].
-    pub fn new(cfg: &Scenario, rng: &mut Rng) -> Self {
+    pub(super) fn new(cfg: &Scenario, rng: &mut Rng) -> Self {
         let flow_cfg = FlowConfig::for_mtu(cfg.mtu);
         let base_rtt = cfg.base_rtt();
         let rpc_clients = cfg.rpc.as_ref().map_or(0, |_| cfg.rpc_clients);
@@ -124,26 +124,26 @@ impl Endpoints {
     }
 
     /// Draw every flow's reverse-path delay around `base` from `rng`.
-    pub fn jitter_ack_delays(&mut self, base: Nanos, mut rng: Rng) {
+    pub(super) fn jitter_ack_delays(&mut self, base: Nanos, mut rng: Rng) {
         for e in &mut self.eps {
             e.ack_delay = base.scale(rng.jitter(1.0, 0.10));
         }
     }
 
     /// The sender host of each flow, in flow order.
-    pub fn senders(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+    pub(super) fn senders(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
         self.eps.iter().map(|e| e.sender as usize)
     }
 
     /// The sender host of `flow`.
-    pub fn sender_of(&self, flow: u32) -> usize {
+    pub(super) fn sender_of(&self, flow: u32) -> usize {
         self.eps[flow as usize].sender as usize
     }
 
     /// Register every flow with the flow ledger (greedy = NetApp-T bulk
     /// flow, so RPC flows are excluded from fairness/convergence scoring)
     /// and hand each flow its observers.
-    pub fn observe(&mut self, obs: &Observers) {
+    pub(super) fn observe(&mut self, obs: &Observers) {
         for (i, e) in self.eps.iter_mut().enumerate() {
             // Registering with the flow's protocol name gives the frozen
             // result per-CC-group ledger splits — how heterogeneous mixes
@@ -190,7 +190,7 @@ impl Endpoints {
 
     /// `Ev::DeliverStack`: a packet reaches its socket, which ACKs it (and
     /// completes any RPC message it ends).
-    pub fn deliver(&mut self, ctx: &mut Ctx, now: Nanos, pkt: PacketRef, fabric: &Fabric) {
+    pub(super) fn deliver(&mut self, ctx: &mut Ctx, now: Nanos, pkt: PacketRef, fabric: &Fabric) {
         let pkt = ctx.arena.remove(pkt);
         ctx.obs
             .flowscope
@@ -217,7 +217,7 @@ impl Endpoints {
     }
 
     /// `Ev::AckArrive`: the flow takes the ACK and sends what it now may.
-    pub fn on_ack(
+    pub(super) fn on_ack(
         &mut self,
         ctx: &mut Ctx,
         now: Nanos,
@@ -234,7 +234,7 @@ impl Endpoints {
     }
 
     /// Stop every greedy flow's application, once (network demand ending).
-    pub fn stop_greedy(&mut self) {
+    pub(super) fn stop_greedy(&mut self) {
         if !self.net_stopped {
             for e in &mut self.eps[..self.first_rpc] {
                 e.flow.stop_app();
@@ -246,7 +246,7 @@ impl Endpoints {
     /// Tick phase 4: the copy engine moved `copied` more application
     /// bytes; hand whole bytes to the sockets in proportion to their
     /// unconsumed data. Runs only when there are bytes to hand out.
-    pub fn drain(&mut self, copied: f64) {
+    pub(super) fn drain(&mut self, copied: f64) {
         self.copied_carry += copied;
         // Shares are of the total before this drain; the reads shrink
         // the running total as they go.
@@ -277,7 +277,7 @@ impl Endpoints {
     /// Tick phase 5: if a socket's advertised window was closed below one
     /// MSS and the application has since drained it, send a window update
     /// (Linux does the same). Runs only while some window is closed.
-    pub fn reopen(&mut self, ctx: &mut Ctx, now: Nanos) {
+    pub(super) fn reopen(&mut self, ctx: &mut Ctx, now: Nanos) {
         for i in 0..self.eps.len() {
             if self.closed == 0 {
                 break;
@@ -298,7 +298,7 @@ impl Endpoints {
 
     /// Tick phase 7, workloads: each RPC client may queue its next
     /// message, which makes its flow due now.
-    pub fn run_workloads(&mut self, now: Nanos) {
+    pub(super) fn run_workloads(&mut self, now: Nanos) {
         for e in &mut self.eps[self.first_rpc..] {
             let rpc = e.rpc.as_mut().expect("RPC endpoints come last");
             if rpc.maybe_send(now, &mut e.flow) {
@@ -313,7 +313,7 @@ impl Endpoints {
     /// nothing and send nothing (`poll_send` is not time-gated, and every
     /// ACK pumps its flow to exhaustion on arrival). Before the deadline
     /// floor no flow is due, so none is visited.
-    pub fn tick(&mut self, ctx: &mut Ctx, now: Nanos, senders: &mut [Sender]) {
+    pub(super) fn tick(&mut self, ctx: &mut Ctx, now: Nanos, senders: &mut [Sender]) {
         if now < self.deadline_floor {
             return;
         }
@@ -333,7 +333,7 @@ impl Endpoints {
     }
 
     /// Debug builds: the running totals equal a recount from scratch.
-    pub fn check(&self) {
+    pub(super) fn check(&self) {
         debug_assert_eq!(
             self.unconsumed,
             self.eps.iter().map(|e| e.recv.unconsumed()).sum::<u64>(),
@@ -354,12 +354,12 @@ impl Endpoints {
     }
 
     /// Every flow's counters, summed.
-    pub fn stats(&self) -> FlowStats {
+    pub(super) fn stats(&self) -> FlowStats {
         self.eps.iter().map(|e| e.flow.stats).sum()
     }
 
     /// Application bytes read so far: (greedy flows, all flows).
-    pub fn read(&self) -> (u64, u64) {
+    pub(super) fn read(&self) -> (u64, u64) {
         let sum = |eps: &[Endpoint]| eps.iter().map(|e| e.read).sum::<u64>();
         let greedy = sum(&self.eps[..self.first_rpc]);
         (greedy, greedy + sum(&self.eps[self.first_rpc..]))
@@ -368,7 +368,7 @@ impl Endpoints {
     /// Sending rate (cwnd / srtt, Gbps) of the first few flows — the ones
     /// interesting individually (Fig 8's convergence view); beyond that
     /// per-flow series are noise.
-    pub fn flow_rates(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub(super) fn flow_rates(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.eps.iter().take(8).enumerate().filter_map(|(i, e)| {
             let srtt = e.flow.srtt().filter(|&s| s > Nanos::ZERO)?;
             Some((i, e.flow.cwnd() as f64 * 8.0 / srtt.as_nanos() as f64))
@@ -376,11 +376,11 @@ impl Endpoints {
     }
 
     /// Every RPC client, in flow order.
-    pub fn rpc_clients(&self) -> impl Iterator<Item = &RpcClient> {
+    pub(super) fn rpc_clients(&self) -> impl Iterator<Item = &RpcClient> {
         self.eps.iter().filter_map(|e| e.rpc.as_ref())
     }
 
-    pub fn reset_window(&mut self) {
+    pub(super) fn reset_window(&mut self) {
         for rpc in self.eps.iter_mut().filter_map(|e| e.rpc.as_mut()) {
             rpc.reset_window();
         }

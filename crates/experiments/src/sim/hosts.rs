@@ -53,7 +53,7 @@ impl Sender {
     /// contends with `cfg.sender_mapp_degree` of MApp traffic, and
     /// `cfg.sender_hostcc` adds the sender response (forking its RNG from
     /// `rng`).
-    pub fn new(id: u32, cfg: &Scenario, rng: &mut Rng) -> Self {
+    pub(super) fn new(id: u32, cfg: &Scenario, rng: &mut Rng) -> Self {
         let congested = id == FIRST_SENDER && cfg.sender_mapp_degree > 0.0;
         let hostcc = (congested && cfg.sender_hostcc).then(|| {
             // The sender response defends the TX rate: echo is meaningless
@@ -80,7 +80,7 @@ impl Sender {
 
     /// `Ev::Depart`: the packet's last bit left the NIC. It propagates
     /// (`prop`) to the fabric, and the link starts its next packet.
-    pub fn on_depart(&mut self, ctx: &mut Ctx, now: Nanos, prop: Nanos, pkt: PacketRef) {
+    pub(super) fn on_depart(&mut self, ctx: &mut Ctx, now: Nanos, prop: Nanos, pkt: PacketRef) {
         ctx.q.schedule(now + prop, Ev::ArriveSwitch { pkt, hop: 0 });
         depart(ctx, self.id, self.nic.on_depart(now));
     }
@@ -88,7 +88,7 @@ impl Sender {
     /// Take everything `flow` may send now, stamping each packet's send
     /// instant: into the TX DMA queue when this sender has a host model,
     /// else straight onto the NIC.
-    pub fn send(&mut self, ctx: &mut Ctx, now: Nanos, flow: &mut Flow, burst: &mut Burst) {
+    pub(super) fn send(&mut self, ctx: &mut Ctx, now: Nanos, flow: &mut Flow, burst: &mut Burst) {
         let fs = &ctx.obs.flowscope;
         if let Some(tx) = &mut self.tx {
             while let Some(pkt) = flow.poll_send(now) {
@@ -118,7 +118,7 @@ impl Sender {
 
     /// Tick phase 0: the host model's TX DMA releases packets to the NIC,
     /// and the sender response acts on its MBA.
-    pub fn tick(&mut self, ctx: &mut Ctx, now: Nanos) {
+    pub(super) fn tick(&mut self, ctx: &mut Ctx, now: Nanos) {
         let Some(tx) = &mut self.tx else {
             return;
         };
@@ -138,7 +138,7 @@ impl Sender {
     /// Follow the link-down chaos windows: the link stops when the first
     /// window covering it opens and resumes (the in-flight packet departs
     /// normally, arrivals queue behind) when the last one closes.
-    pub fn set_down(&mut self, ctx: &mut Ctx, now: Nanos, down: bool) {
+    pub(super) fn set_down(&mut self, ctx: &mut Ctx, now: Nanos, down: bool) {
         if down && self.nic.is_up() {
             self.nic.set_down();
         } else if !down && !self.nic.is_up() {
@@ -148,19 +148,19 @@ impl Sender {
 
     /// Run the NIC link at `scale` × its nominal rate (open degrade
     /// windows).
-    pub fn set_rate_scale(&mut self, scale: f64) {
+    pub(super) fn set_rate_scale(&mut self, scale: f64) {
         self.nic.set_rate(Rate::gbps(NIC_GBPS * scale));
     }
 
     /// Hand the link and the sender response their observers.
-    pub fn observe(&mut self, obs: &Observers) {
+    pub(super) fn observe(&mut self, obs: &Observers) {
         self.nic.set_flowscope(obs.flowscope.clone());
         if let Some(hc) = &mut self.hostcc {
             hc.set_trace(obs.trace.clone());
         }
     }
 
-    pub fn reset_window(&mut self) {
+    pub(super) fn reset_window(&mut self) {
         if let Some(tx) = &mut self.tx {
             tx.reset_window();
         }
@@ -171,7 +171,7 @@ impl Sender {
 /// PCIe → IIO → memory), with its hostCC controller, ECN echo, monitoring
 /// sampler and target policy.
 pub(super) struct Focus {
-    pub rx: RxHost,
+    pub(crate) rx: RxHost,
     pub hostcc: Option<HostCc>,
     pub echo: EcnEcho,
     /// Monitoring sampler: independent of hostCC so vanilla-DCTCP runs
@@ -179,10 +179,10 @@ pub(super) struct Focus {
     monitor: SignalSampler,
     /// Optional dynamic target-bandwidth policy driving `hostcc.set_bt`
     /// (None = the paper's fixed B_T).
-    pub policy: Option<Box<dyn TargetPolicy>>,
+    pub(crate) policy: Option<Box<dyn TargetPolicy>>,
     /// Latest monitoring-sampler observation, held so the telemetry
     /// sampler sees the signals between (jittered) monitor samples.
-    pub last_signal: Option<Sample>,
+    pub(crate) last_signal: Option<Sample>,
     mapp_started: bool,
     /// Extra MApp degree currently injected by open aggressor windows.
     aggressor_boost: f64,
@@ -195,7 +195,7 @@ pub(super) struct Focus {
 impl Focus {
     /// The receiver host of `cfg`, its hostCC controller and monitor
     /// forking their RNGs from `rng` (in that order).
-    pub fn new(cfg: &Scenario, rng: &mut Rng) -> Self {
+    pub(super) fn new(cfg: &Scenario, rng: &mut Rng) -> Self {
         // MApp may start later (abrupt-onset experiments).
         let mapp_started = cfg.mapp_start == Nanos::ZERO;
         let initial_degree = if mapp_started { cfg.mapp_degree } else { 0.0 };
@@ -237,14 +237,14 @@ impl Focus {
     /// `Ev::ArriveRxNic`: NIC buffer admission; drops are counted inside
     /// the host. The packet leaves the arena here: the host datapath moves
     /// it by value and [`Focus::deliver`] re-interns survivors.
-    pub fn on_wire_arrival(&mut self, ctx: &mut Ctx, now: Nanos, pkt: PacketRef) {
+    pub(super) fn on_wire_arrival(&mut self, ctx: &mut Ctx, now: Nanos, pkt: PacketRef) {
         let pkt = ctx.arena.remove(pkt);
         let _ = self.rx.on_wire_arrival(pkt, now);
     }
 
     /// MApp onset at `at` with `degree` (plus whatever aggressor chaos
     /// windows are open).
-    pub fn mapp_onset(&mut self, now: Nanos, at: Nanos, degree: f64) {
+    pub(super) fn mapp_onset(&mut self, now: Nanos, at: Nanos, degree: f64) {
         if !self.mapp_started && now >= at {
             self.rx.mapp_mut().set_degree(degree + self.aggressor_boost);
             self.mapp_started = true;
@@ -252,13 +252,13 @@ impl Focus {
     }
 
     /// Tick phase 1: integrate the host datapath.
-    pub fn tick(&mut self, now: Nanos) {
+    pub(super) fn tick(&mut self, now: Nanos) {
         self.rx.tick_into(now, &mut self.out);
     }
 
     /// Tick phase 2: the hostCC control loop (under the target policy, if
     /// one is installed). True when the echo marks this tick's deliveries.
-    pub fn control(&mut self, now: Nanos) -> bool {
+    pub(super) fn control(&mut self, now: Nanos) -> bool {
         let Some(hc) = &mut self.hostcc else {
             return false;
         };
@@ -276,9 +276,14 @@ impl Focus {
     /// Tick phase 3: the receiver-side ECN echo, then up the stack (each
     /// packet re-enters the arena for its `stack_delay` flight). Returns
     /// the application bytes the copy engine moved this tick.
-    pub fn deliver(&mut self, ctx: &mut Ctx, now: Nanos, mark: bool, stack_delay: Nanos) -> f64 {
-        for d in self.out.delivered.drain(..) {
-            let mut pkt = d.pkt;
+    pub(super) fn deliver(
+        &mut self,
+        ctx: &mut Ctx,
+        now: Nanos,
+        mark: bool,
+        stack_delay: Nanos,
+    ) -> f64 {
+        for mut pkt in self.out.delivered.drain(..) {
             let was_ce = pkt.ecn.is_ce();
             self.echo.process(&mut pkt, mark);
             if !was_ce && pkt.ecn.is_ce() {
@@ -294,7 +299,7 @@ impl Focus {
     }
 
     /// Tick phase 6: a monitoring-sampler observation, when one is due.
-    pub fn sample(&mut self, now: Nanos) -> Option<Sample> {
+    pub(super) fn sample(&mut self, now: Nanos) -> Option<Sample> {
         let sample = self.monitor.maybe_sample(now, self.rx.msr())?;
         self.last_signal = Some(sample);
         Some(sample)
@@ -302,7 +307,13 @@ impl Focus {
 
     /// Open (`start`) or close one host-side chaos window of `kind`;
     /// `slot` holds what the opening saved for the closing to restore.
-    pub fn perturb(&mut self, kind: ChaosKind, start: bool, m: f64, slot: &mut Option<Saved>) {
+    pub(super) fn perturb(
+        &mut self,
+        kind: ChaosKind,
+        start: bool,
+        m: f64,
+        slot: &mut Option<Saved>,
+    ) {
         match (kind, start, slot.take()) {
             (ChaosKind::MbaActuationStall, true, _) => {
                 let mba = self.rx.mba_mut();
@@ -351,7 +362,7 @@ impl Focus {
 
     /// Hand the host datapath, the controller and the echo their
     /// observers.
-    pub fn observe(&mut self, obs: &Observers) {
+    pub(super) fn observe(&mut self, obs: &Observers) {
         self.rx.set_trace(obs.trace.clone());
         self.rx.set_flowscope(obs.flowscope.clone());
         if let Some(hc) = &mut self.hostcc {
@@ -360,7 +371,7 @@ impl Focus {
         self.echo.set_flowscope(obs.flowscope.clone());
     }
 
-    pub fn reset_window(&mut self) {
+    pub(super) fn reset_window(&mut self) {
         self.rx.reset_window();
         self.echo.reset_window();
     }

@@ -98,12 +98,12 @@ impl Default for SweepOptions {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RpcSummary {
     /// RPC payload size in bytes.
-    pub size: u64,
+    pub(crate) size: u64,
     /// Completed RPCs of this size.
     pub count: u64,
     /// {P50, P90, P99, P99.9, P99.99} latency in nanoseconds (zeros if
     /// nothing completed).
-    pub whiskers_ns: [u64; 5],
+    pub(crate) whiskers_ns: [u64; 5],
 }
 
 /// The deterministic measurements of one cell — every field is a pure
@@ -114,7 +114,7 @@ pub struct CellMetrics {
     /// Greedy-flow goodput in Gbps.
     pub goodput_gbps: f64,
     /// All-flow goodput (incl. RPC bytes) in Gbps.
-    pub goodput_all_gbps: f64,
+    pub(crate) goodput_all_gbps: f64,
     /// Packet drop percentage.
     pub drop_rate_pct: f64,
     /// Drops at the receiver NIC.
@@ -130,7 +130,7 @@ pub struct CellMetrics {
     /// MApp memory-bandwidth utilisation.
     pub mapp_mem_util: f64,
     /// MApp application-level throughput in Gbps.
-    pub mapp_app_gbps: f64,
+    pub(crate) mapp_app_gbps: f64,
     /// Retransmitted packets.
     pub retransmits: u64,
     /// RTO events.
@@ -144,7 +144,7 @@ pub struct CellMetrics {
     /// Mean smoothed IIO occupancy `I_S`.
     pub mean_is: f64,
     /// Mean PCIe bandwidth in Gbps.
-    pub mean_bs_gbps: f64,
+    pub(crate) mean_bs_gbps: f64,
     /// Mean effective MBA level.
     pub mean_level: f64,
     /// MBA MSR writes issued.
@@ -245,7 +245,7 @@ pub struct CellRun {
     /// The cell's canonical parameter key.
     pub key: String,
     /// The individual `(axis, value)` pairs.
-    pub params: Vec<(&'static str, String)>,
+    pub(crate) params: Vec<(&'static str, String)>,
     /// The derived per-cell RNG seed that was run.
     pub seed: u64,
     /// Deterministic measurements.
@@ -257,7 +257,7 @@ pub struct CellRun {
     /// fingerprint is deterministic: equal at any worker count.
     pub telemetry: Option<TelemetrySummary>,
     /// First watchdog diagnostic, if any invariant was violated.
-    pub telemetry_diagnostic: Option<String>,
+    pub(crate) telemetry_diagnostic: Option<String>,
     /// The cell's flow ledger and stage-residency breakdown (None when
     /// `SweepOptions::flows` was off). Deterministic: equal at any worker
     /// count.
@@ -269,7 +269,7 @@ pub struct CellRun {
     /// Wall-clock seconds this cell took (varies run to run).
     pub wall_secs: f64,
     /// Worker thread that ran the cell (varies run to run).
-    pub worker: usize,
+    pub(crate) worker: usize,
     /// Per-scope wall-clock attribution (None when `SweepOptions::perf`
     /// was off; varies run to run).
     pub perf: Option<PerfReport>,
@@ -504,7 +504,7 @@ pub struct SweepManifest {
     /// Per-cell runs, in grid expansion order.
     pub cells: Vec<CellRun>,
     /// Trace-event totals summed over all cells (zeros if tracing off).
-    pub trace_totals: TraceCounts,
+    pub(crate) trace_totals: TraceCounts,
     /// Telemetry summaries merged over all cells, in grid order (None when
     /// telemetry was off).
     pub telemetry: Option<TelemetrySummary>,
@@ -519,19 +519,19 @@ pub struct SweepManifest {
     /// Whole-sweep elapsed wall-clock seconds.
     pub wall_secs: f64,
     /// Sum of per-cell wall-clock seconds (the serial-equivalent cost).
-    pub cell_wall_secs: f64,
+    pub(crate) cell_wall_secs: f64,
     /// Simulation events processed across all cells (deterministic).
     pub events: u64,
     /// Simulated nanoseconds covered across all cells (deterministic).
     pub sim_ns: u64,
     /// Median `R_OCC` signal read latency in ns (None if unsampled).
-    pub read_is_p50_ns: Option<u64>,
+    pub(crate) read_is_p50_ns: Option<u64>,
     /// P99 `R_OCC` signal read latency in ns.
-    pub read_is_p99_ns: Option<u64>,
+    pub(crate) read_is_p99_ns: Option<u64>,
     /// Median `R_INS` signal read latency in ns.
-    pub read_bs_p50_ns: Option<u64>,
+    pub(crate) read_bs_p50_ns: Option<u64>,
     /// P99 `R_INS` signal read latency in ns.
-    pub read_bs_p99_ns: Option<u64>,
+    pub(crate) read_bs_p99_ns: Option<u64>,
     /// FNV-1a over `(index, seed, metrics fingerprint)` of every cell —
     /// one number that pins the whole sweep's deterministic output.
     pub fingerprint: u64,
@@ -541,7 +541,7 @@ pub struct SweepManifest {
 /// quotes) only when the field contains a comma, quote, CR or LF. Plain
 /// fields pass through untouched, so exports of today's grids — whose
 /// parameter values never need quoting — stay byte-identical.
-pub fn csv_escape(field: &str) -> String {
+pub(crate) fn csv_escape(field: &str) -> String {
     if field.contains([',', '"', '\r', '\n']) {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
@@ -549,37 +549,9 @@ pub fn csv_escape(field: &str) -> String {
     }
 }
 
-/// Split one single-line CSV record into its fields, undoing
-/// [`csv_escape`]: quoted fields may contain commas and doubled quotes.
-/// The inverse of joining escaped fields with `,` — see the round-trip
-/// test.
-pub fn csv_parse_record(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut quoted = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    quoted = false;
-                }
-            }
-            '"' if cur.is_empty() => quoted = true,
-            ',' if !quoted => fields.push(std::mem::take(&mut cur)),
-            c => cur.push(c),
-        }
-    }
-    fields.push(cur);
-    fields
-}
-
 impl SweepManifest {
     /// Parallel speedup: serial-equivalent cost over elapsed wall time.
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         if self.wall_secs <= 0.0 {
             0.0
         } else {
@@ -591,7 +563,7 @@ impl SweepManifest {
     /// the elapsed wall time. Wall-clock data — non-deterministic, never
     /// fingerprinted; the JSON export surfaces it as the `sim_rate`
     /// sidecar block.
-    pub fn sim_rate(&self) -> SimRateReport {
+    pub(crate) fn sim_rate(&self) -> SimRateReport {
         SimRateReport {
             wall_secs: self.wall_secs,
             events: self.events,
@@ -863,6 +835,34 @@ mod tests {
     use super::*;
     use crate::Scenario;
     use hostcc_sim::Nanos;
+
+    /// Split one single-line CSV record into its fields, undoing
+    /// [`csv_escape`]: quoted fields may contain commas and doubled quotes.
+    /// The inverse of joining escaped fields with `,` — see the round-trip
+    /// test.
+    fn csv_parse_record(line: &str) -> Vec<String> {
+        let mut fields = Vec::new();
+        let mut cur = String::new();
+        let mut chars = line.chars().peekable();
+        let mut quoted = false;
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted => {
+                    if chars.peek() == Some(&'"') {
+                        chars.next();
+                        cur.push('"');
+                    } else {
+                        quoted = false;
+                    }
+                }
+                '"' if cur.is_empty() => quoted = true,
+                ',' if !quoted => fields.push(std::mem::take(&mut cur)),
+                c => cur.push(c),
+            }
+        }
+        fields.push(cur);
+        fields
+    }
 
     fn tiny(mut s: Scenario) -> Scenario {
         s.warmup = Nanos::from_micros(200);

@@ -42,7 +42,7 @@ pub struct FqLink {
     /// `FlowId.0`. The id rides along so the flowscope recorder can stamp
     /// stage boundaries without resolving the arena handle.
     queues: Vec<VecDeque<(PacketRef, u64, u64)>>,
-    /// Queued bytes per flow, same indexing (O(1) [`FqLink::flow_backlog`]).
+    /// Queued bytes per flow, same indexing.
     flow_bytes: Vec<u64>,
     /// Round-robin order over flows with queued packets.
     active: VecDeque<u32>,
@@ -122,11 +122,6 @@ impl FqLink {
     /// Total bytes queued (not counting the packet in service).
     pub fn backlog_bytes(&self) -> u64 {
         self.backlog_bytes
-    }
-
-    /// Bytes queued for one flow.
-    pub fn flow_backlog(&self, flow: FlowId) -> u64 {
-        self.flow_bytes.get(flow.0 as usize).copied().unwrap_or(0)
     }
 
     /// Grow the per-flow tables to cover `flow` (first sighting only).
@@ -313,9 +308,9 @@ mod tests {
         l.enqueue(Nanos::ZERO, f, b, i, r);
         let (f, b, i, r) = pkt(&mut arena, 1, 3, 100);
         l.enqueue(Nanos::ZERO, f, b, i, r);
-        assert_eq!(l.flow_backlog(FlowId(0)), 4096);
-        assert_eq!(l.flow_backlog(FlowId(1)), 166);
-        assert_eq!(l.flow_backlog(FlowId(9)), 0, "unknown flow");
+        assert_eq!(l.flow_bytes[0], 4096);
+        assert_eq!(l.flow_bytes[1], 166);
+        assert_eq!(l.flow_bytes.get(9), None, "unknown flow");
     }
 
     #[test]
@@ -442,10 +437,7 @@ mod tests {
         assert_eq!(ds.at, db.at);
         assert_eq!(arena.get(ds.pkt).id, arena.get(db.pkt).id);
         assert_eq!(single.backlog_bytes(), burst.backlog_bytes());
-        assert_eq!(
-            single.flow_backlog(FlowId(0)),
-            burst.flow_backlog(FlowId(0))
-        );
+        assert_eq!(single.flow_bytes[0], burst.flow_bytes[0]);
         let mut t = ds.at;
         loop {
             let (a, b) = (single.on_depart(t), burst.on_depart(t));

@@ -41,11 +41,6 @@ impl Link {
         self.rate
     }
 
-    /// The propagation delay.
-    pub fn propagation(&self) -> Nanos {
-        self.propagation
-    }
-
     /// Transmit `bytes` starting no earlier than `now`; returns
     /// `(transmit_complete, arrival)` — when the transmitter frees up and
     /// when the last bit reaches the far end.
@@ -81,11 +76,6 @@ impl Link {
     /// When the transmitter next becomes free.
     pub fn busy_until(&self) -> Nanos {
         self.busy_until
-    }
-
-    /// Backlog the transmitter is committed to, as seen at `now`.
-    pub fn queued_delay(&self, now: Nanos) -> Nanos {
-        self.busy_until.saturating_sub(now)
     }
 
     /// Total bytes ever serialized.
@@ -134,8 +124,7 @@ mod tests {
         for _ in 0..10 {
             l.transmit(Nanos::ZERO, 4096);
         }
-        assert_eq!(l.queued_delay(Nanos::ZERO), Nanos::from_nanos(3280));
-        assert_eq!(l.queued_delay(Nanos::from_micros(10)), Nanos::ZERO);
+        assert_eq!(l.busy_until, Nanos::from_nanos(3280));
     }
 
     #[test]

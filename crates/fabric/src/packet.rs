@@ -28,7 +28,7 @@ impl EcnCodepoint {
     /// never marked — it would be dropped by a real AQM instead, but our
     /// simulated transports are always ECN-capable.
     #[must_use]
-    pub fn marked(self) -> EcnCodepoint {
+    pub(crate) fn marked(self) -> EcnCodepoint {
         match self {
             EcnCodepoint::NotEct => EcnCodepoint::NotEct,
             _ => EcnCodepoint::Ce,
@@ -79,9 +79,9 @@ pub struct Packet {
     /// ECN field.
     pub ecn: EcnCodepoint,
     /// Simulated protocol header bytes (Ethernet+IP+TCP ≈ 66; we use 66).
-    pub header_bytes: u32,
+    pub(crate) header_bytes: u32,
     /// Time the sender's transport handed the packet to the NIC.
-    pub sent_at: Nanos,
+    pub(crate) sent_at: Nanos,
     /// True if this transmission is a retransmission (diagnostics).
     pub retransmit: bool,
 }
@@ -104,19 +104,6 @@ impl Packet {
         }
     }
 
-    /// Construct an ACK packet.
-    pub fn ack(id: u64, flow: FlowId, cum_ack: u64, ece: bool, rwnd: u64, now: Nanos) -> Packet {
-        Packet {
-            id,
-            flow,
-            body: PacketBody::Ack { cum_ack, ece, rwnd },
-            ecn: EcnCodepoint::Ect0,
-            header_bytes: HEADER_BYTES,
-            sent_at: now,
-            retransmit: false,
-        }
-    }
-
     /// Bytes this packet occupies on the wire (headers + payload).
     pub fn wire_bytes(&self) -> u64 {
         let payload = match self.body {
@@ -132,11 +119,6 @@ impl Packet {
             PacketBody::Data { len, .. } => len as u64,
             PacketBody::Ack { .. } => 0,
         }
-    }
-
-    /// Whether this is a data packet.
-    pub fn is_data(&self) -> bool {
-        matches!(self.body, PacketBody::Data { .. })
     }
 
     /// Mark the packet CE in place (switch AQM or hostCC echo).
@@ -301,12 +283,6 @@ impl<T> Arena<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Total slots ever allocated (live + free). This is the arena's
-    /// high-water mark: it only grows, and in steady state it stops.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// The arena the simulation interns in-flight [`Packet`]s into.
@@ -327,10 +303,17 @@ mod tests {
 
     #[test]
     fn ack_has_no_payload() {
-        let a = Packet::ack(2, FlowId(0), 100, true, 65535, Nanos::ZERO);
+        let a = Packet {
+            body: PacketBody::Ack {
+                cum_ack: 100,
+                ece: true,
+                rwnd: 65535,
+            },
+            ..Packet::data(2, FlowId(0), 0, 0, false, Nanos::ZERO)
+        };
         assert_eq!(a.wire_bytes(), 66);
         assert_eq!(a.payload_bytes(), 0);
-        assert!(!a.is_data());
+        assert!(!matches!(a.body, PacketBody::Data { .. }));
     }
 
     #[test]
@@ -366,7 +349,7 @@ mod tests {
 
         // The freed slot is reused; capacity (high-water mark) stays flat.
         let c = arena.insert(Packet::data(3, FlowId(1), 0, 50, true, Nanos::ZERO));
-        assert_eq!(arena.capacity(), 2);
+        assert_eq!(arena.slots.len(), 2);
         assert_eq!(c.idx, a.idx);
         assert_ne!(c, a, "reused slot must get a new generation");
         assert_eq!(arena.get(c).id, 3);

@@ -61,7 +61,6 @@ pub struct SwitchPort {
     drops: u64,
     marks: u64,
     forwarded: u64,
-    peak_backlog: u64,
 }
 
 impl SwitchPort {
@@ -80,7 +79,6 @@ impl SwitchPort {
             drops: 0,
             marks: 0,
             forwarded: 0,
-            peak_backlog: 0,
         }
     }
 
@@ -113,7 +111,6 @@ impl SwitchPort {
         let departs = start + self.config.rate.time_for_bytes(bytes);
         self.busy_until = departs;
         self.backlog_bytes += bytes;
-        self.peak_backlog = self.peak_backlog.max(self.backlog_bytes);
         self.queue.push_back((departs, bytes));
         self.forwarded += 1;
         if marked {
@@ -141,16 +138,6 @@ impl SwitchPort {
     /// Packets accepted so far.
     pub fn forwarded(&self) -> u64 {
         self.forwarded
-    }
-
-    /// Highest backlog ever observed.
-    pub fn peak_backlog(&self) -> u64 {
-        self.peak_backlog
-    }
-
-    /// The port configuration.
-    pub fn config(&self) -> &SwitchPortConfig {
-        &self.config
     }
 
     /// Change the egress rate (chaos link-degrade on a fabric link).
@@ -245,15 +232,6 @@ mod tests {
             }
         }
         assert_eq!(p.forwarded(), 50);
-    }
-
-    #[test]
-    fn peak_backlog_tracks_max() {
-        let mut p = port(1 << 20, 1 << 20);
-        for _ in 0..10 {
-            p.enqueue(Nanos::ZERO, 1000);
-        }
-        assert_eq!(p.peak_backlog(), 10_000);
     }
 
     #[test]

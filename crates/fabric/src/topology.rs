@@ -24,7 +24,7 @@ use hostcc_sim::{derive_seed, Rng};
 pub enum Node {
     /// A host NIC attachment point.
     Host(u32),
-    /// A switch, by index into [`Topology::switch_name`].
+    /// A switch, by index into `Topology::switch_name`.
     Switch(u32),
 }
 
@@ -39,7 +39,7 @@ pub struct TopoLink {
     /// Source endpoint.
     pub from: Node,
     /// Destination endpoint.
-    pub to: Node,
+    pub(crate) to: Node,
 }
 
 /// A named multi-switch fabric graph with per-destination routing tables.
@@ -49,8 +49,6 @@ pub struct Topology {
     hosts: u32,
     switch_names: Vec<String>,
     links: Vec<TopoLink>,
-    /// Egress link ids of each switch.
-    out_of_switch: Vec<Vec<u32>>,
     /// Uplink ids of each host (more than one = multi-NIC attachment).
     uplinks_of_host: Vec<Vec<u32>>,
     /// `dist[switch][dst]`: switch-hop count to `dst` (`u32::MAX` if
@@ -168,7 +166,6 @@ impl Builder {
             hosts: self.hosts,
             switch_names: self.switch_names,
             links: self.links,
-            out_of_switch,
             uplinks_of_host,
             dist,
             table,
@@ -283,13 +280,8 @@ impl Topology {
         self.hosts
     }
 
-    /// Number of switches.
-    pub fn switch_count(&self) -> usize {
-        self.switch_names.len()
-    }
-
     /// Name of a switch.
-    pub fn switch_name(&self, s: u32) -> &str {
+    pub(crate) fn switch_name(&self, s: u32) -> &str {
         &self.switch_names[s as usize]
     }
 
@@ -329,28 +321,6 @@ impl Topology {
             .iter()
             .position(|l| l.name == name)
             .map(|i| i as u32)
-    }
-
-    /// The uplink ids of one host (length > 1 = multi-NIC).
-    pub fn host_uplinks(&self, host: u32) -> &[u32] {
-        &self.uplinks_of_host[host as usize]
-    }
-
-    /// The egress link ids of one switch (each backed by its own port).
-    pub fn switch_egress(&self, s: u32) -> &[u32] {
-        &self.out_of_switch[s as usize]
-    }
-
-    /// Shortest switch-hop count from `src`'s best NIC to `dst`.
-    pub fn hops(&self, src: u32, dst: u32) -> u32 {
-        self.uplinks_of_host[src as usize]
-            .iter()
-            .filter_map(|&l| match self.links[l as usize].to {
-                Node::Switch(s) => Some(self.dist[s as usize][dst as usize]),
-                Node::Host(_) => None,
-            })
-            .min()
-            .unwrap_or(u32::MAX)
     }
 
     /// The deterministic ECMP path of `(src, dst, flow)` under `base_seed`:
@@ -447,6 +417,12 @@ impl TopologyKind {
     }
 }
 
+/// Largest fabric a [`TopologySpec`] may describe, in hosts (receiver
+/// included). The routing tables hold one entry per (switch, host) pair,
+/// so their size grows with the square of the fabric; the cap is a k=16
+/// fat tree, four times the k of the fat-tree presets.
+pub(crate) const MAX_HOSTS: u64 = 1024;
+
 /// Parameters of a topology, small enough to live in a `Scenario`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopologySpec {
@@ -497,30 +473,52 @@ impl TopologySpec {
         }
     }
 
-    /// Sender hosts this spec provides (receiver excluded).
-    pub fn sender_count(&self) -> u32 {
+    /// Hosts this spec builds, receiver included (`None` past `u64`).
+    fn hosts(&self) -> Option<u64> {
+        let (r, h) = (u64::from(self.racks), u64::from(self.hosts_per_rack));
         match self.kind {
-            TopologyKind::Dumbbell => self.racks * self.hosts_per_rack,
-            TopologyKind::LeafSpine => self.racks * self.hosts_per_rack - 1,
-            TopologyKind::FatTree => self.racks * self.racks * self.racks / 4 - 1,
+            TopologyKind::Dumbbell => Some(r * h + 1),
+            TopologyKind::LeafSpine => Some(r * h),
+            TopologyKind::FatTree => r.checked_mul(r * r).map(|c| c / 4),
+        }
+    }
+
+    /// Sender hosts this spec provides (receiver excluded).
+    ///
+    /// # Panics
+    ///
+    /// If the spec fails [`TopologySpec::validate`].
+    pub fn sender_count(&self) -> u32 {
+        match self.hosts() {
+            Some(n @ 2..=MAX_HOSTS) => n as u32 - 1,
+            _ => panic!("sender_count of an invalid topology spec {self:?}"),
         }
     }
 
     /// Structural sanity checks; the message lists what went wrong.
     pub fn validate(&self) -> Result<(), String> {
+        let hosts = self.hosts();
         match self.kind {
-            TopologyKind::Dumbbell if self.racks * self.hosts_per_rack < 1 => {
+            TopologyKind::Dumbbell if hosts < Some(2) => {
                 Err("dumbbell needs at least one sender".into())
             }
             TopologyKind::LeafSpine if self.racks < 1 || self.hosts_per_rack < 1 => {
                 Err("leaf-spine needs racks >= 1 and hosts_per_rack >= 1".into())
             }
-            TopologyKind::LeafSpine if self.racks * self.hosts_per_rack < 2 => {
+            TopologyKind::LeafSpine if hosts < Some(2) => {
                 Err("leaf-spine needs at least two hosts (sender + receiver)".into())
             }
             TopologyKind::FatTree if self.racks < 2 || !self.racks.is_multiple_of(2) => {
                 Err(format!("fat tree needs even k >= 2, got k={}", self.racks))
             }
+            _ if hosts.is_none_or(|n| n > MAX_HOSTS) => Err(format!(
+                "{} with racks={} hosts_per_rack={} has {} hosts; the valid range \
+                 is 2 to {MAX_HOSTS} hosts (receiver included)",
+                self.kind.name(),
+                self.racks,
+                self.hosts_per_rack,
+                hosts.map_or("over 2^64".into(), |n| n.to_string()),
+            )),
             _ => Ok(()),
         }
     }
@@ -536,7 +534,7 @@ mod tests {
     fn dumbbell_shape() {
         let t = Topology::dumbbell(3);
         assert_eq!(t.host_count(), 4);
-        assert_eq!(t.switch_count(), 2);
+        assert_eq!(t.switch_names.len(), 2);
         assert_eq!(t.receiver(), 3);
         // 4 cables host<->switch + 1 switch<->switch = 10 directed links.
         assert_eq!(t.links().len(), 10);
@@ -557,11 +555,13 @@ mod tests {
     fn leaf_spine_shape_and_hops() {
         let t = Topology::leaf_spine(3, 2, 2, 1);
         assert_eq!(t.host_count(), 6);
-        assert_eq!(t.switch_count(), 5);
+        assert_eq!(t.switch_names.len(), 5);
+        // Switch hops on the (shortest) route: every link after the uplink.
+        let hops = |src, dst| t.route(src, dst, 0, 1).len() - 1;
         // Cross-rack: leaf -> spine -> leaf -> host = 3 switch hops.
-        assert_eq!(t.hops(0, 5), 3);
+        assert_eq!(hops(0, 5), 3);
         // Same-rack: leaf -> host = 1 hop.
-        assert_eq!(t.hops(0, 1), 1);
+        assert_eq!(hops(0, 1), 1);
         let path = t.route(0, 5, 0, 1);
         assert_eq!(path.len(), 4, "uplink + 3 switch-sourced hops");
         assert!(t.link(path[0]).name.starts_with("h0-leaf0"));
@@ -578,7 +578,7 @@ mod tests {
     #[test]
     fn multi_nic_hosts_attach_to_several_leaves() {
         let t = Topology::leaf_spine(3, 2, 2, 2);
-        assert_eq!(t.host_uplinks(0).len(), 2);
+        assert_eq!(t.uplinks_of_host[0].len(), 2);
         // A dual-homed host reaches a same-"rack" destination through
         // either leaf; the chosen first hop is on a shortest path.
         let path = t.route(0, 1, 0, 7);
@@ -600,12 +600,13 @@ mod tests {
         let t = Topology::fat_tree(4);
         assert_eq!(t.host_count(), 16);
         // 4 pods x (2 edge + 2 agg) + 4 cores = 20 switches.
-        assert_eq!(t.switch_count(), 20);
+        assert_eq!(t.switch_names.len(), 20);
+        let hops = |src, dst| t.route(src, dst, 0, 1).len() - 1;
         // Inter-pod: edge -> agg -> core -> agg -> edge -> host = 5 hops.
-        assert_eq!(t.hops(0, 15), 5);
+        assert_eq!(hops(0, 15), 5);
         // Same-edge: 1 hop; same-pod-different-edge: 3 hops.
-        assert_eq!(t.hops(0, 1), 1);
-        assert_eq!(t.hops(0, 2), 3);
+        assert_eq!(hops(0, 1), 1);
+        assert_eq!(hops(0, 2), 3);
         let path = t.route(0, 15, 0, 1);
         assert_eq!(path.len(), 6, "uplink + 5 switch-sourced hops");
         // The middle hop traverses a core.
@@ -755,6 +756,40 @@ mod tests {
         assert!(TopologySpec::fat_tree(3).validate().is_err());
         assert!(TopologySpec::leaf_spine(1, 1).validate().is_err());
         assert!(TopologySpec::fat_tree(4).validate().is_ok());
+        // The smallest and largest valid spec of each kind, cap included.
+        for spec in [
+            TopologySpec::dumbbell(1),
+            TopologySpec::dumbbell(1023),
+            TopologySpec::leaf_spine(1, 2),
+            TopologySpec::leaf_spine(32, 32),
+            TopologySpec::leaf_spine(1, 1024),
+            TopologySpec::fat_tree(2),
+            TopologySpec::fat_tree(16),
+        ] {
+            assert_eq!(spec.validate(), Ok(()), "{spec:?}");
+            assert_eq!(
+                spec.sender_count() + 1,
+                spec.build().host_count(),
+                "{spec:?}"
+            );
+        }
+        // One host past the cap, and sizes whose host count overflows
+        // `u32` (65537 * 65537 wraps to 131073) or even `u64` (k^3).
+        for spec in [
+            TopologySpec::dumbbell(1024),
+            TopologySpec::leaf_spine(1025, 1),
+            TopologySpec::leaf_spine(33, 32),
+            TopologySpec::leaf_spine(65537, 65537),
+            TopologySpec::leaf_spine(u32::MAX, u32::MAX),
+            TopologySpec::fat_tree(18),
+            TopologySpec::fat_tree(1 << 31),
+        ] {
+            let err = spec.validate().unwrap_err();
+            assert!(
+                err.contains("valid range is 2 to 1024 hosts"),
+                "{spec:?}: {err}"
+            );
+        }
         for k in TopologyKind::ALL {
             assert_eq!(TopologyKind::parse(k.name()), Some(k));
         }

@@ -39,6 +39,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod report;
 mod scope;
@@ -46,7 +47,7 @@ mod scope;
 use hostcc_sim::Probe;
 
 pub use report::{FlowTableRow, FlowscopeResult, FlowscopeSummary, GroupScore};
-pub use scope::{FlowScope, Stage, STAGE_COUNT};
+pub use scope::{FlowScope, Stage};
 
 /// Shared access to one [`FlowScope`], or nothing (the [`Default`]).
 ///

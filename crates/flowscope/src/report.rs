@@ -14,17 +14,17 @@ use crate::scope::{Stage, STAGE_COUNT};
 #[derive(Debug, Clone)]
 pub struct FlowscopeSummary {
     /// Per-stage residency histograms, indexed by [`Stage`] discriminant.
-    pub stage_hist: [Histogram; STAGE_COUNT],
+    pub(crate) stage_hist: [Histogram; STAGE_COUNT],
     /// Exact per-stage residency sums in nanoseconds. Their grand total
     /// equals [`FlowscopeSummary::e2e_total_ns`] exactly — the
     /// conservation identity the recorder is checked against.
     pub stage_total_ns: [u64; STAGE_COUNT],
     /// End-to-end (sent → stack-delivered) latency histogram.
-    pub e2e_hist: Histogram,
+    pub(crate) e2e_hist: Histogram,
     /// Exact end-to-end latency sum in nanoseconds.
     pub e2e_total_ns: u64,
     /// Flow-completion-time histogram (one sample per flow that delivered).
-    pub fct_hist: Histogram,
+    pub(crate) fct_hist: Histogram,
     /// Data packets delivered in the window.
     pub completed: u64,
     /// Deliveries whose stage sums missed the end-to-end delay (recorder
@@ -33,9 +33,9 @@ pub struct FlowscopeSummary {
     /// Data packets dropped in the window.
     pub dropped: u64,
     /// CE marks applied by the receiver-host echo, summed over flows.
-    pub ecn_host: u64,
+    pub(crate) ecn_host: u64,
     /// CE marks applied by the switch AQM, summed over flows.
-    pub ecn_fabric: u64,
+    pub(crate) ecn_fabric: u64,
     /// Retransmissions emitted, summed over flows.
     pub retransmits: u64,
     /// Flows that sent at least one packet.
@@ -127,29 +127,29 @@ pub struct FlowTableRow {
     pub greedy: bool,
     /// Flow completion time: first send → last delivery (None when the
     /// flow never delivered).
-    pub fct_ns: Option<u64>,
+    pub(crate) fct_ns: Option<u64>,
     /// Payload bytes delivered in the window.
     pub delivered_bytes: u64,
     /// Data packets delivered in the window.
-    pub delivered_packets: u64,
+    pub(crate) delivered_packets: u64,
     /// Window goodput in Gbit/s.
     pub goodput_gbps: f64,
     /// Packets of this flow dropped in the window.
     pub drops: u64,
     /// CE marks applied by the receiver-host echo.
-    pub ecn_host: u64,
+    pub(crate) ecn_host: u64,
     /// CE marks applied by the switch AQM.
-    pub ecn_fabric: u64,
+    pub(crate) ecn_fabric: u64,
     /// Retransmissions emitted.
     pub retransmits: u64,
     /// Most recent congestion-window sample in bytes.
-    pub cwnd_last: u64,
+    pub(crate) cwnd_last: u64,
     /// Smallest window-sample (0 when never sampled).
-    pub cwnd_min: u64,
+    pub(crate) cwnd_min: u64,
     /// Largest window-sample.
-    pub cwnd_max: u64,
+    pub(crate) cwnd_max: u64,
     /// Number of cwnd samples taken.
-    pub cwnd_samples: u64,
+    pub(crate) cwnd_samples: u64,
 }
 
 impl FlowTableRow {
@@ -242,7 +242,7 @@ impl GroupScore {
 }
 
 /// CSV header matching [`FlowscopeResult::flow_csv`].
-pub const FLOW_CSV_HEADER: &str = "flow,greedy,fct_ns,delivered_bytes,delivered_packets,\
+pub(crate) const FLOW_CSV_HEADER: &str = "flow,greedy,fct_ns,delivered_bytes,delivered_packets,\
 goodput_gbps,drops,ecn_host,ecn_fabric,retransmits,cwnd_last,cwnd_min,cwnd_max,cwnd_samples";
 
 /// A frozen flowscope window: the mergeable summary plus the per-cell
@@ -266,11 +266,11 @@ pub struct FlowscopeResult {
     /// completed (index 0 = dropped before any boundary, index
     /// [`STAGE_COUNT`] = dropped after all ten — impossible by
     /// construction, kept for schema symmetry).
-    pub drops_after_stage: [u64; STAGE_COUNT + 1],
+    pub(crate) drops_after_stage: [u64; STAGE_COUNT + 1],
     /// Stamps that referenced no open life record (must be zero).
     pub orphan_stamps: u64,
     /// Life records still open at freeze time.
-    pub in_flight: u64,
+    pub(crate) in_flight: u64,
 }
 
 impl FlowscopeResult {

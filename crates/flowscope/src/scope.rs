@@ -8,7 +8,7 @@ use hostcc_sim::Nanos;
 use crate::report::{FlowTableRow, FlowscopeResult, FlowscopeSummary};
 
 /// Number of lifecycle stages.
-pub const STAGE_COUNT: usize = 10;
+pub(crate) const STAGE_COUNT: usize = 10;
 
 /// Goodput-timeline bucket width (also the convergence detector's grid).
 pub(crate) const TIMELINE_BUCKET: Nanos = Nanos::from_micros(100);
@@ -325,7 +325,7 @@ impl FlowScope {
     /// Jain's fairness index over the greedy flows' window goodput:
     /// `(Σx)² / (n·Σx²)`, 1.0 for perfect fairness, `1/n` for one hog.
     /// Flows that never sent are excluded; an empty set scores 1.0.
-    pub fn jain_index(&self) -> f64 {
+    pub(crate) fn jain_index(&self) -> f64 {
         let xs: Vec<f64> = self
             .flows
             .iter()

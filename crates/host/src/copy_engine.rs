@@ -22,33 +22,33 @@ use crate::memctrl::Demand;
 
 /// The copy engine of one receiving host.
 #[derive(Debug, Clone, Default)]
-pub struct CopyEngine {
+pub(crate) struct CopyEngine {
     /// Memory bytes still to be moved (delivered app bytes × cost factor).
     backlog_mem_bytes: f64,
     /// Application bytes copied in the current window.
     pub copied_app_bytes: f64,
     /// Memory bytes consumed in the current window.
-    pub served_mem_bytes: f64,
+    pub(crate) served_mem_bytes: f64,
 }
 
 impl CopyEngine {
     /// An idle engine.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Enqueue `app_bytes` of freshly delivered packet data for copying.
-    pub fn push(&mut self, cfg: &HostConfig, app_bytes: f64) {
+    pub(crate) fn push(&mut self, cfg: &HostConfig, app_bytes: f64) {
         self.backlog_mem_bytes += app_bytes * cfg.copy_mem_per_byte;
     }
 
     /// Application bytes waiting to be copied.
-    pub fn backlog_app_bytes(&self, cfg: &HostConfig) -> f64 {
+    pub(crate) fn backlog_app_bytes(&self, cfg: &HostConfig) -> f64 {
         self.backlog_mem_bytes / cfg.copy_mem_per_byte
     }
 
     /// Demand presented to the memory controller for one tick.
-    pub fn demand(&self, cfg: &HostConfig, l_mem: Nanos, dt: Nanos) -> Demand {
+    pub(crate) fn demand(&self, cfg: &HostConfig, l_mem: Nanos, dt: Nanos) -> Demand {
         if self.backlog_mem_bytes <= 0.0 {
             return Demand::NONE;
         }
@@ -70,7 +70,7 @@ impl CopyEngine {
 
     /// Account a grant; returns application bytes that finished copying
     /// this tick (to be drained from socket buffers / counted as goodput).
-    pub fn serve(&mut self, cfg: &HostConfig, granted_mem_bytes: f64) -> f64 {
+    pub(crate) fn serve(&mut self, cfg: &HostConfig, granted_mem_bytes: f64) -> f64 {
         let served = granted_mem_bytes.min(self.backlog_mem_bytes);
         self.backlog_mem_bytes -= served;
         self.served_mem_bytes += served;
@@ -80,7 +80,7 @@ impl CopyEngine {
     }
 
     /// Reset window accounting (backlog persists — it is real state).
-    pub fn reset_window(&mut self) {
+    pub(crate) fn reset_window(&mut self) {
         self.copied_app_bytes = 0.0;
         self.served_mem_bytes = 0.0;
     }

@@ -50,7 +50,7 @@ impl Ddio {
 
     /// Update the host-local traffic utilization (fraction of peak memory
     /// bandwidth MApp currently consumes).
-    pub fn set_mapp_util(&mut self, u: f64) {
+    pub(crate) fn set_mapp_util(&mut self, u: f64) {
         self.mapp_util = u.clamp(0.0, 1.0);
     }
 
@@ -60,17 +60,12 @@ impl Ddio {
         self.pollution_factor = f;
     }
 
-    /// Bytes currently resident in the DDIO partition.
-    pub fn resident_bytes(&self) -> f64 {
-        self.resident_bytes
-    }
-
     /// Current eviction fraction in `[base, 1]`.
     ///
     /// Three contributions: baseline pollution (scaled by the workload
     /// factor), LLC churn from host-local CPU traffic, and overflow of the
     /// DDIO partition (residency ramp from 1× to 2× the window).
-    pub fn eviction_fraction(&self, cfg: &HostConfig) -> f64 {
+    pub(crate) fn eviction_fraction(&self, cfg: &HostConfig) -> f64 {
         if !cfg.ddio_enabled {
             return 1.0;
         }
@@ -84,7 +79,7 @@ impl Ddio {
 
     /// Blended IIO write-service latency for the occupancy signal:
     /// hits at `l_ddio_min`, evictions at `ℓ_m + penalty`.
-    pub fn blended_latency(&self, cfg: &HostConfig, l_mem: Nanos) -> Nanos {
+    pub(crate) fn blended_latency(&self, cfg: &HostConfig, l_mem: Nanos) -> Nanos {
         if !cfg.ddio_enabled {
             return l_mem;
         }
@@ -95,14 +90,14 @@ impl Ddio {
     }
 
     /// Account DMA'd bytes entering the LLC partition.
-    pub fn on_dma(&mut self, cfg: &HostConfig, bytes: f64) {
+    pub(crate) fn on_dma(&mut self, cfg: &HostConfig, bytes: f64) {
         if cfg.ddio_enabled {
             self.resident_bytes += bytes;
         }
     }
 
     /// Account CPU consumption (copy) removing bytes from the partition.
-    pub fn on_consumed(&mut self, cfg: &HostConfig, bytes: f64) {
+    pub(crate) fn on_consumed(&mut self, cfg: &HostConfig, bytes: f64) {
         if cfg.ddio_enabled {
             self.resident_bytes = (self.resident_bytes - bytes).max(0.0);
         }
@@ -195,6 +190,6 @@ mod tests {
         let mut d = Ddio::new();
         d.on_dma(&cfg, 100.0);
         d.on_consumed(&cfg, 1e9);
-        assert_eq!(d.resident_bytes(), 0.0);
+        assert_eq!(d.resident_bytes, 0.0);
     }
 }

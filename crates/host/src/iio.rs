@@ -20,7 +20,7 @@ use hostcc_fabric::Packet;
 
 /// The IIO buffer of one receiving host.
 #[derive(Debug, Clone, Default)]
-pub struct IioBuffer {
+pub(crate) struct IioBuffer {
     /// Bytes inserted but not yet admitted to the memory controller; these
     /// hold PCIe credits.
     waiting_bytes: f64,
@@ -35,18 +35,18 @@ pub struct IioBuffer {
 
 impl IioBuffer {
     /// An empty buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Bytes inserted from the PCIe wire this tick.
-    pub fn insert(&mut self, bytes: f64) {
+    pub(crate) fn insert(&mut self, bytes: f64) {
         self.waiting_bytes += bytes;
         self.inserted_cum += bytes;
     }
 
     /// Register a packet whose DMA bytes end at `end_offset` of the stream.
-    pub fn register(&mut self, sp: StreamedPacket) {
+    pub(crate) fn register(&mut self, sp: StreamedPacket) {
         debug_assert!(
             self.pending
                 .back()
@@ -56,20 +56,10 @@ impl IioBuffer {
         self.pending.push_back(sp);
     }
 
-    /// Admit up to `bytes` into the memory controller; returns the packets
-    /// whose last byte was admitted (now deliverable to the stack).
-    ///
-    /// Convenience wrapper over [`IioBuffer::admit_into`] that allocates
-    /// the output list; the per-tick hot path reuses a buffer instead.
-    pub fn admit(&mut self, bytes: f64) -> Vec<StreamedPacket> {
-        let mut out = Vec::new();
-        self.admit_into(bytes, &mut out);
-        out
-    }
-
-    /// Allocation-free core of [`IioBuffer::admit`]: deliverable packets
-    /// are appended to `out` (not cleared first).
-    pub fn admit_into(&mut self, bytes: f64, out: &mut Vec<StreamedPacket>) {
+    /// Admit up to `bytes` into the memory controller; the packets whose
+    /// last byte was admitted (now deliverable to the stack) are appended
+    /// to `out` (not cleared first).
+    pub(crate) fn admit_into(&mut self, bytes: f64, out: &mut Vec<StreamedPacket>) {
         let take = bytes.min(self.waiting_bytes);
         self.waiting_bytes -= take;
         if self.waiting_bytes < 1e-6 {
@@ -86,27 +76,27 @@ impl IioBuffer {
     }
 
     /// Bytes waiting for admission (holding PCIe credits).
-    pub fn waiting_bytes(&self) -> f64 {
+    pub(crate) fn waiting_bytes(&self) -> f64 {
         self.waiting_bytes
     }
 
     /// Waiting bytes in cachelines.
-    pub fn waiting_cl(&self) -> f64 {
+    pub(crate) fn waiting_cl(&self) -> f64 {
         self.waiting_bytes / CACHELINE as f64
     }
 
     /// Cumulative admitted bytes.
-    pub fn admitted_cum(&self) -> f64 {
+    pub(crate) fn admitted_cum(&self) -> f64 {
         self.admitted_cum
     }
 
     /// Cumulative inserted bytes.
-    pub fn inserted_cum(&self) -> f64 {
+    pub(crate) fn inserted_cum(&self) -> f64 {
         self.inserted_cum
     }
 
     /// Packets registered but not yet delivered.
-    pub fn pending_packets(&self) -> usize {
+    pub(crate) fn pending_packets(&self) -> usize {
         self.pending.len()
     }
 }
@@ -117,7 +107,6 @@ fn sp(pkt: Packet, end_offset: f64) -> StreamedPacket {
     StreamedPacket {
         pkt,
         end_offset,
-        enqueued_at: hostcc_sim::Nanos::ZERO,
         dma_started_at: hostcc_sim::Nanos::ZERO,
     }
 }
@@ -137,7 +126,7 @@ mod tests {
         let mut iio = IioBuffer::new();
         iio.insert(1000.0);
         assert_eq!(iio.waiting_bytes(), 1000.0);
-        iio.admit(400.0);
+        iio.admit_into(400.0, &mut Vec::new());
         assert_eq!(iio.waiting_bytes(), 600.0);
         assert_eq!(iio.admitted_cum(), 400.0);
     }
@@ -146,7 +135,7 @@ mod tests {
     fn admit_capped_by_waiting() {
         let mut iio = IioBuffer::new();
         iio.insert(100.0);
-        iio.admit(1e9);
+        iio.admit_into(1e9, &mut Vec::new());
         assert_eq!(iio.waiting_bytes(), 0.0);
         assert_eq!(iio.admitted_cum(), 100.0);
     }
@@ -157,14 +146,16 @@ mod tests {
         iio.register(sp(pkt(0), 1100.0));
         iio.register(sp(pkt(1), 2200.0));
         iio.insert(2200.0);
-        let d1 = iio.admit(1100.0);
-        assert_eq!(d1.len(), 1);
-        assert_eq!(d1[0].pkt.id, 0);
-        let d2 = iio.admit(1099.0);
-        assert!(d2.is_empty(), "one byte short of packet 1");
-        let d3 = iio.admit(1.0);
-        assert_eq!(d3.len(), 1);
-        assert_eq!(d3[0].pkt.id, 1);
+        let mut out = Vec::new();
+        iio.admit_into(1100.0, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].pkt.id, 0);
+        out.clear();
+        iio.admit_into(1099.0, &mut out);
+        assert!(out.is_empty(), "one byte short of packet 1");
+        iio.admit_into(1.0, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].pkt.id, 1);
         assert_eq!(iio.pending_packets(), 0);
     }
 
@@ -181,7 +172,7 @@ mod tests {
         for _ in 0..1000 {
             iio.insert(0.3);
         }
-        iio.admit(300.0);
+        iio.admit_into(300.0, &mut Vec::new());
         assert_eq!(iio.waiting_bytes(), 0.0);
     }
 }

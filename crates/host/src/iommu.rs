@@ -22,22 +22,22 @@ use hostcc_sim::{Nanos, Rate};
 #[derive(Debug, Clone)]
 pub struct IommuConfig {
     /// Whether DMA remapping is enabled at all.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// IOTLB capacity in entries (one entry maps one I/O page).
-    pub iotlb_entries: u64,
+    pub(crate) iotlb_entries: u64,
     /// Pages in the driver's DMA buffer pool working set (rings × ring
     /// size × buffers-per-slot; grows with flow count and buffer tuning).
-    pub footprint_pages: u64,
+    pub(crate) footprint_pages: u64,
     /// Latency of one page-table walk on an IOTLB miss.
-    pub walk_latency: Nanos,
+    pub(crate) walk_latency: Nanos,
     /// PCIe TLP payload size (the unit that pays the translation).
-    pub tlp_bytes: u64,
+    pub(crate) tlp_bytes: u64,
 }
 
 impl IommuConfig {
     /// IOMMU disabled (the paper's testbed default — and the common
     /// datacenter configuration precisely *because* of this bottleneck).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         IommuConfig {
             enabled: false,
             iotlb_entries: 128,
@@ -58,7 +58,7 @@ impl IommuConfig {
 
     /// Steady-state IOTLB miss probability: `max(0, 1 − entries/footprint)`
     /// (uniform reuse over the working set).
-    pub fn miss_rate(&self) -> f64 {
+    pub(crate) fn miss_rate(&self) -> f64 {
         if !self.enabled || self.footprint_pages == 0 {
             return 0.0;
         }
@@ -67,7 +67,7 @@ impl IommuConfig {
 
     /// The effective PCIe streaming rate once translation stalls are
     /// accounted: `tlp / (tlp/raw_rate + miss_rate × walk)`.
-    pub fn effective_rate(&self, raw: Rate) -> Rate {
+    pub(crate) fn effective_rate(&self, raw: Rate) -> Rate {
         let m = self.miss_rate();
         if m == 0.0 {
             return raw;

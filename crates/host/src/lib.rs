@@ -12,15 +12,15 @@
 //!                                          └── MSR counters (R_OCC / R_INS)
 //! ```
 //!
-//! * [`NicRxQueue`] — finite NIC buffer; the only drop point.
-//! * [`WirePipe`] — the PCIe wire (`ℓ_p`), whose in-flight bytes hold
+//! * `NicRxQueue` — finite NIC buffer; the only drop point.
+//! * `WirePipe` — the PCIe wire (`ℓ_p`), whose in-flight bytes hold
 //!   credits.
-//! * [`IioBuffer`] — the congestion-signal source: occupancy rises iff the
+//! * `IioBuffer` — the congestion-signal source: occupancy rises iff the
 //!   memory controller backs up.
 //! * [`MemoryController`] — weighted proportional bandwidth arbitration
 //!   with a load-latency curve.
 //! * [`MApp`] — the paper's CPU-to-memory antagonist (Intel MLC).
-//! * [`CopyEngine`] — receive-side per-byte processing (the "compute
+//! * `CopyEngine` — receive-side per-byte processing (the "compute
 //!   bottleneck").
 //! * [`Ddio`] — DMA-into-LLC with residency-driven evictions.
 //! * [`Mba`] — the slow, coarse Memory Bandwidth Allocation actuator.
@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use hostcc_fabric::{FlowId, Packet};
-//! use hostcc_host::{HostConfig, RxHost};
+//! use hostcc_host::{HostConfig, RxHost, TickOutput};
 //! use hostcc_sim::{Nanos, Rate};
 //!
 //! // A receiver under severe (3x) host congestion, fed at line rate.
@@ -44,6 +44,7 @@
 //! let mut now = Nanos::ZERO;
 //! let gap = Rate::gbps(100.0).time_for_bytes(4096);
 //! let (mut next, mut id) = (Nanos::ZERO, 0u64);
+//! let mut out = TickOutput::default();
 //! while now < Nanos::from_millis(1) {
 //!     now += tick;
 //!     while next <= now {
@@ -51,7 +52,7 @@
 //!         id += 1;
 //!         next += gap;
 //!     }
-//!     host.tick(now);
+//!     host.tick_into(now, &mut out);
 //! }
 //! // The §2.1 domino effect: memory contention backs up the IIO, PCIe
 //! // credits run out, and the NIC overflows.
@@ -60,6 +61,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod config;
 mod copy_engine;
@@ -76,15 +78,11 @@ mod rxhost;
 mod txhost;
 
 pub use config::{HostConfig, CACHELINE};
-pub use copy_engine::CopyEngine;
 pub use ddio::Ddio;
-pub use iio::IioBuffer;
 pub use iommu::IommuConfig;
 pub use mapp::MApp;
 pub use mba::{Mba, MBA_LEVELS};
 pub use memctrl::{Demand, Grants, MemoryController};
 pub use msr::{CounterSnapshot, MsrBank, MsrReadModel};
-pub use nic::{NicRxQueue, StreamedPacket};
-pub use pcie::WirePipe;
-pub use rxhost::{Delivered, HostProbe, RxHost, TickOutput};
+pub use rxhost::{HostProbe, RxHost, TickOutput};
 pub use txhost::TxHost;

@@ -18,7 +18,7 @@ pub struct MApp {
     /// Congestion degree (0× disables; the paper sweeps 1×–3×).
     degree: f64,
     /// Memory bytes served in the current measurement window.
-    pub served_bytes: f64,
+    pub(crate) served_bytes: f64,
     /// Smoothed own service rate in bytes/ns (drives the self-utilization
     /// latency curve; ~2 µs time constant at the 100 ns tick).
     self_rate: Ewma,
@@ -47,14 +47,14 @@ impl MApp {
     }
 
     /// Smoothed memory bandwidth MApp is currently drawing.
-    pub fn mem_rate_estimate(&self) -> hostcc_sim::Rate {
+    pub(crate) fn mem_rate_estimate(&self) -> hostcc_sim::Rate {
         hostcc_sim::Rate::bytes_per_ns(self.self_rate.get())
     }
 
     /// MApp's own memory-access latency right now: the self-utilization
     /// curve (bounded in-flight means cross-traffic shows up as a
     /// bandwidth split, not as unbounded latency).
-    pub fn own_latency(&self, cfg: &HostConfig) -> Nanos {
+    pub(crate) fn own_latency(&self, cfg: &HostConfig) -> Nanos {
         let u_self = self.self_rate.get() / cfg.mem_peak.as_bytes_per_ns();
         cfg.l_cpu_of(u_self)
     }
@@ -64,7 +64,7 @@ impl MApp {
     /// `mba_added` is the per-access latency injected by the current MBA
     /// level; `None` means level 4 (the process is paused via SIGSTOP and
     /// generates no traffic).
-    pub fn demand(&self, cfg: &HostConfig, mba_added: Option<Nanos>, dt: Nanos) -> Demand {
+    pub(crate) fn demand(&self, cfg: &HostConfig, mba_added: Option<Nanos>, dt: Nanos) -> Demand {
         let inflight = cfg.mapp_inflight(self.degree);
         if inflight == 0.0 {
             return Demand::NONE;
@@ -91,7 +91,7 @@ impl MApp {
     }
 
     /// Account bytes granted by the controller over one tick of `dt`.
-    pub fn serve(&mut self, bytes: f64, dt: Nanos) {
+    pub(crate) fn serve(&mut self, bytes: f64, dt: Nanos) {
         self.served_bytes += bytes;
         self.self_rate.update(bytes / dt.as_nanos() as f64);
     }
@@ -99,7 +99,7 @@ impl MApp {
     /// Application-level throughput corresponding to the served memory
     /// bytes (the paper's "MApp Tput" in Fig 9 divides out the ~1.33×
     /// interconnect overhead).
-    pub fn app_bytes(&self, cfg: &HostConfig) -> f64 {
+    pub(crate) fn app_bytes(&self, cfg: &HostConfig) -> f64 {
         self.served_bytes / cfg.mapp_mem_per_app_byte
     }
 

@@ -33,7 +33,7 @@ pub struct Demand {
 
 impl Demand {
     /// No demand.
-    pub const NONE: Demand = Demand {
+    pub(crate) const NONE: Demand = Demand {
         bytes: 0.0,
         weight: 0.0,
     };
@@ -49,14 +49,7 @@ pub struct Grants {
     /// Granted to receive-side copy (network cores).
     pub copy: f64,
     /// Whether the controller ran out of bandwidth this tick.
-    pub saturated: bool,
-}
-
-impl Grants {
-    /// Total bytes granted.
-    pub fn total(&self) -> f64 {
-        self.iio + self.mapp + self.copy
-    }
+    pub(crate) saturated: bool,
 }
 
 /// The shared memory controller of one host.
@@ -70,13 +63,13 @@ pub struct MemoryController {
     /// (window-resettable from the experiment driver).
     pub served_iio_bytes: f64,
     /// Cumulative bytes served to MApp.
-    pub served_mapp_bytes: f64,
+    pub(crate) served_mapp_bytes: f64,
     /// Cumulative bytes served to the copy engine.
-    pub served_copy_bytes: f64,
+    pub(crate) served_copy_bytes: f64,
     /// Ticks during which the controller was saturated.
-    pub saturated_ticks: u64,
+    pub(crate) saturated_ticks: u64,
     /// Total ticks processed.
-    pub ticks: u64,
+    pub(crate) ticks: u64,
 }
 
 /// Weighted, work-conserving water-filling over up to 3 entities.
@@ -145,7 +138,7 @@ impl MemoryController {
 
     /// Current (smoothed) write latency `ℓ_m`. Before the first tick this
     /// is the unloaded latency.
-    pub fn l_mem(&self, cfg: &HostConfig) -> Nanos {
+    pub(crate) fn l_mem(&self, cfg: &HostConfig) -> Nanos {
         if self.ticks == 0 {
             cfg.l_m_min
         } else {
@@ -154,7 +147,7 @@ impl MemoryController {
     }
 
     /// Current smoothed utilization (fraction of theoretical peak).
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         self.u.get()
     }
 
@@ -276,7 +269,7 @@ mod tests {
         assert!((g.iio - cap * 43.0 / total_w).abs() < 1e-6);
         assert!((g.mapp - cap * 240.0 / total_w).abs() < 1e-6);
         assert!((g.copy - cap * 47.0 / total_w).abs() < 1e-6);
-        assert!((g.total() - cap).abs() < 1e-6);
+        assert!((g.iio + g.mapp + g.copy - cap).abs() < 1e-6);
     }
 
     #[test]
@@ -371,7 +364,7 @@ mod tests {
         let c = cfg();
         let mut mc = MemoryController::new();
         let g = mc.tick(&c, dt(), Demand::NONE, Demand::NONE, Demand::NONE);
-        assert_eq!(g.total(), 0.0);
+        assert_eq!(g.iio + g.mapp + g.copy, 0.0);
         assert!(!g.saturated);
         assert_eq!(mc.utilization(), 0.0);
     }

@@ -52,7 +52,7 @@ impl MsrBank {
     }
 
     /// Raw `R_INS` counter value in cachelines.
-    pub fn rins(&self) -> u64 {
+    pub(crate) fn rins(&self) -> u64 {
         self.insertions_cl as u64
     }
 }
@@ -118,9 +118,9 @@ pub struct CounterSnapshot {
     /// TSC timestamp of the snapshot.
     pub at: Nanos,
     /// `R_OCC` at the snapshot.
-    pub rocc: u64,
+    pub(crate) rocc: u64,
     /// `R_INS` at the snapshot.
-    pub rins: u64,
+    pub(crate) rins: u64,
 }
 
 impl CounterSnapshot {

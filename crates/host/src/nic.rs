@@ -15,19 +15,16 @@ use hostcc_sim::Nanos;
 
 /// A packet that has fully entered the PCIe byte stream.
 #[derive(Debug, Clone)]
-pub struct StreamedPacket {
+pub(crate) struct StreamedPacket {
     /// The packet itself.
     pub pkt: Packet,
     /// Cumulative position of this packet's last DMA byte in the PCIe byte
     /// stream; the packet is delivered once the IIO has admitted the stream
     /// up to this offset.
     pub end_offset: f64,
-    /// When the packet was enqueued in the NIC buffer (for queueing-delay
-    /// diagnostics).
-    pub enqueued_at: Nanos,
     /// When the packet's DMA was initiated — the instant it left the NIC
     /// SRAM (the flowscope `NicRing` stage boundary).
-    pub dma_started_at: Nanos,
+    pub(crate) dma_started_at: Nanos,
 }
 
 #[derive(Debug, Clone)]
@@ -36,23 +33,22 @@ struct NicEntry {
     dma_bytes: u64,
     progress: f64,
     started: bool,
-    enqueued_at: Nanos,
     started_at: Nanos,
 }
 
 /// The NIC receive queue.
 #[derive(Debug, Clone)]
-pub struct NicRxQueue {
+pub(crate) struct NicRxQueue {
     queue: VecDeque<NicEntry>,
     capacity_bytes: u64,
     used_bytes: u64,
     cum_streamed: f64,
     /// Packets accepted into the buffer.
-    pub arrivals: u64,
+    pub(crate) arrivals: u64,
     /// Packets tail-dropped because the buffer was full.
     pub drops: u64,
     /// Peak buffer occupancy observed.
-    pub peak_used_bytes: u64,
+    pub(crate) peak_used_bytes: u64,
     /// Packets ever accepted (never reset — conservation checks).
     arrivals_total: u64,
     /// Packets ever dropped (never reset — conservation checks).
@@ -61,7 +57,7 @@ pub struct NicRxQueue {
 
 impl NicRxQueue {
     /// A queue with the given SRAM capacity.
-    pub fn new(capacity_bytes: u64) -> Self {
+    pub(crate) fn new(capacity_bytes: u64) -> Self {
         assert!(capacity_bytes > 0);
         NicRxQueue {
             queue: VecDeque::new(),
@@ -78,7 +74,7 @@ impl NicRxQueue {
 
     /// Offer an arriving packet; `dma_bytes` is its size on the PCIe
     /// (wire bytes × overhead). Returns `false` if tail-dropped.
-    pub fn offer(&mut self, pkt: Packet, dma_bytes: u64, now: Nanos) -> bool {
+    pub(crate) fn offer(&mut self, pkt: Packet, dma_bytes: u64, now: Nanos) -> bool {
         let wire = pkt.wire_bytes();
         if self.used_bytes + wire > self.capacity_bytes {
             self.drops += 1;
@@ -94,29 +90,17 @@ impl NicRxQueue {
             dma_bytes,
             progress: 0.0,
             started: false,
-            enqueued_at: now,
             started_at: now,
         });
         true
     }
 
     /// Stream up to `budget` DMA bytes into the PCIe, head-of-line first.
-    /// Returns `(bytes_streamed, packets_that_finished_streaming)`.
-    ///
-    /// Convenience wrapper over [`NicRxQueue::stream_into`] that allocates
-    /// the completion list; the per-tick hot path passes a reused buffer
-    /// to `stream_into` instead.
-    pub fn stream(&mut self, budget: f64, now: Nanos) -> (f64, Vec<StreamedPacket>) {
-        let mut completed = Vec::new();
-        let streamed = self.stream_into(budget, now, &mut completed);
-        (streamed, completed)
-    }
-
-    /// Allocation-free core of [`NicRxQueue::stream`]: completions are
-    /// appended to `completed` (not cleared first) and the bytes streamed
-    /// are returned. `now` timestamps DMA initiation for packets whose
-    /// streaming starts in this call.
-    pub fn stream_into(
+    /// Packets that finish streaming are appended to `completed` (not
+    /// cleared first) and the bytes streamed are returned. `now`
+    /// timestamps DMA initiation for packets whose streaming starts in
+    /// this call.
+    pub(crate) fn stream_into(
         &mut self,
         mut budget: f64,
         now: Nanos,
@@ -144,7 +128,6 @@ impl NicRxQueue {
                 completed.push(StreamedPacket {
                     pkt: e.pkt,
                     end_offset: self.cum_streamed,
-                    enqueued_at: e.enqueued_at,
                     dma_started_at: e.started_at,
                 });
             }
@@ -153,37 +136,27 @@ impl NicRxQueue {
     }
 
     /// Buffer occupancy in bytes (packets whose DMA has not started).
-    pub fn backlog_bytes(&self) -> u64 {
+    pub(crate) fn backlog_bytes(&self) -> u64 {
         self.used_bytes
     }
 
     /// Number of packets queued (including the one being streamed).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
     }
 
-    /// Whether the queue holds no packets at all.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Total DMA bytes ever streamed.
-    pub fn cum_streamed(&self) -> f64 {
-        self.cum_streamed
-    }
-
     /// Packets ever accepted, across window resets.
-    pub fn arrivals_total(&self) -> u64 {
+    pub(crate) fn arrivals_total(&self) -> u64 {
         self.arrivals_total
     }
 
     /// Packets ever tail-dropped, across window resets.
-    pub fn drops_total(&self) -> u64 {
+    pub(crate) fn drops_total(&self) -> u64 {
         self.drops_total
     }
 
     /// Reset drop/arrival window counters (occupancy state persists).
-    pub fn reset_window(&mut self) {
+    pub(crate) fn reset_window(&mut self) {
         self.arrivals = 0;
         self.drops = 0;
         self.peak_used_bytes = self.used_bytes;
@@ -193,6 +166,13 @@ impl NicRxQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `stream_into` with a fresh completion list.
+    fn stream(q: &mut NicRxQueue, budget: f64) -> (f64, Vec<StreamedPacket>) {
+        let mut done = Vec::new();
+        let streamed = q.stream_into(budget, Nanos::ZERO, &mut done);
+        (streamed, done)
+    }
     use hostcc_fabric::FlowId;
 
     fn pkt(id: u64, payload: u32) -> Packet {
@@ -218,7 +198,7 @@ mod tests {
         q.offer(pkt(1, 4030), 4220, Nanos::ZERO);
         assert_eq!(q.backlog_bytes(), 8192);
         // Stream one byte of the head: its whole wire size is released.
-        q.stream(1.0, Nanos::ZERO);
+        stream(&mut q, 1.0);
         assert_eq!(q.backlog_bytes(), 4096);
         // Now a third packet fits even though the head is still streaming.
         assert!(q.offer(pkt(2, 4030), 4220, Nanos::ZERO));
@@ -229,12 +209,12 @@ mod tests {
         let mut q = NicRxQueue::new(100_000);
         q.offer(pkt(0, 1000), 1100, Nanos::ZERO);
         q.offer(pkt(1, 1000), 1100, Nanos::ZERO);
-        let (s, done) = q.stream(1100.0, Nanos::ZERO);
+        let (s, done) = stream(&mut q, 1100.0);
         assert!((s - 1100.0).abs() < 1e-9);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].pkt.id, 0);
         assert!((done[0].end_offset - 1100.0).abs() < 1e-9);
-        let (s2, done2) = q.stream(2000.0, Nanos::ZERO);
+        let (s2, done2) = stream(&mut q, 2000.0);
         assert!((s2 - 1100.0).abs() < 1e-9);
         assert_eq!(done2[0].pkt.id, 1);
         assert!((done2[0].end_offset - 2200.0).abs() < 1e-9);
@@ -244,10 +224,10 @@ mod tests {
     fn partial_stream_across_calls() {
         let mut q = NicRxQueue::new(100_000);
         q.offer(pkt(0, 4030), 4220, Nanos::ZERO);
-        let (s1, d1) = q.stream(1000.0, Nanos::ZERO);
+        let (s1, d1) = stream(&mut q, 1000.0);
         assert!((s1 - 1000.0).abs() < 1e-9);
         assert!(d1.is_empty());
-        let (s2, d2) = q.stream(1e9, Nanos::ZERO);
+        let (s2, d2) = stream(&mut q, 1e9);
         assert!((s2 - 3220.0).abs() < 1e-9);
         assert_eq!(d2.len(), 1);
     }
@@ -255,10 +235,10 @@ mod tests {
     #[test]
     fn empty_queue_streams_nothing() {
         let mut q = NicRxQueue::new(1000);
-        let (s, done) = q.stream(1e9, Nanos::ZERO);
+        let (s, done) = stream(&mut q, 1e9);
         assert_eq!(s, 0.0);
         assert!(done.is_empty());
-        assert!(q.is_empty());
+        assert!(q.queue.is_empty());
     }
 
     #[test]
@@ -266,7 +246,7 @@ mod tests {
         let mut q = NicRxQueue::new(100_000);
         q.offer(pkt(0, 4030), 4220, Nanos::ZERO);
         assert_eq!(q.peak_used_bytes, 4096);
-        q.stream(1e9, Nanos::ZERO);
+        stream(&mut q, 1e9);
         q.reset_window();
         assert_eq!(q.arrivals, 0);
         assert_eq!(q.peak_used_bytes, 0);

@@ -11,20 +11,19 @@ use hostcc_sim::Nanos;
 
 /// In-flight PCIe bytes, bucketed by arrival time.
 #[derive(Debug, Clone, Default)]
-pub struct WirePipe {
+pub(crate) struct WirePipe {
     inflight: VecDeque<(Nanos, f64)>,
     inflight_bytes: f64,
-    total_bytes: f64,
 }
 
 impl WirePipe {
     /// An empty pipe.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Push `bytes` that will arrive at the IIO at `arrive_at`.
-    pub fn push(&mut self, arrive_at: Nanos, bytes: f64) {
+    pub(crate) fn push(&mut self, arrive_at: Nanos, bytes: f64) {
         if bytes <= 0.0 {
             return;
         }
@@ -34,11 +33,10 @@ impl WirePipe {
         );
         self.inflight.push_back((arrive_at, bytes));
         self.inflight_bytes += bytes;
-        self.total_bytes += bytes;
     }
 
     /// Pop all bytes that have arrived by `now`.
-    pub fn pop_arrived(&mut self, now: Nanos) -> f64 {
+    pub(crate) fn pop_arrived(&mut self, now: Nanos) -> f64 {
         let mut arrived = 0.0;
         while let Some(&(t, b)) = self.inflight.front() {
             if t <= now {
@@ -56,13 +54,8 @@ impl WirePipe {
     }
 
     /// Bytes currently on the wire (holding credits).
-    pub fn inflight_bytes(&self) -> f64 {
+    pub(crate) fn inflight_bytes(&self) -> f64 {
         self.inflight_bytes
-    }
-
-    /// Total bytes ever pushed.
-    pub fn total_bytes(&self) -> f64 {
-        self.total_bytes
     }
 }
 
@@ -95,7 +88,6 @@ mod tests {
         let mut w = WirePipe::new();
         w.push(Nanos::from_nanos(100), 0.0);
         assert_eq!(w.inflight_bytes(), 0.0);
-        assert_eq!(w.total_bytes(), 0.0);
     }
 
     #[test]
@@ -103,7 +95,7 @@ mod tests {
         let mut w = WirePipe::new();
         w.push(Nanos::from_nanos(1), 5.0);
         w.push(Nanos::from_nanos(2), 7.0);
-        w.pop_arrived(Nanos::from_nanos(10));
-        assert_eq!(w.total_bytes(), 12.0);
+        assert_eq!(w.pop_arrived(Nanos::from_nanos(10)), 12.0);
+        assert_eq!(w.inflight_bytes(), 0.0);
     }
 }

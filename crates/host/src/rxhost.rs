@@ -29,22 +29,11 @@ use crate::msr::MsrBank;
 use crate::nic::NicRxQueue;
 use crate::pcie::WirePipe;
 
-/// A packet delivered to the network stack, with datapath timestamps.
-#[derive(Debug, Clone)]
-pub struct Delivered {
-    /// The packet.
-    pub pkt: Packet,
-    /// When it was enqueued in the NIC buffer (wire arrival).
-    pub nic_at: Nanos,
-    /// When its DMA completed (admission past its last byte).
-    pub delivered_at: Nanos,
-}
-
 /// Per-tick output of the host datapath.
 #[derive(Debug, Default)]
 pub struct TickOutput {
     /// Packets whose DMA completed this tick, in order.
-    pub delivered: Vec<Delivered>,
+    pub delivered: Vec<Packet>,
     /// Application bytes the copy engine finished this tick (drain socket
     /// buffers / count goodput).
     pub copied_app_bytes: f64,
@@ -52,7 +41,7 @@ pub struct TickOutput {
     /// expose only the cumulative integral of this).
     pub occupancy_cl: f64,
     /// Bytes inserted into the IIO from the PCIe this tick.
-    pub inserted_bytes: f64,
+    pub(crate) inserted_bytes: f64,
 }
 
 /// A read-only snapshot of the host datapath for telemetry gauges and
@@ -91,7 +80,7 @@ pub struct HostProbe {
     /// Application bytes waiting in the copy backlog.
     pub copy_backlog_app_bytes: f64,
     /// Cumulative memory-controller bytes served this window (all requesters).
-    pub mc_served_bytes: f64,
+    pub(crate) mc_served_bytes: f64,
     /// Memory-controller utilization over the current window.
     pub mc_utilization: f64,
 }
@@ -110,9 +99,9 @@ pub struct RxHost {
     mba: Mba,
     msr: MsrBank,
     /// Wire payload bytes delivered in the current window.
-    pub delivered_payload_bytes: u64,
+    pub(crate) delivered_payload_bytes: u64,
     /// Packets delivered in the current window.
-    pub delivered_packets: u64,
+    pub(crate) delivered_packets: u64,
     /// Packets ever delivered (never reset — conservation checks).
     delivered_packets_total: u64,
     last_tick_at: Nanos,
@@ -166,11 +155,6 @@ impl RxHost {
         }
     }
 
-    /// The host configuration.
-    pub fn cfg(&self) -> &HostConfig {
-        &self.cfg
-    }
-
     /// Attach a trace handle to the datapath (and the MBA actuator).
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.mba.set_trace(trace.clone());
@@ -201,19 +185,8 @@ impl RxHost {
         accepted
     }
 
-    /// Advance the datapath to `now` (one tick of `cfg.tick`).
-    ///
-    /// Convenience wrapper over [`RxHost::tick_into`] that allocates a
-    /// fresh [`TickOutput`]; the experiment driver reuses one across ticks
-    /// instead.
-    pub fn tick(&mut self, now: Nanos) -> TickOutput {
-        let mut out = TickOutput::default();
-        self.tick_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free core of [`RxHost::tick`]: `out` is cleared and
-    /// refilled. In steady state (once `out.delivered` and the internal
+    /// Advance the datapath to `now` (one tick of `cfg.tick`): `out` is
+    /// cleared and refilled. In steady state (once `out.delivered` and the internal
     /// scratch buffers reach their high-water capacity) a tick performs no
     /// heap allocation at all.
     pub fn tick_into(&mut self, now: Nanos, out: &mut TickOutput) {
@@ -302,11 +275,7 @@ impl RxHost {
             self.delivered_packets += 1;
             self.delivered_packets_total += 1;
             fs.with_mut(|s| s.boundary(spkt.pkt.id, Stage::IioDma, now));
-            out.delivered.push(Delivered {
-                pkt: spkt.pkt,
-                nic_at: spkt.enqueued_at,
-                delivered_at: now,
-            });
+            out.delivered.push(spkt.pkt);
         }
 
         // 7. Occupancy: waiting entries (measured after admission, before
@@ -522,11 +491,6 @@ impl RxHost {
         Rate::bytes_per_ns(self.mapp.app_bytes(&self.cfg) / window.as_nanos() as f64)
     }
 
-    /// Packets ever delivered, across window resets.
-    pub fn delivered_packets_total(&self) -> u64 {
-        self.delivered_packets_total
-    }
-
     /// Take a read-only telemetry snapshot of the whole datapath.
     pub fn probe(&self) -> HostProbe {
         let credits_avail =
@@ -578,11 +542,12 @@ mod tests {
     /// Drive `host` with a fixed arrival rate for `duration`; returns
     /// delivered payload bytes.
     fn drive(host: &mut RxHost, rate: Rate, payload: u32, duration: Nanos) -> u64 {
-        let dt = host.cfg().tick;
+        let dt = host.cfg.tick;
         let mut now = Nanos::ZERO;
         let mut next_arrival = Nanos::ZERO;
         let gap = rate.time_for_bytes((payload + 66) as u64);
         let mut id = 0;
+        let mut out = TickOutput::default();
         while now < duration {
             now += dt;
             while next_arrival <= now {
@@ -591,7 +556,7 @@ mod tests {
                 id += 1;
                 next_arrival += gap;
             }
-            host.tick(now);
+            host.tick_into(now, &mut out);
         }
         host.delivered_payload_bytes
     }
@@ -615,7 +580,7 @@ mod tests {
         let mut h = host(0.0);
         drive(&mut h, Rate::gbps(100.0), 4030, Nanos::from_millis(1));
         // Average I_S from the MSR integral over the last stretch.
-        let f = h.cfg().f_iio_ghz;
+        let f = h.cfg.f_iio_ghz;
         let rocc = h.msr().rocc(f);
         let is = rocc as f64 / (Nanos::from_millis(1).as_nanos() as f64 * f);
         assert!(
@@ -642,11 +607,12 @@ mod tests {
     fn congested_occupancy_saturates_at_credit_limit() {
         let mut h = host(3.0);
         let mut max_occ: f64 = 0.0;
-        let dt = h.cfg().tick;
+        let dt = h.cfg.tick;
         let mut now = Nanos::ZERO;
         let mut id = 0;
         let gap = Rate::gbps(100.0).time_for_bytes(4096);
         let mut next = Nanos::ZERO;
+        let mut out = TickOutput::default();
         while now < Nanos::from_millis(2) {
             now += dt;
             while next <= now {
@@ -654,7 +620,7 @@ mod tests {
                 id += 1;
                 next += gap;
             }
-            let out = h.tick(now);
+            h.tick_into(now, &mut out);
             max_occ = max_occ.max(out.occupancy_cl);
         }
         assert!(
@@ -671,11 +637,12 @@ mod tests {
         for (degree, want) in [(1.0, 16.0), (2.0, 28.7), (3.0, 34.8)] {
             let mut h = host(degree);
             let dur = Nanos::from_millis(1);
-            let dt = h.cfg().tick;
+            let dt = h.cfg.tick;
             let mut now = Nanos::ZERO;
+            let mut out = TickOutput::default();
             while now < dur {
                 now += dt;
-                h.tick(now);
+                h.tick_into(now, &mut out);
             }
             let got = h.mapp_mem_rate(dur).as_gbytes_per_sec();
             let err = (got - want).abs() / want;
@@ -762,9 +729,10 @@ mod tests {
     #[test]
     fn probe_conserves_packets_and_credits_under_congestion() {
         let mut h = host(3.0);
-        let dt = h.cfg().tick;
+        let dt = h.cfg.tick;
         let gap = Rate::gbps(100.0).time_for_bytes(4096);
         let (mut now, mut next, mut id) = (Nanos::ZERO, Nanos::ZERO, 0u64);
+        let mut out = TickOutput::default();
         while now < Nanos::from_millis(2) {
             now += dt;
             while next <= now {
@@ -772,7 +740,7 @@ mod tests {
                 id += 1;
                 next += gap;
             }
-            h.tick(now);
+            h.tick_into(now, &mut out);
             let p = h.probe();
             assert_eq!(
                 p.nic_arrivals_total,
@@ -803,16 +771,17 @@ mod tests {
     #[test]
     fn delivered_packets_preserve_fifo_order() {
         let mut h = host(0.0);
-        let dt = h.cfg().tick;
+        let dt = h.cfg.tick;
         let mut now = Nanos::ZERO;
         for id in 0..50 {
             h.on_wire_arrival(Packet::data(id, FlowId(0), 0, 4030, false, now), now);
         }
         let mut seen = Vec::new();
+        let mut out = TickOutput::default();
         while now < Nanos::from_micros(100) {
             now += dt;
-            let out = h.tick(now);
-            seen.extend(out.delivered.iter().map(|d| d.pkt.id));
+            h.tick_into(now, &mut out);
+            seen.extend(out.delivered.iter().map(|p| p.id));
         }
         assert_eq!(seen, (0..50).collect::<Vec<u64>>());
     }

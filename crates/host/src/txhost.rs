@@ -41,9 +41,9 @@ pub struct TxHost {
     mba: Mba,
     msr: MsrBank,
     /// Packets released to the NIC in the current window.
-    pub released_packets: u64,
+    pub(crate) released_packets: u64,
     /// Wire bytes released in the current window.
-    pub released_bytes: u64,
+    pub(crate) released_bytes: u64,
 }
 
 impl TxHost {
@@ -77,19 +77,8 @@ impl TxHost {
         self.queued_bytes
     }
 
-    /// Advance one tick; returns packets whose DMA completed (ready for
-    /// the NIC to serialize).
-    ///
-    /// Convenience wrapper over [`TxHost::tick_into`] that allocates the
-    /// output list; the experiment driver reuses a buffer instead.
-    pub fn tick(&mut self, now: Nanos) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.tick_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free core of [`TxHost::tick`]: released packets are
-    /// appended to `out` (not cleared first).
+    /// Advance one tick; packets whose DMA completed (ready for the NIC
+    /// to serialize) are appended to `out` (not cleared first).
     pub fn tick_into(&mut self, now: Nanos, out: &mut Vec<Packet>) {
         let dt = self.cfg.tick;
         let mba_added = self.mba.effective_added_latency(now);
@@ -151,11 +140,6 @@ impl TxHost {
         &mut self.mapp
     }
 
-    /// The sender memory controller (metrics).
-    pub fn mc(&self) -> &MemoryController {
-        &self.mc
-    }
-
     /// Reset window accounting.
     pub fn reset_window(&mut self) {
         self.mc.reset_window();
@@ -182,6 +166,7 @@ mod tests {
         let mut next = Nanos::ZERO;
         let mut id = 0;
         let mut released = 0;
+        let mut out = Vec::new();
         while now < dur {
             now += dt;
             while next <= now {
@@ -189,7 +174,9 @@ mod tests {
                 id += 1;
                 next += gap;
             }
-            released += host.tick(now).len() as u64;
+            out.clear();
+            host.tick_into(now, &mut out);
+            released += out.len() as u64;
         }
         released
     }
@@ -237,10 +224,13 @@ mod tests {
             h.enqueue(pkt(i));
         }
         let mut seen = Vec::new();
+        let mut out = Vec::new();
         let mut now = Nanos::ZERO;
         for _ in 0..10_000 {
             now += h.cfg.tick;
-            seen.extend(h.tick(now).into_iter().map(|p| p.id));
+            out.clear();
+            h.tick_into(now, &mut out);
+            seen.extend(out.iter().map(|p| p.id));
             if seen.len() == 20 {
                 break;
             }

@@ -1,7 +1,7 @@
 //! Property-based tests for the host-network substrate.
 
 use hostcc_fabric::{FlowId, Packet};
-use hostcc_host::{Demand, HostConfig, MemoryController, RxHost, CACHELINE};
+use hostcc_host::{Demand, HostConfig, MemoryController, RxHost, TickOutput, CACHELINE};
 use hostcc_sim::{Nanos, Rate, Rng};
 use proptest::prelude::*;
 
@@ -65,6 +65,7 @@ proptest! {
         let mut id = 0u64;
         let mut delivered_ids = Vec::new();
         let mut offered = 0u64;
+        let mut out = TickOutput::default();
         while now < Nanos::from_micros(300) {
             now += dt;
             while next <= now {
@@ -75,8 +76,8 @@ proptest! {
                 id += 1;
                 next += gap.scale(rng.jitter(1.0, 0.3));
             }
-            let out = h.tick(now);
-            delivered_ids.extend(out.delivered.iter().map(|d| d.pkt.id));
+            h.tick_into(now, &mut out);
+            delivered_ids.extend(out.delivered.iter().map(|p| p.id));
             prop_assert!(out.occupancy_cl >= 0.0);
             prop_assert!(out.occupancy_cl <= cfg.pcie_max_credit_cl as f64 + 1e-9);
         }
@@ -102,9 +103,10 @@ proptest! {
             h.on_wire_arrival(pkt(i as u64, payload), now);
             prop_assert!(h.nic_backlog_bytes() <= cfg.nic_buffer_bytes);
         }
+        let mut out = TickOutput::default();
         for _ in 0..100 {
             now += cfg.tick;
-            h.tick(now);
+            h.tick_into(now, &mut out);
             prop_assert!(h.nic_backlog_bytes() <= cfg.nic_buffer_bytes);
         }
     }
@@ -122,6 +124,7 @@ proptest! {
         let mut next = Nanos::ZERO;
         let mut id = 0;
         let dur = Nanos::from_micros(500);
+        let mut out = TickOutput::default();
         while now < dur {
             now += dt;
             while next <= now {
@@ -129,7 +132,7 @@ proptest! {
                 id += 1;
                 next += gap;
             }
-            h.tick(now);
+            h.tick_into(now, &mut out);
         }
         let net = h.net_mem_rate(dur) / cfg.mem_peak;
         let mapp = h.mapp_mem_rate(dur) / cfg.mem_peak;
@@ -151,10 +154,11 @@ proptest! {
         let dt = cfg.tick;
         let mut now = Nanos::ZERO;
         let mut last_rocc = 0u64;
+        let mut out = TickOutput::default();
         for id in 0..2000 {
             now += dt;
             h.on_wire_arrival(pkt(id, 4030), now);
-            h.tick(now);
+            h.tick_into(now, &mut out);
             let rocc = h.msr().rocc(cfg.f_iio_ghz);
             prop_assert!(rocc >= last_rocc, "R_OCC must be monotone");
             let max_delta =

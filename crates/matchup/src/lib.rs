@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use hostcc_metrics::{f2, Table};
 use hostcc_sim::json::{escape, float, opt};
@@ -170,7 +171,7 @@ impl CellScore {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaderboardRow {
     /// Rank, starting at 1 (best score).
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// The CC label.
     pub cc: String,
     /// Whether hostCC was active.
@@ -178,21 +179,21 @@ pub struct LeaderboardRow {
     /// Cells aggregated into this row.
     pub cells: u64,
     /// Mean greedy-flow goodput over the cells, in Gbit/s.
-    pub mean_goodput_gbps: f64,
+    pub(crate) mean_goodput_gbps: f64,
     /// Mean Jain's fairness index over the cells.
-    pub mean_jain: f64,
+    pub(crate) mean_jain: f64,
     /// Cells whose flows converged (dwell detector fired).
-    pub converged: u64,
+    pub(crate) converged: u64,
     /// Mean convergence time over the converged cells, in ns.
-    pub mean_convergence_ns: Option<u64>,
+    pub(crate) mean_convergence_ns: Option<u64>,
     /// Total retransmits over the cells.
     pub retransmits: u64,
     /// Worst P99 RPC latency across the cells, in ns.
-    pub worst_rpc_p99_ns: Option<u64>,
+    pub(crate) worst_rpc_p99_ns: Option<u64>,
     /// The ranking score: `mean_jain × mean_goodput_gbps`
     /// (fairness-weighted goodput — a fast-but-unfair protocol and a
     /// fair-but-starved one both score low).
-    pub score: f64,
+    pub(crate) score: f64,
 }
 
 impl LeaderboardRow {
@@ -218,7 +219,7 @@ impl LeaderboardRow {
 }
 
 /// Column order shared by [`MatchupReport::leaderboard_csv`].
-pub const LEADERBOARD_CSV_HEADER: &str = "rank,cc,hostcc,cells,mean_goodput_gbps,\
+pub(crate) const LEADERBOARD_CSV_HEADER: &str = "rank,cc,hostcc,cells,mean_goodput_gbps,\
 mean_jain,converged,mean_convergence_ns,retransmits,worst_rpc_p99_ns,score";
 
 /// The whole matchup: every scored cell plus the derived leaderboard.
@@ -360,7 +361,7 @@ impl MatchupReport {
         s
     }
 
-    /// The leaderboard as CSV ([`LEADERBOARD_CSV_HEADER`] + one row per
+    /// The leaderboard as CSV (`LEADERBOARD_CSV_HEADER` + one row per
     /// arm). Only deterministic columns: a serial and a parallel run of
     /// the same matchup diff empty.
     pub fn leaderboard_csv(&self) -> String {

@@ -67,21 +67,6 @@ impl Cdf {
         let idx = self.samples.partition_point(|&s| s <= v);
         idx as f64 / self.samples.len() as f64
     }
-
-    /// Evaluate the CDF at `points` evenly spaced quantiles, returning
-    /// `(value, cumulative_fraction)` pairs — the series the Fig 7 plot uses.
-    pub fn curve(&mut self, points: usize) -> Vec<(Nanos, f64)> {
-        if self.samples.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        (1..=points)
-            .map(|i| {
-                let f = i as f64 / points as f64;
-                (self.quantile(f).unwrap(), f)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -118,11 +103,11 @@ mod tests {
             x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
             c.record(Nanos::from_nanos(400 + x % 800));
         }
-        let curve = c.curve(50);
-        assert_eq!(curve.len(), 50);
+        let curve: Vec<Nanos> = (1..=50)
+            .map(|i| c.quantile(i as f64 / 50.0).unwrap())
+            .collect();
         for w in curve.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
+            assert!(w[1] >= w[0]);
         }
     }
 
@@ -137,10 +122,6 @@ mod tests {
         }
         assert_eq!(c.at(Nanos::ZERO), 0.0);
         assert_eq!(c.at(Nanos::from_nanos(1)), 0.0);
-        assert!(c.curve(10).is_empty());
-        // Zero-point curves are empty even with samples present.
-        c.record(Nanos::from_nanos(7));
-        assert!(c.curve(0).is_empty());
     }
 
     #[test]

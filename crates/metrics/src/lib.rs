@@ -1,12 +1,12 @@
 //! Measurement infrastructure for the hostCC reproduction.
 //!
-//! The paper's evaluation reports four kinds of quantities, and this crate
-//! provides one tool per kind:
+//! The paper's evaluation reports four kinds of quantities. Throughputs
+//! and drop rates (Fig 2, 3, 10, 11, 13, 14, 16, 17) are plain byte and
+//! packet counts over the measurement window, kept by the components that
+//! produce them; this crate provides one tool for each of the other three:
 //!
 //! * tail latencies (Fig 4, 12, 15: P50–P99.99 whiskers) — [`Histogram`],
 //!   a log-bucketed (HDR-style) latency histogram;
-//! * throughputs and drop rates (Fig 2, 3, 10, 11, 13, 14, 16, 17) —
-//!   [`Meter`] and [`Counter`];
 //! * time series (Fig 8, 18, 19: `I_S`, `B_S`, response level vs time) —
 //!   [`TimeSeries`];
 //! * empirical CDFs (Fig 7: signal read latency) — [`Cdf`].
@@ -16,17 +16,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cdf;
-mod counter;
 mod histogram;
-mod meter;
 mod table;
 mod timeseries;
 
 pub use cdf::Cdf;
-pub use counter::Counter;
 pub use histogram::Histogram;
-pub use meter::Meter;
 pub use table::{f2, pct, Table};
 pub use timeseries::TimeSeries;

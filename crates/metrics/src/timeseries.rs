@@ -169,15 +169,6 @@ impl TimeSeries {
         self.values.iter().copied().reduce(f64::max)
     }
 
-    /// Fraction of samples with value strictly above `threshold` — used to
-    /// report "time spent with `I_S > I_T`".
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().filter(|&&v| v > threshold).count() as f64 / self.values.len() as f64
-    }
-
     /// Downsample to at most `n` points by averaging fixed-size chunks
     /// (keeps plots readable without distorting level shifts).
     pub fn downsample(&self, n: usize) -> TimeSeries {
@@ -264,13 +255,6 @@ mod tests {
             .is_empty());
         // The window keeps the series name for CSV headers.
         assert_eq!(w.name(), "x");
-    }
-
-    #[test]
-    fn fraction_above_threshold() {
-        let s = series(&[(0, 60.0), (1, 70.0), (2, 80.0), (3, 90.0)]);
-        assert_eq!(s.fraction_above(70.0), 0.5);
-        assert_eq!(s.fraction_above(100.0), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the metrics crate.
 
-use hostcc_metrics::{Cdf, Counter, Histogram, Meter, TimeSeries};
+use hostcc_metrics::{Cdf, Histogram, TimeSeries};
 use hostcc_sim::Nanos;
 use proptest::prelude::*;
 
@@ -69,27 +69,6 @@ proptest! {
         }
         let v = c.quantile(q).unwrap();
         prop_assert!(c.at(v) + 1e-12 >= q);
-    }
-
-    /// Meter rate times the window duration returns the accumulated bytes.
-    #[test]
-    fn meter_rate_inverts(bytes in 1u64..u32::MAX as u64, window_ns in 1u64..1_000_000_000) {
-        let mut m = Meter::new();
-        m.add(bytes);
-        let r = m.rate_at(Nanos::from_nanos(window_ns));
-        let recovered = r.bytes_in(Nanos::from_nanos(window_ns));
-        prop_assert!((recovered - bytes as f64).abs() < 1.0);
-    }
-
-    /// Counter ratio is always in [0, 1] when numerator ≤ denominator.
-    #[test]
-    fn counter_ratio_bounds(n in 0u64..1000, extra in 0u64..1000) {
-        let mut num = Counter::new();
-        let mut den = Counter::new();
-        num.add(n);
-        den.add(n + extra);
-        let r = num.ratio_of(&den);
-        prop_assert!((0.0..=1.0).contains(&r) || (n == 0 && extra == 0 && r == 0.0));
     }
 
     /// Downsampling never invents values outside the original hull.

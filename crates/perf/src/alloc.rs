@@ -14,7 +14,7 @@ pub struct AllocStats {
     /// Number of allocations.
     pub allocs: u64,
     /// Number of deallocations.
-    pub frees: u64,
+    pub(crate) frees: u64,
     /// Total bytes requested across all allocations.
     pub bytes: u64,
     /// High-water mark of live heap bytes (process lifetime for a
@@ -107,7 +107,7 @@ mod counting {
 
     /// Rebase the peak to the current live size (call at the start of a
     /// measurement window so the reported peak is the window's own).
-    pub fn reset_peak() {
+    pub(crate) fn reset_peak() {
         PEAK.store(LIVE.load(Relaxed), Relaxed);
     }
 }

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 /// Object keys are kept in a `BTreeMap`, so re-serialisation order is
 /// deterministic (alphabetical) even when the input wasn't.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
+pub(crate) enum JsonValue {
     /// `null`
     Null,
     /// `true` / `false`
@@ -34,7 +34,7 @@ pub enum JsonValue {
 impl JsonValue {
     /// Parse a complete JSON document; trailing non-whitespace is an
     /// error.
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
+    pub(crate) fn parse(text: &str) -> Result<JsonValue, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         let value = parse_value(bytes, &mut pos)?;
@@ -46,7 +46,7 @@ impl JsonValue {
     }
 
     /// Object field lookup; `None` for missing keys or non-objects.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+    pub(crate) fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
             JsonValue::Obj(map) => map.get(key),
             _ => None,
@@ -54,7 +54,7 @@ impl JsonValue {
     }
 
     /// The number, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Num(n) => Some(*n),
             _ => None,
@@ -63,7 +63,7 @@ impl JsonValue {
 
     /// The number as `u64`, if it is a non-negative integer that fits
     /// exactly.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
@@ -73,39 +73,23 @@ impl JsonValue {
     }
 
     /// The string slice, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    /// The boolean, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The element slice, if this is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
+    pub(crate) fn as_arr(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Arr(items) => Some(items),
             _ => None,
         }
     }
 
-    /// The key→value map, if this is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            JsonValue::Obj(map) => Some(map),
-            _ => None,
-        }
-    }
-
     /// `true` for `null`.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, JsonValue::Null)
     }
 }
@@ -285,11 +269,11 @@ mod tests {
         .unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
         let arr = v.get("b").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0].as_bool(), Some(true));
+        assert_eq!(arr[0], JsonValue::Bool(true));
         assert!(arr[1].is_null());
         assert_eq!(arr[2].as_f64(), Some(-2500.0));
         assert_eq!(v.get("c").unwrap().get("d").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("e").unwrap().as_bool(), Some(false));
+        assert_eq!(v.get("e"), Some(&JsonValue::Bool(false)));
     }
 
     #[test]

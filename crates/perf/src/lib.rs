@@ -23,7 +23,7 @@
 //!   and pay nothing.
 //! * **Trajectory** — [`BenchReport`]: the `BENCH_<git-sha>.json` schema
 //!   the `repro bench` subcommand emits, with a registry-free JSON
-//!   parser ([`JsonValue`]) and [`compare`] for the per-workload delta
+//!   parser (`JsonValue`) and [`compare`] for the per-workload delta
 //!   table and regression verdicts that make the performance trajectory
 //!   visible PR over PR.
 //!
@@ -46,6 +46,7 @@
 
 #![cfg_attr(not(feature = "alloc-profile"), forbid(unsafe_code))]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod alloc;
 mod json;
@@ -55,10 +56,7 @@ mod report;
 #[cfg(feature = "alloc-profile")]
 pub use alloc::CountingAllocator;
 pub use alloc::{alloc_stats, reset_alloc_peak, AllocStats};
-pub use json::JsonValue;
 pub use profile::{
     PerfHandle, PerfProfiler, PerfReport, PerfScope, SimRateProfiler, SimRateReport, Subsystem,
 };
-pub use report::{
-    compare, compare_gated, BenchComparison, BenchDelta, BenchReport, BenchWorkload, HostMeta,
-};
+pub use report::{compare, compare_gated, BenchComparison, BenchReport, BenchWorkload, HostMeta};

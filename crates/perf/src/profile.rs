@@ -98,13 +98,8 @@ impl PerfScope {
         }
     }
 
-    /// Resolve a scope from its [`PerfScope::name`].
-    pub fn from_name(name: &str) -> Option<PerfScope> {
-        PerfScope::ALL.iter().copied().find(|s| s.name() == name)
-    }
-
     /// The subsystem this scope rolls up into.
-    pub fn subsystem(self) -> Subsystem {
+    pub(crate) fn subsystem(self) -> Subsystem {
         match self {
             PerfScope::Engine => Subsystem::Engine,
             PerfScope::EvDepart | PerfScope::EvArriveSwitch => Subsystem::Fabric,
@@ -302,7 +297,7 @@ pub struct PerfReport {
     /// Enter count per scope.
     pub scope_enters: [u64; PerfScope::COUNT],
     /// Deepest simultaneous nesting observed.
-    pub max_depth: u64,
+    pub(crate) max_depth: u64,
 }
 
 impl PerfReport {
@@ -421,7 +416,7 @@ impl PerfReport {
     }
 
     /// Parse a report back out of [`PerfReport::to_json`] output.
-    pub fn from_json(v: &crate::json::JsonValue) -> Result<PerfReport, String> {
+    pub(crate) fn from_json(v: &crate::json::JsonValue) -> Result<PerfReport, String> {
         let mut r = PerfReport {
             total_ns: v
                 .get("total_ns")
@@ -510,7 +505,7 @@ impl SimRateReport {
 
     /// Wall-clock microseconds spent per simulated millisecond — the
     /// slowdown factor ×1000 (1000 here means real time).
-    pub fn wall_us_per_sim_ms(&self) -> f64 {
+    pub(crate) fn wall_us_per_sim_ms(&self) -> f64 {
         if self.sim_ns == 0 || self.wall_secs <= 0.0 {
             return 0.0;
         }
@@ -692,10 +687,10 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_resolvable() {
-        for s in PerfScope::ALL {
-            assert_eq!(PerfScope::from_name(s.name()), Some(s));
-        }
-        assert_eq!(PerfScope::from_name("nope"), None);
+        let mut scopes: Vec<&str> = PerfScope::ALL.iter().map(|s| s.name()).collect();
+        scopes.sort_unstable();
+        scopes.dedup();
+        assert_eq!(scopes.len(), PerfScope::ALL.len());
         let mut names: Vec<&str> = Subsystem::ALL.iter().map(|s| s.name()).collect();
         names.dedup();
         assert_eq!(names.len(), Subsystem::COUNT);

@@ -16,7 +16,7 @@ use crate::profile::{PerfReport, SimRateReport};
 use crate::AllocStats;
 
 /// Schema identifier written into (and required from) every BENCH file.
-pub const BENCH_SCHEMA: &str = "hostcc-bench/v1";
+pub(crate) const BENCH_SCHEMA: &str = "hostcc-bench/v1";
 
 /// One measured workload inside a [`BenchReport`].
 #[derive(Debug, Clone, PartialEq)]
@@ -279,31 +279,31 @@ impl BenchReport {
     }
 
     /// Find a workload by name.
-    pub fn workload(&self, name: &str) -> Option<&BenchWorkload> {
+    pub(crate) fn workload(&self, name: &str) -> Option<&BenchWorkload> {
         self.workloads.iter().find(|w| w.name == name)
     }
 }
 
 /// How one workload moved between a baseline and a new run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchDelta {
+pub(crate) struct BenchDelta {
     /// Workload name.
     pub name: String,
     /// Baseline events/sec (`None` if the workload is new).
-    pub old_events_per_sec: Option<f64>,
+    pub(crate) old_events_per_sec: Option<f64>,
     /// New events/sec (`None` if the workload was removed).
-    pub new_events_per_sec: Option<f64>,
+    pub(crate) new_events_per_sec: Option<f64>,
     /// Baseline allocation count (`None` when the baseline had no
     /// allocator stats for this workload).
-    pub old_allocs: Option<u64>,
+    pub(crate) old_allocs: Option<u64>,
     /// New allocation count (`None` when the new run had none).
-    pub new_allocs: Option<u64>,
+    pub(crate) new_allocs: Option<u64>,
 }
 
 impl BenchDelta {
     /// Relative throughput change in percent (positive = faster), when
     /// both sides are present and the baseline is nonzero.
-    pub fn delta_pct(&self) -> Option<f64> {
+    pub(crate) fn delta_pct(&self) -> Option<f64> {
         match (self.old_events_per_sec, self.new_events_per_sec) {
             (Some(old), Some(new)) if old > 0.0 => Some(100.0 * (new - old) / old),
             _ => None,
@@ -314,7 +314,7 @@ impl BenchDelta {
     /// allocations), when both sides have allocator stats. Unlike wall
     /// rates, alloc counts are deterministic for a given binary and
     /// workload, so they compare meaningfully across machines.
-    pub fn alloc_delta_pct(&self) -> Option<f64> {
+    pub(crate) fn alloc_delta_pct(&self) -> Option<f64> {
         match (self.old_allocs, self.new_allocs) {
             (Some(old), Some(new)) if old > 0 => {
                 Some(100.0 * (new as f64 - old as f64) / old as f64)
@@ -324,12 +324,12 @@ impl BenchDelta {
     }
 
     /// Whether the throughput delta is a regression beyond `threshold_pct`.
-    pub fn regressed(&self, threshold_pct: f64) -> bool {
+    pub(crate) fn regressed(&self, threshold_pct: f64) -> bool {
         matches!(self.delta_pct(), Some(d) if d < -threshold_pct)
     }
 
     /// Whether the allocation count grew beyond `threshold_pct`.
-    pub fn alloc_regressed(&self, threshold_pct: f64) -> bool {
+    pub(crate) fn alloc_regressed(&self, threshold_pct: f64) -> bool {
         matches!(self.alloc_delta_pct(), Some(d) if d > threshold_pct)
     }
 }
@@ -339,12 +339,12 @@ impl BenchDelta {
 pub struct BenchComparison {
     /// Per-workload deltas: baseline order first, then workloads that
     /// only exist in the new run.
-    pub deltas: Vec<BenchDelta>,
+    pub(crate) deltas: Vec<BenchDelta>,
     /// Throughput regression threshold in percent.
-    pub threshold_pct: f64,
+    pub(crate) threshold_pct: f64,
     /// Allocation-growth threshold in percent (`f64::INFINITY` disables
     /// alloc gating, the [`compare`] default).
-    pub alloc_threshold_pct: f64,
+    pub(crate) alloc_threshold_pct: f64,
 }
 
 impl BenchComparison {

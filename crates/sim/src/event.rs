@@ -25,7 +25,7 @@ pub struct ScheduledEvent<E> {
     pub at: Nanos,
     /// Monotone sequence number; breaks ties so that two events scheduled
     /// for the same instant fire in scheduling order (determinism).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The user payload.
     pub event: E,
 }
@@ -71,8 +71,8 @@ impl<E> Ord for ScheduledEvent<E> {
 /// use hostcc_sim::{EventQueue, Nanos};
 ///
 /// let mut q: EventQueue<&str> = EventQueue::new();
-/// q.schedule_in(Nanos::from_micros(5), "later");
-/// q.schedule_in(Nanos::from_micros(1), "sooner");
+/// q.schedule(Nanos::from_micros(5), "later");
+/// q.schedule(Nanos::from_micros(1), "sooner");
 /// let (t, ev) = q.pop().unwrap();
 /// assert_eq!((t, ev), (Nanos::from_micros(1), "sooner"));
 /// assert_eq!(q.now(), Nanos::from_micros(1));
@@ -178,12 +178,6 @@ impl<E> EventQueue<E> {
         self.heap.push(ScheduledEvent { at, seq, event });
     }
 
-    /// Schedule `event` `delay` after the current clock.
-    pub fn schedule_in(&mut self, delay: Nanos, event: E) {
-        let at = self.now.checked_add(delay).unwrap_or(Nanos::MAX);
-        self.schedule(at, event);
-    }
-
     /// Firing time of the next pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<Nanos> {
@@ -285,15 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(Nanos::from_nanos(10), 0u32);
-        q.pop();
-        q.schedule_in(Nanos::from_nanos(5), 1u32);
-        assert_eq!(q.peek_time(), Some(Nanos::from_nanos(15)));
-    }
-
-    #[test]
     fn advance_to_moves_idle_clock() {
         let mut q: EventQueue<()> = EventQueue::new();
         q.advance_to(Nanos::from_micros(7));
@@ -316,15 +301,6 @@ mod tests {
         }
         while q.pop().is_some() {}
         assert_eq!(q.events_processed(), 10);
-    }
-
-    #[test]
-    fn schedule_in_saturates_at_infinity() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.schedule(Nanos::from_nanos(1), ());
-        q.pop();
-        q.schedule_in(Nanos::MAX, ());
-        assert_eq!(q.peek_time(), Some(Nanos::MAX));
     }
 
     #[test]

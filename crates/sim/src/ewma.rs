@@ -34,16 +34,6 @@ impl Ewma {
         }
     }
 
-    /// The paper's `I_S` smoothing weight, 1/8.
-    pub fn for_iio_occupancy() -> Self {
-        Ewma::new(1.0 / 8.0, 0.0)
-    }
-
-    /// The paper's `B_S` smoothing weight, 1/256.
-    pub fn for_pcie_bandwidth() -> Self {
-        Ewma::new(1.0 / 256.0, 0.0)
-    }
-
     /// Feed one observation and return the updated average.
     pub fn update(&mut self, x: f64) -> f64 {
         if self.primed {
@@ -59,24 +49,6 @@ impl Ewma {
     #[inline]
     pub fn get(&self) -> f64 {
         self.value
-    }
-
-    /// Whether at least one sample has been observed.
-    #[inline]
-    pub fn is_primed(&self) -> bool {
-        self.primed
-    }
-
-    /// The configured weight.
-    #[inline]
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-
-    /// Discard history, returning to the unprimed state with value `initial`.
-    pub fn reset(&mut self, initial: f64) {
-        self.value = initial;
-        self.primed = false;
     }
 }
 
@@ -124,24 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_unprimes() {
-        let mut e = Ewma::new(0.5, 1.0);
-        e.update(9.0);
-        e.reset(2.0);
-        assert!(!e.is_primed());
-        assert_eq!(e.get(), 2.0);
-        assert_eq!(e.update(7.0), 7.0);
-    }
-
-    #[test]
     #[should_panic(expected = "EWMA weight")]
     fn zero_weight_rejected() {
         Ewma::new(0.0, 0.0);
-    }
-
-    #[test]
-    fn paper_constructors() {
-        assert!((Ewma::for_iio_occupancy().weight() - 0.125).abs() < 1e-12);
-        assert!((Ewma::for_pcie_bandwidth().weight() - 1.0 / 256.0).abs() < 1e-12);
     }
 }

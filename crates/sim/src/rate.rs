@@ -117,12 +117,6 @@ impl Rate {
     pub fn max(self, other: Rate) -> Rate {
         Rate(self.0.max(other.0))
     }
-
-    /// Clamp negative to zero (useful after subtraction).
-    #[inline]
-    pub fn clamp_non_negative(self) -> Rate {
-        Rate(self.0.max(0.0))
-    }
 }
 
 impl Add for Rate {
@@ -237,12 +231,5 @@ mod tests {
         assert!((a / b - 4.0).abs() < 1e-12);
         assert_eq!(a.min(b), b);
         assert_eq!(a.max(b), a);
-    }
-
-    #[test]
-    fn clamp_non_negative() {
-        let neg = Rate::gbps(1.0) - Rate::gbps(5.0);
-        assert!(neg.as_gbps() < 0.0);
-        assert_eq!(neg.clamp_non_negative(), Rate::ZERO);
     }
 }

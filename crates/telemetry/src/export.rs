@@ -143,6 +143,7 @@ fn mangle(name: &str) -> String {
 mod tests {
     use super::*;
     use crate::handle::Telemetry;
+    use crate::watchdog::WatchdogInput;
 
     fn two_series() -> BTreeMap<String, TimeSeries> {
         let mut a = TimeSeries::new("a.x");
@@ -191,7 +192,12 @@ mod tests {
     fn summary_json_reports_violations_and_fingerprint() {
         let mut t = Telemetry::default();
         t.registry_mut().gauge_set("g", 1.0);
-        t.sample_only(Nanos::ZERO);
+        let healthy = WatchdogInput {
+            mba_levels: 5,
+            pcie_credit_limit_bytes: 5952.0,
+            ..Default::default()
+        };
+        t.check_and_sample(Nanos::ZERO, &healthy);
         let json = summary_json(&t.finish());
         assert!(json.contains("\"samples\": 1"));
         assert!(json.contains("\"watchdog_violations\": 0"));

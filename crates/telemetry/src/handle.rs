@@ -60,11 +60,6 @@ impl Telemetry {
         }
     }
 
-    /// The configuration this pipeline was built with.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
-    }
-
     /// Mutable access to the metric registry (for gauge/counter updates).
     pub fn registry_mut(&mut self) -> &mut MetricRegistry {
         &mut self.registry
@@ -88,12 +83,6 @@ impl Telemetry {
         self.sampler.sample(now, &self.registry);
     }
 
-    /// Snapshot gauges without a watchdog check (used by callers that have
-    /// no host to probe, e.g. unit fixtures).
-    pub fn sample_only(&mut self, now: Nanos) {
-        self.sampler.sample(now, &self.registry);
-    }
-
     fn mirror_watchdog_counters(&mut self) {
         self.registry
             .counter_set("watchdog.checks", self.watchdog.checks());
@@ -113,11 +102,6 @@ impl Telemetry {
                     .counter_set(&format!("watchdog.violations.{}", inv.name()), n);
             }
         }
-    }
-
-    /// The invariant watchdog.
-    pub fn watchdog(&self) -> &InvariantWatchdog {
-        &self.watchdog
     }
 
     /// Drop recorded series/stats at the warmup→measure boundary. Counters
@@ -230,9 +214,10 @@ mod tests {
     fn clones_share_one_pipeline() {
         let h = TelemetryHandle::new(Telemetry::default());
         let h2 = h.clone();
-        h.with_mut(|t| t.registry_mut().counter_add("c", 1));
-        h2.with_mut(|t| t.registry_mut().counter_add("c", 2));
-        assert_eq!(h.with(|t| t.registry().counter("c")), Some(3));
+        h.with_mut(|t| t.registry_mut().counter_set("c", 1));
+        assert_eq!(h2.with(|t| t.summary().counters["c"]), Some(1));
+        h2.with_mut(|t| t.registry_mut().counter_set("c", 3));
+        assert_eq!(h.with(|t| t.summary().counters["c"]), Some(3));
         assert_eq!(h2.report().map(|r| r.summary.counters["c"]), Some(3));
     }
 

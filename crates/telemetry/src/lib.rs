@@ -9,11 +9,11 @@
 //! - [`MetricRegistry`] — hierarchical named counters, gauges and
 //!   log-bucketed histograms (`host.iio.occupancy_bytes`,
 //!   `host.pcie.credits_avail`, `core.echo.ecn_marks`, …);
-//! - [`Sampler`] — deterministic periodic snapshots of every registered
+//! - `Sampler` — deterministic periodic snapshots of every registered
 //!   gauge into bounded [`hostcc_metrics::TimeSeries`], one sample per
 //!   interval of simulated time (default: the 700 ns hostCC sampling
 //!   interval), exported as wide CSV, JSONL or Prometheus text;
-//! - [`InvariantWatchdog`] — conservation checks (NIC packets, PCIe
+//! - `InvariantWatchdog` — conservation checks (NIC packets, PCIe
 //!   credits, IIO byte accounting, MBA level range) evaluated at every
 //!   sample, with a strict mode that fails the run on the first leak;
 //! - [`TelemetryHandle`] — the [`Probe`](hostcc_sim::Probe) over a
@@ -43,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod export;
 mod handle;
@@ -53,9 +54,6 @@ mod watchdog;
 
 pub use export::{prometheus_text, summary_json, to_jsonl, wide_csv};
 pub use handle::{Telemetry, TelemetryConfig, TelemetryHandle, TelemetryResult};
-pub use registry::{LogHistogram, MetricRegistry, TelemetryFilter, HISTOGRAM_BUCKETS};
-pub use sampler::{Sampler, DEFAULT_MAX_POINTS, DEFAULT_SAMPLE_INTERVAL};
+pub use registry::{LogHistogram, MetricRegistry, TelemetryFilter};
 pub use summary::{GaugeStat, TelemetrySummary};
-pub use watchdog::{
-    Invariant, InvariantWatchdog, Violation, WatchdogInput, ALL_INVARIANTS, INVARIANT_COUNT,
-};
+pub use watchdog::WatchdogInput;

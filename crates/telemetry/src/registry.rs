@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 /// Number of power-of-two buckets in a [`LogHistogram`].
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Exponent offset: bucket `i` covers values in `[2^(i-32), 2^(i-31))`.
 const BUCKET_BIAS: i64 = 32;
@@ -44,7 +44,7 @@ impl LogHistogram {
     }
 
     /// The bucket index a value falls into.
-    pub fn bucket_index(v: f64) -> usize {
+    pub(crate) fn bucket_index(v: f64) -> usize {
         if v.is_nan() || v.is_infinite() || v <= 0.0 {
             return 0;
         }
@@ -53,7 +53,7 @@ impl LogHistogram {
     }
 
     /// The inclusive lower bound of bucket `i` (`2^(i-32)`).
-    pub fn bucket_floor(i: usize) -> f64 {
+    pub(crate) fn bucket_floor(i: usize) -> f64 {
         ((i as i64 - BUCKET_BIAS) as f64).exp2()
     }
 
@@ -72,7 +72,7 @@ impl LogHistogram {
     }
 
     /// Sum of recorded (finite) values.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
@@ -82,7 +82,7 @@ impl LogHistogram {
     }
 
     /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
+    pub(crate) fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
         &self.buckets
     }
 
@@ -102,7 +102,7 @@ impl LogHistogram {
 /// Three metric kinds:
 /// - **counters**: monotonically meaningful `u64` totals (drops, marks);
 /// - **gauges**: instantaneous `f64` state (occupancy, credits, level) —
-///   these are what the periodic [`crate::Sampler`] snapshots;
+///   these are what the periodic `crate::Sampler` snapshots;
 /// - **histograms**: log-bucketed distributions of per-event values.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricRegistry {
@@ -117,15 +117,6 @@ impl MetricRegistry {
         Self::default()
     }
 
-    /// Add `delta` to counter `name`, creating it at zero first.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += delta;
-        } else {
-            self.counters.insert(name.to_string(), delta);
-        }
-    }
-
     /// Set counter `name` to an absolute value (used to mirror cumulative
     /// totals the model already tracks).
     pub fn counter_set(&mut self, name: &str, value: u64) {
@@ -134,11 +125,6 @@ impl MetricRegistry {
         } else {
             self.counters.insert(name.to_string(), value);
         }
-    }
-
-    /// Read counter `name` (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Set gauge `name` to its current value.
@@ -150,11 +136,6 @@ impl MetricRegistry {
         }
     }
 
-    /// Read gauge `name`, if it has ever been set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Record one value into histogram `name`.
     pub fn histogram_record(&mut self, name: &str, value: f64) {
         if let Some(h) = self.histograms.get_mut(name) {
@@ -164,11 +145,6 @@ impl MetricRegistry {
             h.record(value);
             self.histograms.insert(name.to_string(), h);
         }
-    }
-
-    /// Read histogram `name`, if present.
-    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.histograms.get(name)
     }
 
     /// All counters, in name order.
@@ -240,7 +216,7 @@ impl TelemetryFilter {
     /// Whether metric `name` passes the filter. A prefix matches whole
     /// dotted components: `host.iio` matches `host.iio.occupancy_bytes`
     /// but not `host.iiofoo`.
-    pub fn wants(&self, name: &str) -> bool {
+    pub(crate) fn wants(&self, name: &str) -> bool {
         match &self.prefixes {
             None => true,
             Some(ps) => ps.iter().any(|p| {
@@ -289,21 +265,18 @@ mod tests {
     #[test]
     fn registry_counter_gauge_histogram_round_trip() {
         let mut r = MetricRegistry::new();
-        r.counter_add("host.nic.drops", 2);
-        r.counter_add("host.nic.drops", 3);
+        r.counter_set("host.nic.drops", 2);
+        r.counter_set("host.nic.drops", 5);
         r.counter_set("core.echo.ecn_marks", 7);
         r.gauge_set("host.iio.occupancy_bytes", 640.0);
         r.gauge_set("host.iio.occupancy_bytes", 128.0);
         r.histogram_record("core.signals.read_latency_ns", 850.0);
-        assert_eq!(r.counter("host.nic.drops"), 5);
-        assert_eq!(r.counter("core.echo.ecn_marks"), 7);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("host.iio.occupancy_bytes"), Some(128.0));
-        assert_eq!(r.gauge("missing"), None);
-        assert_eq!(
-            r.histogram("core.signals.read_latency_ns").unwrap().count(),
-            1
-        );
+        assert_eq!(r.counters["host.nic.drops"], 5);
+        assert_eq!(r.counters["core.echo.ecn_marks"], 7);
+        assert_eq!(r.counters.get("missing"), None);
+        assert_eq!(r.gauges["host.iio.occupancy_bytes"], 128.0);
+        assert_eq!(r.gauges.get("missing"), None);
+        assert_eq!(r.histograms["core.signals.read_latency_ns"].count(), 1);
         assert_eq!(r.len(), 4);
     }
 

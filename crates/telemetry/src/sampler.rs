@@ -11,10 +11,10 @@ use crate::summary::GaugeStat;
 
 /// Default sampling interval: the hostCC sampling interval from the paper
 /// (§3.1), i.e. one sample per 700 ns of simulated time.
-pub const DEFAULT_SAMPLE_INTERVAL: Nanos = Nanos::from_nanos(700);
+pub(crate) const DEFAULT_SAMPLE_INTERVAL: Nanos = Nanos::from_nanos(700);
 
 /// Default per-series retention bound (stride-doubling kicks in beyond it).
-pub const DEFAULT_MAX_POINTS: usize = 4096;
+pub(crate) const DEFAULT_MAX_POINTS: usize = 4096;
 
 /// Snapshots gauges into per-metric [`TimeSeries`] once per interval.
 ///
@@ -24,7 +24,7 @@ pub const DEFAULT_MAX_POINTS: usize = 4096;
 /// simulated time and model state, so sampled output is bit-identical
 /// across runs and worker counts.
 #[derive(Debug, Clone)]
-pub struct Sampler {
+pub(crate) struct Sampler {
     interval: Nanos,
     max_points: usize,
     filter: TelemetryFilter,
@@ -36,7 +36,7 @@ pub struct Sampler {
 
 impl Sampler {
     /// A sampler with the given cadence, retention bound and metric filter.
-    pub fn new(interval: Nanos, max_points: usize, filter: TelemetryFilter) -> Self {
+    pub(crate) fn new(interval: Nanos, max_points: usize, filter: TelemetryFilter) -> Self {
         Sampler {
             interval: interval.max(Nanos::from_nanos(1)),
             max_points,
@@ -48,19 +48,14 @@ impl Sampler {
         }
     }
 
-    /// The configured sampling interval.
-    pub fn interval(&self) -> Nanos {
-        self.interval
-    }
-
     /// Whether a sample is due at simulated time `now`.
-    pub fn due(&self, now: Nanos) -> bool {
+    pub(crate) fn due(&self, now: Nanos) -> bool {
         now >= self.next_at
     }
 
     /// Snapshot every filtered gauge in `registry` at time `now` and
     /// schedule the next sample one interval later.
-    pub fn sample(&mut self, now: Nanos, registry: &MetricRegistry) {
+    pub(crate) fn sample(&mut self, now: Nanos, registry: &MetricRegistry) {
         for (name, v) in registry.gauges() {
             if !self.filter.wants(name) {
                 continue;
@@ -85,25 +80,25 @@ impl Sampler {
     }
 
     /// Number of samples taken since the last [`Sampler::reset_window`].
-    pub fn samples(&self) -> u64 {
+    pub(crate) fn samples(&self) -> u64 {
         self.samples
     }
 
     /// The recorded series, keyed by metric name.
-    pub fn series(&self) -> &BTreeMap<String, TimeSeries> {
+    pub(crate) fn series(&self) -> &BTreeMap<String, TimeSeries> {
         &self.series
     }
 
     /// Running per-gauge statistics over all samples in the window (not
     /// subject to the retention bound).
-    pub fn stats(&self) -> &BTreeMap<String, GaugeStat> {
+    pub(crate) fn stats(&self) -> &BTreeMap<String, GaugeStat> {
         &self.stats
     }
 
     /// Drop everything recorded so far (called at the warmup/measure
     /// boundary so exported series cover the measurement window only).
     /// The sampling cadence itself is unaffected.
-    pub fn reset_window(&mut self) {
+    pub(crate) fn reset_window(&mut self) {
         self.series.clear();
         self.stats.clear();
         self.samples = 0;

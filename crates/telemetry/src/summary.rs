@@ -14,7 +14,7 @@ pub struct GaugeStat {
     /// Number of observations.
     pub count: u64,
     /// Sum of observed values.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Smallest observed value.
     pub min: f64,
     /// Largest observed value.
@@ -34,7 +34,7 @@ impl Default for GaugeStat {
 
 impl GaugeStat {
     /// Fold one observation into the stats.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);

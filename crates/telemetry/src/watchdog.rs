@@ -6,7 +6,7 @@ use hostcc_sim::Nanos;
 
 /// The invariants the watchdog evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Invariant {
+pub(crate) enum Invariant {
     /// NIC packet conservation: every packet that arrived is either
     /// dropped, still queued in NIC SRAM, in flight through PCIe/IIO, or
     /// delivered to the copy engine.
@@ -24,10 +24,10 @@ pub enum Invariant {
 }
 
 /// Number of invariant kinds.
-pub const INVARIANT_COUNT: usize = 4;
+pub(crate) const INVARIANT_COUNT: usize = 4;
 
 /// All invariants, in check order.
-pub const ALL_INVARIANTS: [Invariant; INVARIANT_COUNT] = [
+pub(crate) const ALL_INVARIANTS: [Invariant; INVARIANT_COUNT] = [
     Invariant::NicConservation,
     Invariant::PcieCredits,
     Invariant::IioAccounting,
@@ -36,7 +36,7 @@ pub const ALL_INVARIANTS: [Invariant; INVARIANT_COUNT] = [
 
 impl Invariant {
     /// Stable snake_case name (used as counter suffix and in manifests).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Invariant::NicConservation => "nic_conservation",
             Invariant::PcieCredits => "pcie_credits",
@@ -57,13 +57,13 @@ impl Invariant {
 
 /// One observed invariant violation (the watchdog keeps the first).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
+pub(crate) struct Violation {
     /// Simulated time of the failing sample.
     pub at: Nanos,
     /// Which invariant failed.
-    pub invariant: Invariant,
+    pub(crate) invariant: Invariant,
     /// Human-readable diagnostic with the offending numbers.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// A point-in-time snapshot of the host state the watchdog checks.
@@ -116,7 +116,7 @@ fn byte_epsilon(scale: f64) -> f64 {
 /// measurement window. It keeps the first violation's full diagnostic so
 /// strict mode can fail with a pointed message.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct InvariantWatchdog {
+pub(crate) struct InvariantWatchdog {
     checks: u64,
     violations: [u64; INVARIANT_COUNT],
     first: Option<Violation>,
@@ -124,13 +124,13 @@ pub struct InvariantWatchdog {
 
 impl InvariantWatchdog {
     /// A watchdog with no checks performed yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Evaluate all invariants against `input` at time `at`. Returns the
     /// number of invariants that failed this check.
-    pub fn check(&mut self, at: Nanos, input: &WatchdogInput) -> u64 {
+    pub(crate) fn check(&mut self, at: Nanos, input: &WatchdogInput) -> u64 {
         self.checks += 1;
         let mut failed = 0;
         let accounted = input.nic_drops + input.nic_queued + input.iio_pending + input.delivered;
@@ -211,27 +211,22 @@ impl InvariantWatchdog {
     }
 
     /// Number of checks performed.
-    pub fn checks(&self) -> u64 {
+    pub(crate) fn checks(&self) -> u64 {
         self.checks
     }
 
     /// Violation count for one invariant.
-    pub fn violations_of(&self, invariant: Invariant) -> u64 {
+    pub(crate) fn violations_of(&self, invariant: Invariant) -> u64 {
         self.violations[invariant.index()]
     }
 
     /// Total violations across all invariants.
-    pub fn total_violations(&self) -> u64 {
+    pub(crate) fn total_violations(&self) -> u64 {
         self.violations.iter().sum()
     }
 
-    /// The first violation observed, if any.
-    pub fn first_violation(&self) -> Option<&Violation> {
-        self.first.as_ref()
-    }
-
     /// A pointed one-line diagnostic for strict mode, if anything failed.
-    pub fn diagnostic(&self) -> Option<String> {
+    pub(crate) fn diagnostic(&self) -> Option<String> {
         self.first.as_ref().map(|v| {
             format!(
                 "invariant '{}' violated at t={:.3} µs ({} total violation(s)): {}",
@@ -327,8 +322,9 @@ mod tests {
         w.check(Nanos::from_nanos(100), &bad);
         bad.delivered = 0;
         w.check(Nanos::from_nanos(200), &bad);
-        assert_eq!(w.first_violation().unwrap().at, Nanos::from_nanos(100));
-        assert_eq!(w.first_violation().unwrap().invariant, Invariant::MbaLevel);
+        let first = w.first.as_ref().unwrap();
+        assert_eq!(first.at, Nanos::from_nanos(100));
+        assert_eq!(first.invariant, Invariant::MbaLevel);
         assert_eq!(w.total_violations(), 3);
     }
 }

@@ -17,7 +17,7 @@ pub enum DropLocus {
 
 impl DropLocus {
     /// Short identifier used in exports.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DropLocus::Nic => "nic",
             DropLocus::Switch => "switch",
@@ -81,7 +81,7 @@ impl TraceKind {
 
     /// The export category (one Perfetto track per category). This is also
     /// the vocabulary of `--trace-filter`.
-    pub fn category(self) -> &'static str {
+    pub(crate) fn category(self) -> &'static str {
         match self {
             TraceKind::PcieStall | TraceKind::PcieGrant => "pcie",
             TraceKind::IioOccupancy => "iio",
@@ -226,11 +226,6 @@ impl TraceEvent {
             TraceEvent::ChaosInject { .. } => TraceKind::ChaosInject,
         }
     }
-
-    /// The event's export category.
-    pub fn category(&self) -> &'static str {
-        self.kind().category()
-    }
 }
 
 #[cfg(test)]
@@ -268,6 +263,7 @@ mod tests {
                 flow: 3,
                 locus: DropLocus::Nic
             }
+            .kind()
             .category(),
             "drop"
         );

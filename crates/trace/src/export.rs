@@ -175,7 +175,7 @@ mod tests {
     /// Minimal recursive-descent JSON syntax checker — enough to assert
     /// the exporters emit well-formed documents without a JSON dependency.
     mod json {
-        pub fn validate(s: &str) -> Result<(), String> {
+        pub(super) fn validate(s: &str) -> Result<(), String> {
             let b = s.as_bytes();
             let mut i = 0;
             skip_ws(b, &mut i);

@@ -17,7 +17,7 @@ pub struct TraceRecord {
 }
 
 /// Which event kinds are recorded. Parsed from the `--trace-filter`
-/// vocabulary of category names (see [`TraceKind::category`]) and event
+/// vocabulary of category names (see `TraceKind::category`) and event
 /// kind-name prefixes (see [`TraceKind::name`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceFilter {
@@ -44,7 +44,7 @@ impl TraceFilter {
     }
 
     /// Enable every kind in `category`.
-    pub fn with_category(mut self, category: &str) -> Self {
+    pub(crate) fn with_category(mut self, category: &str) -> Self {
         for k in TraceKind::ALL {
             if k.category() == category {
                 self.mask |= 1 << k as u32;
@@ -91,7 +91,7 @@ impl TraceFilter {
 
     /// Whether `kind` passes the filter.
     #[inline]
-    pub fn wants(&self, kind: TraceKind) -> bool {
+    pub(crate) fn wants(&self, kind: TraceKind) -> bool {
         self.mask & (1 << kind as u32) != 0
     }
 }
@@ -119,7 +119,7 @@ impl TraceCounts {
     }
 
     /// Total events in `category`.
-    pub fn of_category(&self, category: &str) -> u64 {
+    pub(crate) fn of_category(&self, category: &str) -> u64 {
         TraceKind::ALL
             .iter()
             .filter(|k| k.category() == category)

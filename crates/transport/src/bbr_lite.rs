@@ -16,16 +16,16 @@ use hostcc_sim::Nanos;
 use crate::cc::{CongestionControl, Window};
 
 /// The eight-phase pacing-gain cycle.
-pub const BBR_GAIN_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+pub(crate) const BBR_GAIN_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 
 /// Steady-state window gain applied on top of the cycle gain.
-pub const BBR_CWND_GAIN: f64 = 2.0;
+pub(crate) const BBR_CWND_GAIN: f64 = 2.0;
 
 /// How long a min-RTT sample stays valid before it is refreshed.
-pub const BBR_MIN_RTT_WIN: Nanos = Nanos::from_millis(10);
+pub(crate) const BBR_MIN_RTT_WIN: Nanos = Nanos::from_millis(10);
 
 /// Plateau cycles (bandwidth growth < 25%) before startup ends.
-pub const BBR_FULL_BW_CYCLES: u32 = 3;
+pub(crate) const BBR_FULL_BW_CYCLES: u32 = 3;
 
 /// The BBR-lite sender state.
 #[derive(Debug, Clone)]
@@ -48,7 +48,7 @@ pub struct BbrLite {
     /// Consecutive cycles without ≥25% bandwidth growth.
     full_bw_count: u32,
     /// Completed gain-cycle phases (diagnostics).
-    pub cycles: u64,
+    pub(crate) cycles: u64,
 }
 
 impl Default for BbrLite {
@@ -75,18 +75,8 @@ impl BbrLite {
 
     /// The model's bottleneck-bandwidth estimate in bytes/ns (0 until the
     /// first RTT sample).
-    pub fn btl_bw(&self) -> f64 {
+    pub(crate) fn btl_bw(&self) -> f64 {
         self.bw.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// The model's min-RTT estimate, if any sample has arrived.
-    pub fn min_rtt(&self) -> Option<Nanos> {
-        self.min_rtt
-    }
-
-    /// Whether startup has ended and the gain cycle is driving the window.
-    pub fn filled_pipe(&self) -> bool {
-        self.filled_pipe
     }
 }
 
@@ -221,11 +211,11 @@ mod tests {
         for _ in 0..40 {
             now = run_rtts(&mut b, &mut w, rtt, 1, now);
             w.cwnd = w.cwnd.min(500_000.0);
-            if b.filled_pipe() {
+            if b.filled_pipe {
                 break;
             }
         }
-        assert!(b.filled_pipe(), "startup never ended");
+        assert!(b.filled_pipe, "startup never ended");
     }
 
     #[test]
@@ -236,11 +226,11 @@ mod tests {
         let mut now = Nanos::ZERO;
         for _ in 0..40 {
             now = run_rtts(&mut b, &mut w, rtt, 1, now);
-            if !b.filled_pipe() {
+            if !b.filled_pipe {
                 w.cwnd = w.cwnd.min(400_000.0);
             }
         }
-        assert!(b.filled_pipe());
+        assert!(b.filled_pipe);
         let bdp = b.btl_bw() * rtt.as_nanos() as f64;
         let expect = BBR_GAIN_CYCLE[b.cycle] * BBR_CWND_GAIN * bdp;
         let rel = (w.cwnd / expect - 1.0).abs();
@@ -268,7 +258,7 @@ mod tests {
             Some(Nanos::from_micros(40)),
             &mut w,
         );
-        assert_eq!(b.min_rtt(), Some(Nanos::from_micros(40)));
+        assert_eq!(b.min_rtt, Some(Nanos::from_micros(40)));
         // A larger sample inside the window is ignored…
         b.on_ack(
             Nanos::from_micros(200),
@@ -279,7 +269,7 @@ mod tests {
             Some(Nanos::from_micros(90)),
             &mut w,
         );
-        assert_eq!(b.min_rtt(), Some(Nanos::from_micros(40)));
+        assert_eq!(b.min_rtt, Some(Nanos::from_micros(40)));
         // …but adopted once the old sample expires.
         b.on_ack(
             Nanos::from_millis(11),
@@ -290,7 +280,7 @@ mod tests {
             Some(Nanos::from_micros(90)),
             &mut w,
         );
-        assert_eq!(b.min_rtt(), Some(Nanos::from_micros(90)));
+        assert_eq!(b.min_rtt, Some(Nanos::from_micros(90)));
     }
 
     #[test]

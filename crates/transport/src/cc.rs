@@ -13,9 +13,9 @@ pub struct Window {
     /// Congestion window in bytes.
     pub cwnd: f64,
     /// Slow-start threshold in bytes.
-    pub ssthresh: f64,
+    pub(crate) ssthresh: f64,
     /// Maximum segment size in bytes.
-    pub mss: f64,
+    pub(crate) mss: f64,
 }
 
 impl Window {
@@ -29,19 +29,19 @@ impl Window {
     }
 
     /// Whether the flow is in slow start.
-    pub fn in_slow_start(&self) -> bool {
+    pub(crate) fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 
     /// Clamp the window to at least 1 MSS (2 MSS for ssthresh, RFC 5681).
-    pub fn clamp_floors(&mut self) {
+    pub(crate) fn clamp_floors(&mut self) {
         self.cwnd = self.cwnd.max(self.mss);
         self.ssthresh = self.ssthresh.max(2.0 * self.mss);
     }
 
     /// Standard Reno-style growth on `acked` new bytes: exponential in
     /// slow start, `mss²/cwnd` per acked MSS in congestion avoidance.
-    pub fn grow_reno(&mut self, acked: u64) {
+    pub(crate) fn grow_reno(&mut self, acked: u64) {
         if self.in_slow_start() {
             self.cwnd += acked as f64;
             if self.cwnd > self.ssthresh {

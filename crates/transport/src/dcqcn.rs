@@ -17,13 +17,13 @@ use hostcc_sim::Nanos;
 use crate::cc::{CongestionControl, Window};
 
 /// DCQCN's α gain, matching the DCTCP default (`g = 1/16`).
-pub const DCQCN_G: f64 = 1.0 / 16.0;
+pub(crate) const DCQCN_G: f64 = 1.0 / 16.0;
 
 /// CNP-free windows before additive increase escalates to hyper increase.
-pub const DCQCN_HYPER_AFTER: u64 = 5;
+pub(crate) const DCQCN_HYPER_AFTER: u64 = 5;
 
 /// Additive-increase step in MSS per window during hyper increase.
-pub const DCQCN_HYPER_AI: f64 = 5.0;
+pub(crate) const DCQCN_HYPER_AI: f64 = 5.0;
 
 /// The DCQCN reaction-point state.
 #[derive(Debug, Clone)]
@@ -38,9 +38,9 @@ pub struct Dcqcn {
     /// The window ends when `cum_ack` passes this sequence.
     window_end: u64,
     /// Number of window-boundary α updates (diagnostics).
-    pub alpha_updates: u64,
+    pub(crate) alpha_updates: u64,
     /// Number of multiplicative rate cuts taken (diagnostics).
-    pub rate_cuts: u64,
+    pub(crate) rate_cuts: u64,
 }
 
 impl Default for Dcqcn {
@@ -64,13 +64,8 @@ impl Dcqcn {
         }
     }
 
-    /// Current α estimate.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Whether recovery is in the hyper-increase stage.
-    pub fn in_hyper_increase(&self) -> bool {
+    pub(crate) fn in_hyper_increase(&self) -> bool {
         self.clean_windows >= DCQCN_HYPER_AFTER
     }
 }
@@ -204,7 +199,7 @@ mod tests {
         for _ in 0..50 {
             cum = ack_window(&mut d, &mut w, cum, 10, 0);
         }
-        assert!(d.alpha() < 0.05, "alpha={}", d.alpha());
+        assert!(d.alpha < 0.05, "alpha={}", d.alpha);
         assert_eq!(d.rate_cuts, 0);
     }
 
@@ -218,7 +213,7 @@ mod tests {
         for _ in 0..200 {
             cum = ack_window(&mut d, &mut w, cum, 10, 1);
         }
-        assert!(d.alpha() > 0.9, "alpha={}", d.alpha());
+        assert!(d.alpha > 0.9, "alpha={}", d.alpha);
     }
 
     #[test]

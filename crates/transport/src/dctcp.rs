@@ -14,7 +14,7 @@ use hostcc_sim::Nanos;
 use crate::cc::{CongestionControl, Window};
 
 /// Linux's default DCTCP EWMA gain: `g = 1/16`.
-pub const DCTCP_G: f64 = 1.0 / 16.0;
+pub(crate) const DCTCP_G: f64 = 1.0 / 16.0;
 
 /// The DCTCP sender state.
 #[derive(Debug, Clone)]
@@ -29,9 +29,9 @@ pub struct Dctcp {
     /// The window ends when `cum_ack` passes this sequence.
     window_end: u64,
     /// Number of window-boundary α updates (diagnostics).
-    pub alpha_updates: u64,
+    pub(crate) alpha_updates: u64,
     /// Number of multiplicative reductions taken (diagnostics).
-    pub reductions: u64,
+    pub(crate) reductions: u64,
 }
 
 impl Default for Dctcp {
@@ -54,11 +54,6 @@ impl Dctcp {
             alpha_updates: 0,
             reductions: 0,
         }
-    }
-
-    /// Current α estimate.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 
@@ -175,7 +170,7 @@ mod tests {
         assert!(w.cwnd > before, "pure additive increase");
         assert_eq!(d.reductions, 0);
         // α decays toward 0.
-        assert!(d.alpha() < 1.0);
+        assert!(d.alpha < 1.0);
     }
 
     #[test]
@@ -187,7 +182,7 @@ mod tests {
         for _ in 0..200 {
             cum = ack_window(&mut d, &mut w, cum, 10, 5);
         }
-        assert!((d.alpha() - 0.5).abs() < 0.05, "alpha={}", d.alpha());
+        assert!((d.alpha - 0.5).abs() < 0.05, "alpha={}", d.alpha);
     }
 
     #[test]

@@ -27,18 +27,18 @@ use crate::cc::{CongestionControl, Window};
 #[derive(Debug, Clone)]
 pub struct FlowConfig {
     /// Maximum segment size (payload bytes per packet).
-    pub mss: u64,
+    pub(crate) mss: u64,
     /// Minimum retransmission timeout (Linux: 200 ms).
-    pub rto_min: Nanos,
+    pub(crate) rto_min: Nanos,
     /// Maximum RTO after backoff.
-    pub rto_max: Nanos,
+    pub(crate) rto_max: Nanos,
     /// Minimum tail-loss-probe timeout (Linux: 10 ms floor on PTO).
-    pub pto_min: Nanos,
+    pub(crate) pto_min: Nanos,
     /// Whether TLP is enabled.
-    pub tlp_enabled: bool,
+    pub(crate) tlp_enabled: bool,
     /// Initial RTO before any RTT sample (RFC 6298 says 1 s; Linux uses
     /// 200 ms for datacenter-like settings — we follow Linux).
-    pub rto_initial: Nanos,
+    pub(crate) rto_initial: Nanos,
 }
 
 impl FlowConfig {
@@ -69,9 +69,9 @@ pub struct FlowStats {
     /// Bytes cumulatively acknowledged.
     pub acked_bytes: u64,
     /// ACKs carrying ECN-Echo.
-    pub ece_acks: u64,
+    pub(crate) ece_acks: u64,
     /// ACKs processed.
-    pub acks: u64,
+    pub(crate) acks: u64,
 }
 
 impl FlowStats {
@@ -267,7 +267,7 @@ impl Flow {
     }
 
     /// Current RTO (after backoff).
-    pub fn rto(&self) -> Nanos {
+    pub(crate) fn rto(&self) -> Nanos {
         let backed = self
             .rto
             .as_nanos()
@@ -283,11 +283,6 @@ impl Flow {
     /// Cumulative-ACK position (application bytes delivered end to end).
     pub fn acked_bytes(&self) -> u64 {
         self.snd_una
-    }
-
-    /// Whether all queued application data has been acknowledged.
-    pub fn is_idle(&self) -> bool {
-        self.app_limit != u64::MAX && self.snd_una == self.app_limit
     }
 
     fn next_packet_id(&mut self) -> u64 {
@@ -883,7 +878,7 @@ mod tests {
         f.queue_message(100);
         drain(&mut f, Nanos::ZERO);
         f.on_ack(Nanos::from_micros(40), 100, false, u64::MAX);
-        assert!(f.is_idle());
+        assert_eq!(f.snd_una, f.app_limit);
         assert_eq!(f.next_deadline(), None);
         f.on_tick(Nanos::from_secs(10));
         assert_eq!(f.stats.timeouts, 0);

@@ -13,7 +13,7 @@ use hostcc_fabric::{FlowId, Packet, PacketBody};
 use hostcc_sim::Nanos;
 
 /// Maximum SACK ranges reported per ACK (like TCP's 3-block limit).
-pub const MAX_SACK_RANGES: usize = 3;
+pub(crate) const MAX_SACK_RANGES: usize = 3;
 
 /// What to put in the ACK for a received data packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,11 +57,11 @@ pub struct Receiver {
     /// Completed messages awaiting pickup by the workload layer.
     completed: Vec<CompletedMessage>,
     /// Data packets received (including duplicates).
-    pub packets_received: u64,
+    pub(crate) packets_received: u64,
     /// Data packets that arrived CE-marked.
-    pub ce_received: u64,
+    pub(crate) ce_received: u64,
     /// Duplicate/overlapping payload bytes discarded.
-    pub duplicate_bytes: u64,
+    pub(crate) duplicate_bytes: u64,
 }
 
 impl Receiver {

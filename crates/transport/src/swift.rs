@@ -41,12 +41,6 @@ impl Swift {
     pub fn target(&self) -> Nanos {
         self.target
     }
-
-    /// Adjust the target delay (hostCC's delay-signal extension adds the
-    /// measured host delay here).
-    pub fn set_target(&mut self, target: Nanos) {
-        self.target = target;
-    }
 }
 
 impl CongestionControl for Swift {
@@ -179,12 +173,5 @@ mod tests {
         let before = w.cwnd;
         s.on_ack(Nanos::from_micros(100), MSS, false, 0, 0, None, &mut w);
         assert_eq!(w.cwnd, before);
-    }
-
-    #[test]
-    fn target_adjustable() {
-        let mut s = Swift::new(Nanos::from_micros(50));
-        s.set_target(Nanos::from_micros(80));
-        assert_eq!(s.target(), Nanos::from_micros(80));
     }
 }

@@ -51,18 +51,8 @@ impl Timely {
         }
     }
 
-    /// The low RTT threshold.
-    pub fn t_low(&self) -> Nanos {
-        self.t_low
-    }
-
-    /// The high RTT threshold.
-    pub fn t_high(&self) -> Nanos {
-        self.t_high
-    }
-
     /// Current filtered normalized gradient (diagnostics).
-    pub fn gradient(&self, min_rtt: Nanos) -> f64 {
+    pub(crate) fn gradient(&self, min_rtt: Nanos) -> f64 {
         self.rtt_diff_ns / min_rtt.as_nanos().max(1) as f64
     }
 }

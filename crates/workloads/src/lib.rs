@@ -1,13 +1,13 @@
 //! The paper's three applications as reusable workload definitions
 //! (§2.2):
 //!
-//! * **NetApp-T** ([`NetAppT`]) — iperf-style: 4 long flows, one per
-//!   sender-core/receiver-core pair, greedy.
+//! * **NetApp-T** — iperf-style: 4 long flows, one per
+//!   sender-core/receiver-core pair, greedy (a scenario's greedy flows).
 //! * **NetApp-L** ([`RpcClient`]) — netperf-style latency-sensitive RPCs
 //!   of 128 B – 32 KiB, closed loop.
-//! * **MApp** ([`MAppSpec`]) — Intel-MLC-style CPU-to-memory antagonist at
-//!   a configurable congestion degree (the host model implements its
-//!   mechanics; this is the knob).
+//! * **MApp** — Intel-MLC-style CPU-to-memory antagonist at a
+//!   configurable congestion degree (`hostcc_host::MApp` implements its
+//!   mechanics; a scenario's degree is the knob).
 //!
 //! Plus the collective traffic shapes: the Fig 13 incast ([`IncastSpec`])
 //! and a ring-all-reduce rotation ([`RingAllReduceSpec`]), selected per
@@ -15,11 +15,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod rpc;
 mod specs;
 
-pub use rpc::{RpcClient, RpcConfig, RpcSample};
-pub use specs::{
-    IncastSpec, MAppSpec, NetAppT, RingAllReduceSpec, TrafficPattern, PAPER_RPC_SIZES,
-};
+pub use rpc::{RpcClient, RpcConfig};
+pub use specs::{IncastSpec, RingAllReduceSpec, TrafficPattern, PAPER_RPC_SIZES};

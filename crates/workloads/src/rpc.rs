@@ -48,15 +48,6 @@ impl Default for RpcConfig {
     }
 }
 
-/// One completed RPC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RpcSample {
-    /// Request size in bytes.
-    pub size: u64,
-    /// End-to-end latency.
-    pub latency: Nanos,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
     end_offset: u64,
@@ -93,11 +84,6 @@ impl RpcClient {
             histograms,
             completed: 0,
         }
-    }
-
-    /// Whether a request is in flight.
-    pub fn busy(&self) -> bool {
-        !self.outstanding.is_empty()
     }
 
     /// Number of requests in flight (closed loop: 0 or 1).
@@ -199,7 +185,7 @@ mod tests {
         let mut c = client();
         let mut f = flow();
         c.maybe_send(Nanos::ZERO, &mut f);
-        assert!(c.busy());
+        assert_eq!(c.outstanding_count(), 1);
         let first = f.poll_send(Nanos::ZERO);
         assert!(first.is_some());
         // While busy, no second request is queued.
@@ -207,7 +193,7 @@ mod tests {
         // The flow has exactly one message queued: draining it leaves
         // nothing (for sizes ≤ MSS).
         std::iter::from_fn(|| f.poll_send(Nanos::ZERO)).count();
-        assert!(c.busy());
+        assert_eq!(c.outstanding_count(), 1);
     }
 
     #[test]
@@ -219,7 +205,7 @@ mod tests {
         let end = out.end_offset;
         let size = out.size;
         c.on_completion(end, Nanos::from_micros(50));
-        assert!(!c.busy());
+        assert_eq!(c.outstanding_count(), 0);
         assert_eq!(c.completed, 1);
         let h = &c.histograms[&size];
         assert_eq!(h.count(), 1);
@@ -236,9 +222,9 @@ mod tests {
         c.on_completion(end, Nanos::from_micros(50));
         // Within the 5 µs think time: idle.
         c.maybe_send(Nanos::from_micros(52), &mut f);
-        assert!(!c.busy());
+        assert_eq!(c.outstanding_count(), 0);
         c.maybe_send(Nanos::from_micros(55), &mut f);
-        assert!(c.busy());
+        assert_eq!(c.outstanding_count(), 1);
     }
 
     #[test]
@@ -247,7 +233,11 @@ mod tests {
         let mut f = flow();
         c.maybe_send(Nanos::ZERO, &mut f);
         c.on_completion(999_999, Nanos::from_micros(10));
-        assert!(c.busy(), "mismatched offset must not complete the RPC");
+        assert_eq!(
+            c.outstanding_count(),
+            1,
+            "mismatched offset must not complete the RPC"
+        );
         assert_eq!(c.completed, 0);
     }
 
@@ -293,7 +283,7 @@ mod tests {
             c.on_completion(*end, Nanos::from_micros(100 + i as u64));
         }
         assert_eq!(c.completed, ends.len() as u64);
-        assert!(!c.busy());
+        assert_eq!(c.outstanding_count(), 0);
     }
 
     #[test]
@@ -307,7 +297,7 @@ mod tests {
         c.on_completion(end, Nanos::from_micros(50));
         // Before `next_send_at` (inside the think time): nothing queued.
         assert!(!c.maybe_send(Nanos::from_micros(54), &mut f));
-        assert!(!c.busy());
+        assert_eq!(c.outstanding_count(), 0);
         assert!(c.maybe_send(Nanos::from_micros(55), &mut f));
         assert_eq!(c.outstanding_count(), 1);
     }

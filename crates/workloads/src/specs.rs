@@ -3,45 +3,6 @@
 /// The RPC sizes of Fig 4/12/15: 128 B to 32 KiB.
 pub const PAPER_RPC_SIZES: [u64; 5] = [128, 512, 2048, 8192, 32768];
 
-/// NetApp-T: long-running throughput flows.
-///
-/// "a NetApp-T that generates 4 long flows, each flow from one sender-side
-/// CPU core to one receiver-side CPU core on the NIC-local NUMA node
-/// (DCTCP needs a minimum of 4 cores to saturate 100 Gbps)" (§2.2).
-#[derive(Debug, Clone, Copy)]
-pub struct NetAppT {
-    /// Number of greedy flows.
-    pub flows: u32,
-}
-
-impl Default for NetAppT {
-    fn default() -> Self {
-        NetAppT { flows: 4 }
-    }
-}
-
-/// MApp: the CPU-to-memory antagonist.
-///
-/// The degree scales the number of cores (8 per 1×) and thereby the
-/// in-flight memory requests; 0 disables it.
-#[derive(Debug, Clone, Copy)]
-pub struct MAppSpec {
-    /// Congestion degree (paper sweeps 0×–3×).
-    pub degree: f64,
-}
-
-impl MAppSpec {
-    /// No host-local traffic.
-    pub fn off() -> Self {
-        MAppSpec { degree: 0.0 }
-    }
-
-    /// The paper's heaviest setting.
-    pub fn severe() -> Self {
-        MAppSpec { degree: 3.0 }
-    }
-}
-
 /// Incast (Fig 13): multiple senders fan into one receiver through a
 /// single switch port; the degree of incast is the total number of active
 /// concurrent flows at the receiver, 4–10 in the paper (1×–2.5×).
@@ -54,15 +15,6 @@ pub struct IncastSpec {
 }
 
 impl IncastSpec {
-    /// The paper's incast sweep point for a given degree multiplier
-    /// (1× = 4 flows … 2.5× = 10 flows).
-    pub fn for_degree(degree: f64) -> Self {
-        IncastSpec {
-            senders: 2,
-            total_flows: (4.0 * degree).round() as u32,
-        }
-    }
-
     /// Flows assigned to sender `i` (balanced split).
     pub fn flows_for_sender(&self, i: u32) -> u32 {
         let base = self.total_flows / self.senders;
@@ -116,11 +68,6 @@ impl RingAllReduceSpec {
     pub fn dst_of(&self, host: u32) -> u32 {
         (host + 1) % self.hosts
     }
-
-    /// The ring predecessor of `host` — whose chunk it receives.
-    pub fn src_of(&self, host: u32) -> u32 {
-        (host + self.hosts - 1) % self.hosts
-    }
 }
 
 #[cfg(test)]
@@ -132,11 +79,6 @@ mod tests {
         let r = RingAllReduceSpec { hosts: 6 };
         assert_eq!(r.dst_of(0), 1);
         assert_eq!(r.dst_of(5), 0);
-        assert_eq!(r.src_of(0), 5);
-        // dst and src are inverses.
-        for h in 0..6 {
-            assert_eq!(r.src_of(r.dst_of(h)), h);
-        }
     }
 
     #[test]
@@ -149,17 +91,9 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        assert_eq!(NetAppT::default().flows, 4);
         assert_eq!(PAPER_RPC_SIZES.len(), 5);
         assert_eq!(PAPER_RPC_SIZES[0], 128);
         assert_eq!(PAPER_RPC_SIZES[4], 32 * 1024);
-    }
-
-    #[test]
-    fn incast_degrees() {
-        assert_eq!(IncastSpec::for_degree(1.0).total_flows, 4);
-        assert_eq!(IncastSpec::for_degree(1.5).total_flows, 6);
-        assert_eq!(IncastSpec::for_degree(2.5).total_flows, 10);
     }
 
     #[test]
@@ -171,11 +105,5 @@ mod tests {
         assert_eq!(s.flows_for_sender(0), 4);
         assert_eq!(s.flows_for_sender(1), 3);
         assert_eq!(s.flows_for_sender(0) + s.flows_for_sender(1), 7);
-    }
-
-    #[test]
-    fn mapp_presets() {
-        assert_eq!(MAppSpec::off().degree, 0.0);
-        assert_eq!(MAppSpec::severe().degree, 3.0);
     }
 }
