@@ -35,4 +35,4 @@ pub use packet::{
     Arena, ArenaRef, EcnCodepoint, FlowId, Packet, PacketArena, PacketBody, PacketRef, HEADER_BYTES,
 };
 pub use switch::{EnqueueOutcome, SwitchPort, SwitchPortConfig};
-pub use topology::{Node, TopoLink, Topology, TopologyKind, TopologySpec};
+pub use topology::{Node, Routes, TopoLink, Topology, TopologyKind, TopologySpec};
