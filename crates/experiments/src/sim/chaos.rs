@@ -5,7 +5,7 @@
 //! this side only tracks which windows are open over which targets.
 
 use hostcc_chaos::{ChaosDriver, ChaosKind, ChaosPhase, ChaosTimeline};
-use hostcc_fabric::{Node, Topology};
+use hostcc_fabric::Node;
 use hostcc_sim::{EventQueue, Nanos, Rng};
 
 use super::Ev;
@@ -92,13 +92,7 @@ impl ChaosRt {
     /// every injection up front on `q`: the schedule depends only on the
     /// scenario (spec text + seed), so chaos runs are bit-identical at any
     /// sweep worker count.
-    pub(super) fn new(
-        spec: &str,
-        seed: u64,
-        topo: Option<&Topology>,
-        fabric: &Fabric,
-        q: &mut EventQueue<Ev>,
-    ) -> Self {
+    pub(super) fn new(spec: &str, seed: u64, fabric: &Fabric, q: &mut EventQueue<Ev>) -> Self {
         let tl = ChaosTimeline::resolve(spec).expect("scenario validated the chaos spec");
         let targets = tl
             .events
@@ -106,7 +100,9 @@ impl ChaosRt {
             .map(|e| match &e.target {
                 None => ChaosTarget::AllSenders,
                 Some(name) => {
-                    let t = topo.expect("scenario validated link targets against a topology");
+                    let t = fabric
+                        .topology()
+                        .expect("scenario validated link targets against a topology");
                     let l = t.find_link(name).expect("scenario validated the target");
                     match t.link(l).from {
                         Node::Host(h) => ChaosTarget::Sender(h),

@@ -214,16 +214,15 @@ impl Simulation {
             .collect();
         endpoints.jitter_ack_delays(cfg.ack_delay, rng.fork(11));
 
-        // The graph lives only through assembly: the fabric table and the
-        // chaos targets are resolved against it once.
-        let topo = cfg.topology.map(|spec| spec.build());
-        let fabric = match &topo {
-            Some(t) => Fabric::from_topology(t, &cfg, endpoints.senders()),
+        // The fabric owns the graph: chaos targets resolve against it once,
+        // and telemetry names its ports from it.
+        let fabric = match cfg.topology {
+            Some(spec) => Fabric::from_topology(spec.build(), &cfg, endpoints.senders()),
             None => Fabric::implicit(cfg.switch, endpoints.senders().len()),
         };
         let mut ctx = Ctx::default();
         let spec = cfg.chaos.as_deref();
-        let chaos = spec.map(|s| ChaosRt::new(s, cfg.seed, topo.as_ref(), &fabric, &mut ctx.q));
+        let chaos = spec.map(|s| ChaosRt::new(s, cfg.seed, &fabric, &mut ctx.q));
         if cfg.record {
             ctx.obs.telemetry = TelemetryHandle::new(Telemetry::default());
         }
