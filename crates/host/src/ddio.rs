@@ -21,7 +21,7 @@
 //! workload layer sets from MTU/flow-count (the paper itself notes that
 //! precise DDIO behaviour is opaque without hardware visibility, §5.2).
 
-use hostcc_sim::Nanos;
+use hostcc_sim::{round_u64, Nanos};
 
 use crate::config::HostConfig;
 
@@ -86,7 +86,7 @@ impl Ddio {
         let e = self.eviction_fraction(cfg);
         let hit = cfg.l_ddio_min.as_nanos() as f64;
         let miss = (l_mem + cfg.ddio_evict_penalty).as_nanos() as f64;
-        Nanos::from_nanos(((1.0 - e) * hit + e * miss).round() as u64)
+        Nanos::from_nanos(round_u64((1.0 - e) * hit + e * miss))
     }
 
     /// Account DMA'd bytes entering the LLC partition.

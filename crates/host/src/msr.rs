@@ -15,7 +15,7 @@
 //! property Fig 7 demonstrates and that makes the signal trustworthy during
 //! the very congestion it measures.
 
-use hostcc_sim::{Nanos, Rng};
+use hostcc_sim::{round_u64, Nanos, Rng};
 
 use crate::config::CACHELINE;
 
@@ -107,7 +107,7 @@ impl MsrReadModel {
         let j = self.jitter.as_nanos() as f64;
         let offset = (2.0 * rng.f64() - 1.0) * j; // zero-mean uniform jitter
         let ns = self.mean.as_nanos() as f64 + offset;
-        self.tsc + Nanos::from_nanos(ns.max(0.0).round() as u64)
+        self.tsc + Nanos::from_nanos(round_u64(ns.max(0.0)))
     }
 }
 

@@ -36,6 +36,7 @@ pub mod json;
 mod probe;
 mod rate;
 mod rng;
+mod round;
 mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
@@ -44,4 +45,5 @@ pub use hash::{derive_seed, Fnv64};
 pub use probe::{Probe, Snapshot};
 pub use rate::Rate;
 pub use rng::Rng;
+pub use round::round_u64;
 pub use time::Nanos;

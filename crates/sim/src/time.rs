@@ -103,7 +103,7 @@ impl Nanos {
     #[inline]
     pub fn scale(self, factor: f64) -> Nanos {
         debug_assert!(factor.is_finite() && factor >= 0.0);
-        Nanos((self.0 as f64 * factor).round() as u64)
+        Nanos(crate::round_u64(self.0 as f64 * factor))
     }
 }
 

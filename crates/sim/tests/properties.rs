@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation engine.
 
-use hostcc_sim::{EventQueue, Ewma, Nanos, Rate, Rng};
+use hostcc_sim::{round_u64, EventQueue, Ewma, Nanos, Rate, Rng};
 use proptest::prelude::*;
 
 /// One step of a tick loop, for the queue oracle below.
@@ -276,6 +276,22 @@ proptest! {
         let r = Rate::gbps(g as f64);
         let exact = (8 * bytes).div_ceil(g);
         prop_assert_eq!(r.time_for_bytes(bytes), Nanos::from_nanos(exact));
+    }
+
+    /// `round_u64` is `f64::round` plus the saturating cast, bit for bit:
+    /// over every bit pattern (NaN, infinities, negatives, huge values),
+    /// exact half-integers below 2^52, and values around the 2^52 switch
+    /// to `f64::round`.
+    #[test]
+    fn round_u64_matches_f64_round(
+        x in prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            (0u64..1 << 52).prop_map(|k| k as f64 + 0.5),
+            0.0f64..1e6,
+            4.0e15f64..5.0e15,
+        ]
+    ) {
+        prop_assert_eq!(round_u64(x), x.round() as u64);
     }
 
     /// RNG `below` is always within its bound and `range` inclusive.
