@@ -15,6 +15,14 @@ use super::{Ctx, Ev, Observers, FIRST_SENDER};
 use crate::fabric::Fabric;
 use crate::scenario::{CcKind, Scenario};
 
+/// `⌊a·b / c⌋`, in u64 when `a·b` fits and in u128 otherwise.
+fn mul_div(a: u64, b: u64, c: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) => p / c,
+        None => (u128::from(a) * u128::from(b) / u128::from(c)) as u64,
+    }
+}
+
 fn make_cc(kind: CcKind, base_rtt: Nanos) -> Box<dyn CongestionControl> {
     match kind {
         CcKind::Dctcp => Box::new(Dctcp::new()),
@@ -260,8 +268,7 @@ impl Endpoints {
             if remaining == 0 {
                 break;
             }
-            let share = ((drainable as u128 * self.eps[i].recv.unconsumed() as u128)
-                / total as u128) as u64;
+            let share = mul_div(drainable, self.eps[i].recv.unconsumed(), total);
             remaining -= self.app_read(i, share.min(remaining));
         }
         // Round-off leftovers: first-come, first-served.
@@ -384,5 +391,26 @@ impl Endpoints {
         for rpc in self.eps.iter_mut().filter_map(|e| e.rpc.as_mut()) {
             rpc.reset_window();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::mul_div;
+
+    #[test]
+    fn mul_div_is_exact_on_both_paths() {
+        let wide = |a: u64, b: u64, c: u64| (u128::from(a) * u128::from(b) / u128::from(c)) as u64;
+        for (a, b, c) in [
+            (7, 5, 2),                   // u64 product
+            (1 << 31, 1 << 32, 3),       // u64 product at the top
+            (1 << 32, 1 << 32, 1 << 33), // overflows u64: the u128 path
+            (u64::MAX, u64::MAX, u64::MAX),
+            (u64::MAX, 3, 5),
+        ] {
+            assert_eq!(mul_div(a, b, c), wide(a, b, c), "{a}·{b}/{c}");
+        }
+        assert_eq!(mul_div(7, 5, 2), 17);
+        assert_eq!(mul_div(1 << 32, 1 << 32, 1 << 33), 1 << 31);
     }
 }

@@ -114,16 +114,22 @@ impl Receiver {
             self.msg_ends.insert(end);
         }
 
-        // Insert [start, end) minus already-held bytes.
-        let new_bytes = self.insert_interval(start, end);
+        let before = self.cum;
+        let new_bytes = if self.ooo.is_empty() && start <= before && before < end {
+            // In order with nothing held out of order: the interval walk
+            // would hold [cum, end) and advance over it.
+            self.cum = end;
+            end - before
+        } else {
+            // Insert [start, end) minus already-held bytes, then advance
+            // the cumulative pointer over any now-contiguous intervals.
+            let new_bytes = self.insert_interval(start, end);
+            self.advance_cum();
+            new_bytes
+        };
         self.buffered += new_bytes;
         self.duplicate_bytes += (end - start) - new_bytes;
-
-        // Advance the cumulative pointer over any now-contiguous intervals.
-        let before = self.cum;
-        self.advance_cum();
-        let advanced = self.cum - before;
-        self.unconsumed += advanced;
+        self.unconsumed += self.cum - before;
 
         // Message completions.
         while let Some(&e) = self.msg_ends.iter().next() {
@@ -371,6 +377,34 @@ mod tests {
         assert_eq!(done[0].end_offset, 100);
         assert_eq!(done[1].end_offset, 200);
         assert!(r.take_completed().is_empty(), "drained");
+    }
+
+    #[test]
+    fn in_order_shortcut_matches_the_interval_walk() {
+        // Each step: (seq, len) delivered, then cum, unconsumed, buffered,
+        // duplicate bytes and out-of-order bytes. Steps 1, 2 and 6 take the
+        // in-order shortcut (nothing held out of order, start <= cum <
+        // end); the rest take the interval walk.
+        let mut r = Receiver::new(FlowId(1), 10_000);
+        for (seq, len, want) in [
+            (0, 1000, (1000, 1000, 1000, 0, 0)),         // in order
+            (500, 1000, (1500, 1500, 1500, 500, 0)),     // overlaps cum
+            (0, 1500, (1500, 1500, 1500, 2000, 0)),      // all below cum
+            (3000, 500, (1500, 1500, 2000, 2000, 500)),  // leaves a hole
+            (1500, 1000, (2500, 2500, 3000, 2000, 500)), // in order, hole held
+            (2500, 500, (3500, 3500, 3500, 2000, 0)),    // fills the hole
+            (3500, 700, (4200, 4200, 4200, 2000, 0)),    // in order again
+        ] {
+            r.on_data(&data(seq, len, false), Nanos::ZERO);
+            let got = (
+                r.cum_ack(),
+                r.unconsumed(),
+                10_000 - r.rwnd(),
+                r.duplicate_bytes,
+                r.ooo_bytes(),
+            );
+            assert_eq!(got, want, "after [{seq}, {})", seq + u64::from(len));
+        }
     }
 
     #[test]
