@@ -44,7 +44,7 @@
 //! let mut spec = GridSpec::new("demo", Scenario::with_congestion(3.0));
 //! spec.base.warmup = Nanos::from_millis(1);
 //! spec.base.measure = Nanos::from_millis(2);
-//! spec.hostcc = vec![false, true];
+//! spec.set_axis("hostcc", "off,on").unwrap();
 //! let manifest = run_sweep(&spec, &SweepOptions::default()).unwrap();
 //! let [vanilla, hostcc] = &manifest.cells[..] else { unreachable!() };
 //! assert!(hostcc.metrics.goodput_gbps > vanilla.metrics.goodput_gbps);

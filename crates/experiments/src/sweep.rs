@@ -872,8 +872,8 @@ mod tests {
 
     fn tiny_grid() -> GridSpec {
         let mut g = GridSpec::new("tiny", tiny(Scenario::paper_baseline()));
-        g.hostcc = vec![false, true];
-        g.degree = vec![0.0, 3.0];
+        g.set_axis("hostcc", "off,on").unwrap();
+        g.set_axis("degree", "0,3").unwrap();
         g
     }
 
@@ -1168,7 +1168,7 @@ mod tests {
         let mut g = GridSpec::new("chaos-tiny", Scenario::with_congestion(2.0));
         g.base.warmup = Nanos::from_millis(2);
         g.base.measure = Nanos::from_millis(4);
-        g.hostcc = vec![false, true];
+        g.set_axis("hostcc", "off,on").unwrap();
         g.set_axis("chaos", "off,flap,burst-loss").unwrap();
         let opts = |workers| SweepOptions {
             workers,

@@ -59,8 +59,8 @@ fn grid() -> GridSpec {
     base.warmup = Nanos::from_millis(2);
     base.measure = Nanos::from_millis(3);
     let mut g = GridSpec::new("flowscope-perturb", base);
-    g.hostcc = vec![false, true];
-    g.degree = vec![1.0, 3.0];
+    g.set_axis("hostcc", "off,on").unwrap();
+    g.set_axis("degree", "1,3").unwrap();
     g
 }
 
