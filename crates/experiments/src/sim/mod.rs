@@ -63,7 +63,7 @@ use hostcc_host::MBA_LEVELS;
 use hostcc_metrics::{Cdf, Histogram};
 use hostcc_perf::{PerfHandle, PerfProfiler, PerfScope};
 use hostcc_sim::{EventQueue, Nanos, Rate, Rng};
-use hostcc_telemetry::{Telemetry, TelemetryHandle, WatchdogInput};
+use hostcc_telemetry::{component_prefix, Telemetry, TelemetryHandle, WatchdogInput};
 use hostcc_trace::{DropLocus, TraceEvent, TraceHandle};
 use hostcc_transport::{AckInfo, FlowStats};
 
@@ -768,14 +768,6 @@ pub fn known_metrics() -> &'static [&'static str] {
     ]
 }
 
-/// `short` names `long` or a dotted ancestor of it.
-fn component_prefix(short: &str, long: &str) -> bool {
-    long == short
-        || (long.len() > short.len()
-            && long.starts_with(short)
-            && long.as_bytes()[short.len()] == b'.')
-}
-
 /// The filter prefixes that select no metric in [`known_metrics`] — either
 /// side of the match may be the componentwise ancestor, so both `host`
 /// (covers several families) and `transport.flow.3.rate_gbps` (inside the
@@ -1153,9 +1145,7 @@ mod tests {
             .chain(reg.histograms().map(|(n, _)| n.to_string()));
         for name in registered {
             assert!(
-                known_metrics()
-                    .iter()
-                    .any(|m| super::component_prefix(m, &name)),
+                known_metrics().iter().any(|m| component_prefix(m, &name)),
                 "metric '{name}' missing from known_metrics()"
             );
         }

@@ -54,6 +54,6 @@ mod watchdog;
 
 pub use export::{prometheus_text, summary_json, to_jsonl, wide_csv};
 pub use handle::{Telemetry, TelemetryConfig, TelemetryHandle, TelemetryResult};
-pub use registry::{LogHistogram, MetricRegistry, TelemetryFilter};
+pub use registry::{component_prefix, LogHistogram, MetricRegistry, TelemetryFilter};
 pub use summary::{GaugeStat, TelemetrySummary};
 pub use watchdog::WatchdogInput;

@@ -213,20 +213,22 @@ impl TelemetryFilter {
         self.prefixes.as_deref()
     }
 
-    /// Whether metric `name` passes the filter. A prefix matches whole
-    /// dotted components: `host.iio` matches `host.iio.occupancy_bytes`
-    /// but not `host.iiofoo`.
+    /// Whether metric `name` passes the filter: some prefix is a
+    /// [`component_prefix`] of it.
     pub(crate) fn wants(&self, name: &str) -> bool {
         match &self.prefixes {
             None => true,
-            Some(ps) => ps.iter().any(|p| {
-                name == p
-                    || (name.len() > p.len()
-                        && name.starts_with(p.as_str())
-                        && name.as_bytes()[p.len()] == b'.')
-            }),
+            Some(ps) => ps.iter().any(|p| component_prefix(p, name)),
         }
     }
+}
+
+/// Whether `prefix` is `name` or a dotted ancestor of it, matching whole
+/// components: `host.iio` matches `host.iio.occupancy_bytes` but not
+/// `host.iiofoo`.
+pub fn component_prefix(prefix: &str, name: &str) -> bool {
+    name.strip_prefix(prefix)
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
 }
 
 #[cfg(test)]
