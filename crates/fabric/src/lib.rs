@@ -32,7 +32,7 @@ pub use fault::{FaultConfig, FaultInjector, FaultOutcome};
 pub use fq::{Departure, FqLink};
 pub use link::Link;
 pub use packet::{
-    Arena, ArenaRef, EcnCodepoint, FlowId, Packet, PacketArena, PacketBody, PacketRef, HEADER_BYTES,
+    Arena, ArenaRef, EcnCodepoint, FlowId, Packet, PacketArena, PacketRef, HEADER_BYTES,
 };
 pub use switch::{EnqueueOutcome, SwitchPort, SwitchPortConfig};
 pub use topology::{Node, Routes, TopoLink, Topology, TopologyKind, TopologySpec};

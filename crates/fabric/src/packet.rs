@@ -41,41 +41,24 @@ impl EcnCodepoint {
     }
 }
 
-/// Transport-level contents of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketBody {
-    /// A data segment: `[seq, seq + len)` in the flow's byte stream.
-    Data {
-        /// First byte-stream offset carried.
-        seq: u64,
-        /// Payload length in bytes.
-        len: u32,
-        /// Set on the last segment of an RPC message (pushes delivery).
-        msg_end: bool,
-    },
-    /// A cumulative ACK.
-    Ack {
-        /// Next expected byte-stream offset.
-        cum_ack: u64,
-        /// ECN-Echo: receiver saw CE on the data packet(s) this acknowledges.
-        ece: bool,
-        /// Receiver's advertised window in bytes (flow control).
-        rwnd: u64,
-    },
-}
-
-/// A simulated packet.
+/// A simulated data packet: `[seq, seq + len)` of its flow's byte stream.
 ///
 /// Payload contents are never materialized — only sizes flow through the
 /// simulation — which keeps memory flat no matter how much traffic runs.
+/// ACKs do not travel as packets: the transport returns them as
+/// `hostcc_transport::AckInfo`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Globally unique id (diagnostics; never used for matching).
     pub id: u64,
     /// The flow this packet belongs to.
     pub flow: FlowId,
-    /// Data or ACK.
-    pub body: PacketBody,
+    /// First byte-stream offset carried.
+    pub seq: u64,
+    /// Payload length in bytes.
+    pub len: u32,
+    /// Set on the last segment of an RPC message (pushes delivery).
+    pub msg_end: bool,
     /// ECN field.
     pub ecn: EcnCodepoint,
     /// Simulated protocol header bytes (Ethernet+IP+TCP ≈ 66; we use 66).
@@ -96,7 +79,9 @@ impl Packet {
         Packet {
             id,
             flow,
-            body: PacketBody::Data { seq, len, msg_end },
+            seq,
+            len,
+            msg_end,
             ecn: EcnCodepoint::Ect0,
             header_bytes: HEADER_BYTES,
             sent_at: now,
@@ -106,19 +91,12 @@ impl Packet {
 
     /// Bytes this packet occupies on the wire (headers + payload).
     pub fn wire_bytes(&self) -> u64 {
-        let payload = match self.body {
-            PacketBody::Data { len, .. } => len,
-            PacketBody::Ack { .. } => 0,
-        };
-        (self.header_bytes + payload) as u64
+        (self.header_bytes + self.len) as u64
     }
 
-    /// Payload bytes (zero for ACKs).
+    /// Payload bytes.
     pub fn payload_bytes(&self) -> u64 {
-        match self.body {
-            PacketBody::Data { len, .. } => len as u64,
-            PacketBody::Ack { .. } => 0,
-        }
+        self.len as u64
     }
 
     /// Mark the packet CE in place (switch AQM or hostCC echo).
@@ -299,21 +277,6 @@ mod tests {
         let p = Packet::data(1, FlowId(0), 0, 4030, false, Nanos::ZERO);
         assert_eq!(p.wire_bytes(), 4030 + 66);
         assert_eq!(p.payload_bytes(), 4030);
-    }
-
-    #[test]
-    fn ack_has_no_payload() {
-        let a = Packet {
-            body: PacketBody::Ack {
-                cum_ack: 100,
-                ece: true,
-                rwnd: 65535,
-            },
-            ..Packet::data(2, FlowId(0), 0, 0, false, Nanos::ZERO)
-        };
-        assert_eq!(a.wire_bytes(), 66);
-        assert_eq!(a.payload_bytes(), 0);
-        assert!(!matches!(a.body, PacketBody::Data { .. }));
     }
 
     #[test]

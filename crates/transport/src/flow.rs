@@ -669,13 +669,8 @@ mod tests {
         assert_eq!(f.inflight(), 10 * MSS);
         // Sequences are contiguous.
         for (i, p) in pkts.iter().enumerate() {
-            match p.body {
-                hostcc_fabric::PacketBody::Data { seq, len, .. } => {
-                    assert_eq!(seq, i as u64 * MSS);
-                    assert_eq!(len as u64, MSS);
-                }
-                _ => panic!("expected data"),
-            }
+            assert_eq!(p.seq, i as u64 * MSS);
+            assert_eq!(p.len as u64, MSS);
         }
     }
 
@@ -738,10 +733,7 @@ mod tests {
         let pkts = drain(&mut f, now);
         assert!(!pkts.is_empty());
         assert!(pkts[0].retransmit, "first packet out is the retransmit");
-        match pkts[0].body {
-            hostcc_fabric::PacketBody::Data { seq, .. } => assert_eq!(seq, 0),
-            _ => panic!(),
-        }
+        assert_eq!(pkts[0].seq, 0);
         assert!(f.cwnd() < cwnd_before, "multiplicative decrease");
         assert_eq!(f.stats.retransmits, 1);
     }
@@ -827,13 +819,7 @@ mod tests {
         assert_eq!(end, 2 * MSS + 100);
         let pkts = drain(&mut f, Nanos::ZERO);
         assert_eq!(pkts.len(), 3);
-        let ends: Vec<bool> = pkts
-            .iter()
-            .map(|p| match p.body {
-                hostcc_fabric::PacketBody::Data { msg_end, .. } => msg_end,
-                _ => false,
-            })
-            .collect();
+        let ends: Vec<bool> = pkts.iter().map(|p| p.msg_end).collect();
         assert_eq!(ends, [false, false, true]);
     }
 

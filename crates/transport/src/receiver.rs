@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hostcc_fabric::{FlowId, Packet, PacketBody};
+use hostcc_fabric::{FlowId, Packet};
 use hostcc_sim::Nanos;
 
 /// Maximum SACK ranges reported per ACK (like TCP's 3-block limit).
@@ -101,16 +101,13 @@ impl Receiver {
 
     /// Process one delivered data packet; returns the ACK to send.
     pub fn on_data(&mut self, pkt: &Packet, now: Nanos) -> AckInfo {
-        let PacketBody::Data { seq, len, msg_end } = pkt.body else {
-            panic!("on_data called with a non-data packet");
-        };
         self.packets_received += 1;
         if pkt.ecn.is_ce() {
             self.ce_received += 1;
         }
-        let start = seq;
-        let end = seq + u64::from(len);
-        if msg_end {
+        let start = pkt.seq;
+        let end = pkt.seq + u64::from(pkt.len);
+        if pkt.msg_end {
             self.msg_ends.insert(end);
         }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the transport crate.
 
-use hostcc_fabric::{FlowId, Packet, PacketBody};
+use hostcc_fabric::{FlowId, Packet};
 use hostcc_sim::{Nanos, Rng};
 use hostcc_transport::{Dctcp, Flow, FlowConfig, Receiver, Reno};
 use proptest::prelude::*;
@@ -131,9 +131,7 @@ proptest! {
         for _ in 0..200 {
             now += Nanos::from_micros(40);
             while let Some(pkt) = f.poll_send(now) {
-                if let PacketBody::Data { seq, len, .. } = pkt.body {
-                    emitted_max = emitted_max.max(seq + u64::from(len));
-                }
+                emitted_max = emitted_max.max(pkt.seq + u64::from(pkt.len));
                 if rng.chance(0.9) {
                     let a = r.on_data(&pkt, now);
                     f.on_ack_sack(now, a.cum_ack, a.ece, a.rwnd, &a.sack);
