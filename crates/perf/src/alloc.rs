@@ -96,7 +96,7 @@ mod counting {
     }
 
     /// Current counter snapshot.
-    pub fn stats() -> AllocStats {
+    pub(super) fn stats() -> AllocStats {
         AllocStats {
             allocs: ALLOCS.load(Relaxed),
             frees: FREES.load(Relaxed),
