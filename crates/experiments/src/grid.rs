@@ -547,6 +547,19 @@ impl GridSpec {
                 t.validate()
                     .map_err(|e| format!("cell '{key}': invalid topology: {e}"))?;
             }
+            // A switch port asserts that its ECN threshold fits its buffer
+            // (a deeper threshold would never mark).
+            let (ecn, buffer) = (
+                scenario.switch.ecn_threshold_bytes,
+                scenario.switch.buffer_bytes,
+            );
+            if ecn > buffer {
+                return Err(format!(
+                    "cell '{key}': ECN threshold {ecn} bytes exceeds the switch buffer of \
+                     {buffer} bytes (valid: ecn_kb 0..={})",
+                    buffer / 1024
+                ));
+            }
             scenario
                 .check_chaos()
                 .map_err(|e| format!("cell '{key}': {e}"))?;
@@ -1015,7 +1028,9 @@ mod tests {
     fn ecn_kb_rejects_thresholds_past_u64_bytes() {
         // The threshold is stored in bytes: ecn_kb * 1024 must fit a u64.
         let max = u64::MAX / 1024;
-        let mut g = GridSpec::new("ecn", Scenario::paper_baseline());
+        let mut base = Scenario::paper_baseline();
+        base.switch.buffer_bytes = u64::MAX;
+        let mut g = GridSpec::new("ecn", base);
         for bad in [max + 1, u64::MAX] {
             let err = g.set_axis("ecn_kb", &bad.to_string()).unwrap_err();
             assert!(err.contains(&format!("valid: 0..={max}")), "{bad}: {err}");
@@ -1023,5 +1038,29 @@ mod tests {
         g.set_axis("ecn_kb", &max.to_string()).unwrap();
         let cells = g.expand().unwrap();
         assert_eq!(cells[0].scenario.switch.ecn_threshold_bytes, max * 1024);
+    }
+
+    #[test]
+    fn ecn_kb_past_the_switch_buffer_is_rejected_by_expand() {
+        // The paper's switch port buffers 1 MiB; a deeper threshold used to
+        // pass expand and then panic the sweep worker building the port.
+        let mut g = GridSpec::new("ecn", Scenario::paper_baseline());
+        g.set_axis("ecn_kb", "80,2000").unwrap();
+        let err = g.expand().unwrap_err();
+        assert_eq!(
+            err,
+            "cell 'ecn_kb=2000': ECN threshold 2048000 bytes exceeds the switch buffer of \
+             1048576 bytes (valid: ecn_kb 0..=1024)"
+        );
+        g.set_axis("ecn_kb", "1024").unwrap();
+        let cells = g.expand().unwrap();
+        assert_eq!(cells[0].scenario.switch.ecn_threshold_bytes, 1 << 20);
+        // Topology cells build every switch port from the same config.
+        g.set_axis("topology", "fat-tree").unwrap();
+        g.set_axis("ecn_kb", "1025").unwrap();
+        assert!(g
+            .expand()
+            .unwrap_err()
+            .contains("exceeds the switch buffer"));
     }
 }

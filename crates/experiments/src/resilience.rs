@@ -24,15 +24,17 @@ use hostcc_metrics::Histogram;
 use hostcc_sim::Nanos;
 
 use crate::figures::Budget;
+use crate::sweep::resolve_workers;
 use crate::{RunResult, Scenario, Simulation};
 
 /// Fraction of the pre-fault mean bandwidth that counts as "recovered".
 const RECOVERY_FRACTION: f64 = 0.9;
 
 /// Run the paired differential experiment for `spec` (a preset name or an
-/// inline timeline spec) under `budget`. With `workers >= 2` the two arms
-/// run on separate threads; results are bit-identical either way, because
-/// each arm is an independent simulation built from its own scenario.
+/// inline timeline spec) under `budget`. `workers` follows the sweep rule
+/// (0 = one per core); with two or more the two arms run on separate
+/// threads. Results are bit-identical either way, because each arm is an
+/// independent simulation built from its own scenario.
 pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<ResilienceReport, String> {
     let timeline = ChaosTimeline::resolve(spec)?;
     let window_end = budget.warmup + budget.measure;
@@ -61,7 +63,7 @@ pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<Resilien
         sim.set_flowscope(FlowscopeHandle::new(FlowScope::new()));
         sim.run()
     };
-    let (off_result, on_result) = if workers >= 2 {
+    let (off_result, on_result) = if resolve_workers(workers, 2) >= 2 {
         std::thread::scope(|scope| {
             let off_handle = scope.spawn(|| run_arm(off));
             let on_handle = scope.spawn(|| run_arm(on));
@@ -256,6 +258,8 @@ mod tests {
         let parallel = quick_chaos("burst-loss", 4);
         assert_eq!(serial.fingerprint(), parallel.fingerprint());
         assert_eq!(serial.to_json(), parallel.to_json());
+        // 0 means one worker per core, as in a sweep.
+        assert_eq!(serial.to_json(), quick_chaos("burst-loss", 0).to_json());
     }
 
     #[test]

@@ -292,7 +292,9 @@ struct WorkerOut {
     read_bs: Cdf,
 }
 
-fn resolve_workers(requested: usize, jobs: usize) -> usize {
+/// Worker threads for `jobs` jobs: `requested`, or one per core when it is
+/// 0, capped at the job count and at least one.
+pub(crate) fn resolve_workers(requested: usize, jobs: usize) -> usize {
     let n = if requested == 0 {
         std::thread::available_parallelism()
             .map(|p| p.get())
