@@ -25,7 +25,10 @@
 //! nanoseconds (default 700), `--telemetry-filter` keeps only metrics under
 //! the given dot-separated prefixes (e.g. `host.iio,core.signals`), and
 //! `--strict-invariants` (implies `--telemetry`) exits nonzero with the
-//! watchdog's diagnostic if any conservation invariant is violated.
+//! watchdog's diagnostic if any conservation invariant is violated. A flag
+//! no target reads is an error: `--csv` needs a figure target,
+//! `--trace-filter` needs `--trace`, and `--profile` and the telemetry
+//! flags need a scenario target.
 //!
 //! `repro flows` runs one scenario with the flow-ledger recorder
 //! (hostcc-flowscope) attached and prints the packet-lifecycle
@@ -121,19 +124,6 @@ const FIGS: &[(&str, FigFn)] = &[
     ("fig13", figures::fig13), ("fig14", figures::fig14), ("fig15", figures::fig15),
     ("fig16", figures::fig16), ("fig17", figures::fig17), ("fig18", figures::fig18),
     ("fig19", figures::fig19),
-];
-
-type ScenarioFn = fn() -> Scenario;
-
-/// Standalone scenario targets (traceable single runs).
-const SCENARIOS: &[(&str, ScenarioFn)] = &[
-    ("baseline", || Scenario::paper_baseline()),
-    ("congested", || Scenario::with_congestion(3.0)),
-    ("hostcc", || Scenario::with_congestion(3.0).enable_hostcc()),
-    ("incast", || Scenario::incast(8, 3.0).enable_hostcc()),
-    ("fat-tree", || {
-        Scenario::fat_tree_incast(4, 3.0).enable_hostcc()
-    }),
 ];
 
 /// One command-line flag: its name, the metavariable of the value it takes
@@ -508,8 +498,24 @@ fn valid_figures() -> Vec<&'static str> {
     FIGS.iter().map(|(n, _)| *n).collect()
 }
 
+/// The scenario targets (traceable single runs): the grid's `scenario`
+/// preset family, in listing order.
 fn valid_scenarios() -> Vec<&'static str> {
-    SCENARIOS.iter().map(|(n, _)| *n).collect()
+    GridSpec::presets()
+        .filter(|&(family, _, _)| family == "scenario")
+        .map(|(_, name, _)| name)
+        .collect()
+}
+
+fn is_scenario(target: &str) -> bool {
+    valid_scenarios().contains(&target)
+}
+
+/// The scenario a scenario target runs: its preset's base, which the
+/// preset's one axis-less cell runs bit for bit.
+fn scenario(target: &str) -> Option<Scenario> {
+    let spec = GridSpec::preset(target).filter(|_| is_scenario(target))?;
+    Some(spec.base)
 }
 
 /// Validate the requested targets and expand `all`, keeping the request
@@ -517,8 +523,7 @@ fn valid_scenarios() -> Vec<&'static str> {
 /// even when `all` appears alongside it (a silently dropped typo used to
 /// make `repro all figX` exit 0 without running `figX`).
 fn resolve_targets(requested: &[String]) -> Result<Vec<String>, String> {
-    let known =
-        |t: &str| SCENARIOS.iter().any(|(n, _)| *n == t) || FIGS.iter().any(|(n, _)| *n == t);
+    let known = |t: &str| is_scenario(t) || FIGS.iter().any(|(n, _)| *n == t);
     let unknown: Vec<&str> = requested
         .iter()
         .map(String::as_str)
@@ -539,7 +544,7 @@ fn resolve_targets(requested: &[String]) -> Result<Vec<String>, String> {
         // `all` covers every figure; explicitly-named scenarios still run.
         Ok(requested
             .iter()
-            .filter(|t| SCENARIOS.iter().any(|(n, _)| *n == t.as_str()))
+            .filter(|t| is_scenario(t))
             .cloned()
             .chain(FIGS.iter().map(|(n, _)| n.to_string()))
             .collect())
@@ -556,10 +561,7 @@ fn check_single_run_outputs(
     trace: bool,
     telemetry_out: bool,
 ) -> Result<(), String> {
-    let scenarios = targets
-        .iter()
-        .filter(|t| SCENARIOS.iter().any(|(n, _)| *n == t.as_str()))
-        .count();
+    let scenarios = targets.iter().filter(|t| is_scenario(t)).count();
     let outputs = [
         (trace, "--trace", "one output file"),
         (telemetry_out, "--telemetry-out", "one output directory"),
@@ -567,6 +569,28 @@ fn check_single_run_outputs(
     match outputs.iter().find(|(on, ..)| *on && scenarios != 1) {
         Some((_, flag, what)) => Err(format!("{flag} needs exactly one scenario target ({what})")),
         None => Ok(()),
+    }
+}
+
+/// Every other top-level flag needs a target that reads it: `--csv` writes
+/// figure panels, `--trace-filter` filters the `--trace` export, and
+/// `--profile` and the telemetry flags observe a scenario run. A flag no
+/// target reads is an error, not a silent no-op.
+fn check_flags_are_read(targets: &[String], args: &Args) -> Result<(), String> {
+    let figures = targets.iter().any(|t| FIGS.iter().any(|(n, _)| n == t));
+    let scenarios = targets.iter().any(|t| is_scenario(t));
+    if args.has("--csv") && !figures {
+        return Err("--csv needs a figure target (it writes figure panels)".to_string());
+    }
+    if args.has("--trace-filter") && !args.has("--trace") {
+        return Err("--trace-filter needs --trace (it filters the trace export)".to_string());
+    }
+    let observes = |f: &str| f == "--profile" || f == STRICT.name || f.starts_with("--telemetry");
+    match args.flags.iter().find(|(f, _)| observes(f)) {
+        Some((flag, _)) if !scenarios => Err(format!(
+            "{flag} needs a scenario target (it observes a scenario run)"
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -603,12 +627,12 @@ fn write_files<F: AsRef<str>>(
 /// the top-level flags in `args`.
 fn run_scenario(
     name: &str,
-    make: ScenarioFn,
+    scenario: Scenario,
     args: &Args,
     filter: TraceFilter,
     telemetry: Option<&TelemetryConfig>,
 ) -> Result<(), String> {
-    let mut sim = Simulation::new(args.budget().apply(make()));
+    let mut sim = Simulation::new(args.budget().apply(scenario));
     if args.has("--trace") {
         let tracer = Tracer::new(DEFAULT_TRACE_CAPACITY, filter);
         sim.set_trace(TraceHandle::new(tracer));
@@ -737,9 +761,10 @@ fn targets_main(args: &Args) -> Result<ExitCode, String> {
     }
     let targets = resolve_targets(&args.operands)?;
     check_single_run_outputs(&targets, args.has("--trace"), args.has("--telemetry-out"))?;
+    check_flags_are_read(&targets, args)?;
     for t in &targets {
-        if let Some((name, make)) = SCENARIOS.iter().find(|(n, _)| n == t) {
-            run_scenario(name, *make, args, trace_filter, telemetry.as_ref())?;
+        if let Some(scenario) = scenario(t) {
+            run_scenario(t, scenario, args, trace_filter, telemetry.as_ref())?;
             continue;
         }
         let (_, f) = FIGS
@@ -860,14 +885,14 @@ fn sweep_main(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn flows_main(args: &Args) -> Result<ExitCode, String> {
-    let scenario = args.operands.first().map_or("congested", String::as_str);
-    let Some((name, make)) = SCENARIOS.iter().find(|(n, _)| *n == scenario) else {
+    let name = args.operands.first().map_or("congested", String::as_str);
+    let Some(scenario) = scenario(name) else {
         return Err(format!(
-            "unknown scenario '{scenario}'\nscenarios: {}",
+            "unknown scenario '{name}'\nscenarios: {}",
             valid_scenarios().join(" ")
         ));
     };
-    let mut sim = Simulation::new(args.budget().apply(make()));
+    let mut sim = Simulation::new(args.budget().apply(scenario));
     sim.set_flowscope(FlowscopeHandle::new(FlowScope::new()));
     let r = sim.run();
     let fs = r.flowscope.expect("the recorder was attached above");
@@ -1265,6 +1290,7 @@ presets, by family:
     congested        1 cell: 3x MApp congestion, no hostCC
     hostcc           1 cell: 3x MApp congestion + hostCC
     incast           1 cell: 8-flow incast + 3x congestion + hostCC
+    fat-tree         1 cell: k=4 fat-tree 15:1 incast at 3x + hostCC
   [figure]
     fig2             8 cells: ddio x degree, vanilla DCTCP (Fig 2)
     fig3-mtu         6 cells: ddio x MTU at 3x (Fig 3 left)

@@ -1,15 +1,14 @@
 //! The switch fabric a simulation forwards through, as one table: every
-//! egress [`SwitchPort`], every flow's route over those ports, and whether
-//! each flow ends at the focus receiver host or at a sink.
+//! egress [`SwitchPort`] and every flow's route over those ports to the
+//! focus receiver host.
 //!
 //! The paper's testbed — senders behind one ToR switch — is the implicit
-//! table: port 0, every route `[0]`, every destination the focus host. A
+//! table: port 0, every route `[0]`. A
 //! [`TopologySpec`](hostcc_fabric::TopologySpec) fills the same table from
 //! its graph, so the event loop has one forwarding path for any hop count.
 
-use hostcc_fabric::{Routes, SwitchPort, SwitchPortConfig, Topology};
+use hostcc_fabric::{SwitchPort, SwitchPortConfig, Topology};
 use hostcc_telemetry::MetricRegistry;
-use hostcc_workloads::{RingAllReduceSpec, TrafficPattern};
 
 use crate::scenario::Scenario;
 
@@ -22,7 +21,6 @@ const NAMED_PORT_SERIES: usize = 8;
 struct Route {
     first: u32,
     len: u32,
-    to_focus: bool,
 }
 
 /// Every switch port, and every flow's frozen path through them.
@@ -46,11 +44,7 @@ impl Fabric {
     /// The paper's single switch: one port that all `flows` cross on their
     /// way to the focus host.
     pub(crate) fn implicit(port: SwitchPortConfig, flows: usize) -> Self {
-        let route = Route {
-            first: 0,
-            len: 1,
-            to_focus: true,
-        };
+        let route = Route { first: 0, len: 1 };
         Fabric {
             ports: vec![SwitchPort::new(port)],
             hops: vec![0],
@@ -82,31 +76,16 @@ impl Fabric {
             series: Vec::new(),
             topo: None,
         };
-        let receiver = topo.receiver();
-        // One search per distinct destination: one for an incast, one per
-        // host for a ring.
-        let mut toward: Vec<Option<Routes>> = vec![None; topo.host_count() as usize];
+        let routes = topo.routes_to(topo.receiver());
         for (i, s) in sender_of_flow.enumerate() {
-            let src = s as u32;
-            let dst = match cfg.pattern {
-                TrafficPattern::Incast => receiver,
-                TrafficPattern::RingAllReduce => RingAllReduceSpec {
-                    hosts: topo.host_count(),
-                }
-                .dst_of(src),
-            };
             let first = fabric.hops.len() as u32;
-            let routes = toward[dst as usize].get_or_insert_with(|| topo.routes_to(dst));
-            for l in routes.route(src, i as u32, cfg.seed) {
+            for l in routes.route(s as u32, i as u32, cfg.seed) {
                 if let Some(port) = fabric.port_of_link(l) {
                     fabric.hops.push(port);
                 }
             }
-            fabric.routes.push(Route {
-                first,
-                len: fabric.hops.len() as u32 - first,
-                to_focus: dst == receiver,
-            });
+            let len = fabric.hops.len() as u32 - first;
+            fabric.routes.push(Route { first, len });
         }
         fabric.topo = Some(topo);
         fabric
@@ -127,12 +106,6 @@ impl Fabric {
     pub(crate) fn route(&self, flow: u32) -> &[u32] {
         let r = self.routes[flow as usize];
         &self.hops[r.first as usize..(r.first + r.len) as usize]
-    }
-
-    /// Does `flow` end at the focus receiver host (full host model) rather
-    /// than a modeled-as-a-sink peer?
-    pub(crate) fn ends_at_focus(&self, flow: u32) -> bool {
-        self.routes[flow as usize].to_focus
     }
 
     /// Egress port `port`.

@@ -23,7 +23,7 @@ use std::str::FromStr;
 use hostcc_fabric::{TopologyKind, TopologySpec};
 use hostcc_host::MBA_LEVELS;
 use hostcc_sim::{derive_seed, Rate};
-use hostcc_workloads::{IncastSpec, TrafficPattern};
+use hostcc_workloads::IncastSpec;
 
 use crate::scenario::{CcSel, Scenario};
 
@@ -158,7 +158,6 @@ const AXES: [AxisDef; 17] = [
             let spec = match TopologyKind::parse(v) {
                 None => {
                     s.topology = None;
-                    s.pattern = TrafficPattern::Incast;
                     return;
                 }
                 Some(TopologyKind::Dumbbell) => TopologySpec::dumbbell(s.senders as u32),
@@ -373,6 +372,8 @@ const PRESETS: &[Preset] = &[
      || congested().enable_hostcc(), &[]),
     ("scenario", "incast", "1 cell: 8-flow incast + 3x congestion + hostCC",
      || Scenario::incast(8, 3.0).enable_hostcc(), &[]),
+    ("scenario", "fat-tree", "1 cell: k=4 fat-tree 15:1 incast at 3x + hostCC",
+     || Scenario::fat_tree_incast(4, 3.0).enable_hostcc(), &[]),
     ("figure", "fig2", "8 cells: ddio x degree, vanilla DCTCP (Fig 2)",
      Scenario::paper_baseline, &[("ddio", "off,on"), ("degree", "0,1,2,3")]),
     ("figure", "fig3-mtu", "6 cells: ddio x MTU at 3x (Fig 3 left)",
@@ -963,7 +964,7 @@ mod tests {
         for g in &grids {
             fold(&mut h, g);
         }
-        assert_eq!(h.finish(), 837980198574045788, "cell pin");
+        assert_eq!(h.finish(), 16764907920540049123, "cell pin");
 
         let mut errors = Fnv64::new();
         let mut g = GridSpec::new("errors", Scenario::paper_baseline());

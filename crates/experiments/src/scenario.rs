@@ -5,7 +5,7 @@ use hostcc_core::HostCcConfig;
 use hostcc_fabric::{FaultConfig, SwitchPortConfig, TopologySpec};
 use hostcc_host::HostConfig;
 use hostcc_sim::{Nanos, Rate};
-use hostcc_workloads::{RpcConfig, TrafficPattern};
+use hostcc_workloads::RpcConfig;
 
 /// Which congestion-control protocol the flows run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,7 +246,9 @@ pub struct Scenario {
     pub(crate) forced_mba_level: Option<u8>,
     /// Switch egress port toward the receiver.
     pub(crate) switch: SwitchPortConfig,
-    /// One-way per-link propagation (incl. per-hop stack overheads).
+    /// One-way per-link propagation (incl. per-hop stack overheads). The
+    /// default 8 µs fits the paper's ~44 µs RTT (twice its 22 µs MBA
+    /// write latency) over two hops each way.
     pub(crate) link_prop: Nanos,
     /// Receive-side stack delay from DMA completion to transport.
     pub(crate) rx_stack_delay: Nanos,
@@ -272,9 +274,6 @@ pub struct Scenario {
     /// topology, `senders` must equal the spec's sender count and every
     /// flow's route crosses one `SwitchPort` per switch-sourced link.
     pub(crate) topology: Option<TopologySpec>,
-    /// How greedy flows map onto hosts (incast fan-in vs ring collective;
-    /// only [`TrafficPattern::Incast`] is valid without a topology).
-    pub(crate) pattern: TrafficPattern,
 }
 
 impl Scenario {
@@ -310,7 +309,6 @@ impl Scenario {
             fault: FaultConfig::none(),
             chaos: None,
             topology: None,
-            pattern: TrafficPattern::Incast,
         }
     }
 
@@ -368,26 +366,12 @@ impl Scenario {
 
     /// Run on a multi-switch fabric: `senders` becomes the topology's
     /// sender-host count and the current greedy-flow total is
-    /// redistributed over them (ring pattern: one flow per sender).
+    /// redistributed over them.
     pub(crate) fn with_topology(mut self, spec: TopologySpec) -> Self {
         let n = spec.sender_count();
         self.topology = Some(spec);
-        let total = match self.pattern {
-            TrafficPattern::Incast => self.total_greedy_flows(),
-            TrafficPattern::RingAllReduce => n,
-        };
+        self.flows_per_sender = Self::balanced_split(self.total_greedy_flows(), n);
         self.senders = n as usize;
-        self.flows_per_sender = Self::balanced_split(total, n);
-        self
-    }
-
-    /// Select the collective traffic pattern (ring resets to one flow per
-    /// sender — each host streams one chunk to its ring successor).
-    pub(crate) fn with_pattern(mut self, pattern: TrafficPattern) -> Self {
-        self.pattern = pattern;
-        if pattern == TrafficPattern::RingAllReduce {
-            self.flows_per_sender = vec![1; self.senders];
-        }
         self
     }
 
@@ -413,14 +397,6 @@ impl Scenario {
         let mut s = Self::with_congestion(mapp_degree);
         s.flows_per_sender = vec![spec.sender_count()];
         s.with_topology(spec)
-    }
-
-    /// A ring-all-reduce rotation on a leaf–spine fabric: every host
-    /// streams one chunk to its ring successor.
-    pub fn ring_all_reduce(racks: u32, hosts_per_rack: u32) -> Self {
-        Self::paper_baseline()
-            .with_pattern(TrafficPattern::RingAllReduce)
-            .with_topology(TopologySpec::leaf_spine(racks, hosts_per_rack))
     }
 
     /// Enable the IOMMU with a DMA working set of `footprint_pages` I/O
@@ -508,13 +484,6 @@ impl Scenario {
                 "senders must match the topology's sender-host count \
                  (use Scenario::with_topology)"
             );
-        } else {
-            assert_eq!(
-                self.pattern,
-                TrafficPattern::Incast,
-                "the {} pattern needs a topology",
-                self.pattern.name()
-            );
         }
         if let Err(e) = self.check_chaos() {
             panic!("{e}");
@@ -571,7 +540,6 @@ mod tests {
     fn topology_presets_validate() {
         Scenario::leaf_spine_incast(3, 2, 8, 3.0).validate();
         Scenario::fat_tree_incast(4, 0.0).validate();
-        Scenario::ring_all_reduce(3, 2).validate();
 
         let s = Scenario::fat_tree_incast(4, 0.0);
         assert_eq!(s.senders, 15, "k=4 fat tree has 15 sender hosts");
@@ -580,18 +548,6 @@ mod tests {
         let s = Scenario::leaf_spine_incast(3, 2, 8, 3.0);
         assert_eq!(s.senders, 5);
         assert_eq!(s.total_greedy_flows(), 8);
-
-        let s = Scenario::ring_all_reduce(3, 2);
-        assert_eq!(s.pattern, TrafficPattern::RingAllReduce);
-        assert_eq!(s.flows_per_sender, vec![1; 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a topology")]
-    fn ring_without_topology_rejected() {
-        Scenario::paper_baseline()
-            .with_pattern(TrafficPattern::RingAllReduce)
-            .validate();
     }
 
     #[test]

@@ -12,7 +12,6 @@ use hostcc_workloads::RpcClient;
 
 use super::hosts::{Burst, Sender};
 use super::{Ctx, Ev, Observers, FIRST_SENDER};
-use crate::fabric::Fabric;
 use crate::scenario::{CcKind, Scenario};
 
 /// `⌊a·b / c⌋`, in u64 when `a·b` fits and in u128 otherwise.
@@ -198,22 +197,15 @@ impl Endpoints {
 
     /// `Ev::DeliverStack`: a packet reaches its socket, which ACKs it (and
     /// completes any RPC message it ends).
-    pub(super) fn deliver(&mut self, ctx: &mut Ctx, now: Nanos, pkt: PacketRef, fabric: &Fabric) {
+    pub(super) fn deliver(&mut self, ctx: &mut Ctx, now: Nanos, pkt: PacketRef) {
         let pkt = ctx.arena.remove(pkt);
         ctx.obs
             .flowscope
             .with_mut(|s| s.delivered(pkt.id, pkt.payload_bytes(), now));
         let i = pkt.flow.0 as usize;
         let before = self.eps[i].recv.unconsumed();
-        let mut ack = self.eps[i].recv.on_data(&pkt, now);
+        let ack = self.eps[i].recv.on_data(&pkt, now);
         self.unconsumed += self.eps[i].recv.unconsumed() - before;
-        // A non-focus destination has no modeled host: its application
-        // consumes at line rate, so drain the socket right away and
-        // advertise the reopened window.
-        if !fabric.ends_at_focus(pkt.flow.0) {
-            self.app_read(i, u64::MAX);
-            ack.rwnd = self.eps[i].recv.rwnd();
-        }
         let e = &mut self.eps[i];
         let done = e.recv.take_completed();
         if let Some(rpc) = &mut e.rpc {

@@ -93,7 +93,7 @@ fn unknown_names_exit_1_naming_the_valid_ones() {
     fails_with(
         &["sweep", "nosuch"],
         "unknown preset 'nosuch'\n\
-         valid presets: baseline congested hostcc incast fig2 fig3-mtu fig3-flows fig9 \
+         valid presets: baseline congested hostcc incast fat-tree fig2 fig3-mtu fig3-flows fig9 \
          fig10 fig11-mtu fig11-flows fig13a fig13b fig14 fig16 fig17 figure-grid faults \
          chaos leaf-spine fat-tree-incast\n",
     );
@@ -146,6 +146,74 @@ fn trace_and_telemetry_out_need_exactly_one_scenario_target() {
         &["--telemetry-out", "telemetry", "fig2"],
         "--telemetry-out needs exactly one scenario target (one output directory)\n",
     );
+}
+
+#[test]
+fn csv_needs_a_figure_target() {
+    // It used to exit 0 having written nothing.
+    let args = [
+        "--quick",
+        "--csv",
+        "csvx",
+        "--trace-filter",
+        "pcie",
+        "baseline",
+    ];
+    fails_with(
+        &args,
+        "--csv needs a figure target (it writes figure panels)\n",
+    );
+}
+
+#[test]
+fn trace_filter_needs_trace() {
+    fails_with(
+        &["--quick", "--trace-filter", "pcie", "baseline"],
+        "--trace-filter needs --trace (it filters the trace export)\n",
+    );
+}
+
+#[test]
+fn observer_flags_need_a_scenario_target() {
+    for flags in [
+        &["--profile"][..],
+        &["--telemetry"],
+        &["--strict-invariants"],
+        &["--telemetry-interval", "500"],
+        &["--telemetry-filter", "host"],
+    ] {
+        let mut args = flags.to_vec();
+        args.extend(["--quick", "fig2", "all"]);
+        fails_with(
+            &args,
+            &format!(
+                "{} needs a scenario target (it observes a scenario run)\n",
+                flags[0]
+            ),
+        );
+    }
+}
+
+#[test]
+fn help_lists_the_scenario_sweep_family() {
+    // One catalog: the scenario targets are the `[scenario]` presets.
+    let (_, list, _) = repro(&["sweep", "--list"]);
+    let family = list
+        .split("  [scenario]\n")
+        .nth(1)
+        .and_then(|rest| rest.split("  [").next())
+        .expect("a [scenario] family");
+    let presets: Vec<&str> = family
+        .lines()
+        .map(|line| line.split_whitespace().next().unwrap())
+        .collect();
+    let (code, _, help) = repro(&["--help"]);
+    assert_eq!(code, 1);
+    let scenarios = help
+        .lines()
+        .find_map(|line| line.strip_prefix("scenarios: "))
+        .expect("a scenarios: line");
+    assert_eq!(scenarios.split(' ').collect::<Vec<_>>(), presets);
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! * [`Packet`] — the simulated wire format: TCP-like data segments and
 //!   cumulative ACKs, with a real ECN codepoint so both the switch *and*
 //!   hostCC's receiver-side echo can mark CE.
-//! * [`Link`] — a serializing, propagating point-to-point link.
+//! * [`FqLink`] — a sender's serializing link: per-flow queues served
+//!   round-robin at line rate.
 //! * [`SwitchPort`] — an output-queued egress port with DCTCP-style ECN
 //!   threshold marking and tail drop.
 //! * [`FaultInjector`] — deterministic random drop/corruption, in the
@@ -23,14 +24,12 @@
 
 mod fault;
 mod fq;
-mod link;
 mod packet;
 mod switch;
 mod topology;
 
 pub use fault::{FaultConfig, FaultInjector, FaultOutcome};
 pub use fq::{Departure, FqLink};
-pub use link::Link;
 pub use packet::{
     Arena, ArenaRef, EcnCodepoint, FlowId, Packet, PacketArena, PacketRef, HEADER_BYTES,
 };

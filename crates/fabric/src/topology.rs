@@ -406,9 +406,9 @@ impl TopologyKind {
 
 /// Largest fabric a [`TopologySpec`] may describe, in hosts (receiver
 /// included): a k=16 fat tree, four times the k of the fat-tree presets.
-/// A build is linear in the links and an incast routes after one search,
-/// but a ring searches once per host and every sender carries its own
-/// link and flow state, so the cap bounds the work one cell may ask for.
+/// A build is linear in the links and a run routes after one search, but
+/// every sender carries its own link and flow state, so the cap bounds
+/// the work one cell may ask for.
 pub(crate) const MAX_HOSTS: u64 = 1024;
 
 /// Parameters of a topology, small enough to live in a `Scenario`.

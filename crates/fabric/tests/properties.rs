@@ -1,8 +1,7 @@
 //! Property-based tests for the fabric crate.
 
 use hostcc_fabric::{
-    Departure, EnqueueOutcome, FlowId, FqLink, Link, Packet, PacketArena, SwitchPort,
-    SwitchPortConfig,
+    Departure, EnqueueOutcome, FlowId, FqLink, Packet, PacketArena, SwitchPort, SwitchPortConfig,
 };
 use hostcc_sim::{Nanos, Rate, Rng};
 use proptest::prelude::*;
@@ -116,24 +115,6 @@ proptest! {
         prop_assert!(arena.is_empty());
     }
 
-    /// Link batch transmit ≡ sequential transmits, for any byte sequence.
-    #[test]
-    fn link_batch_equals_sequential(
-        sizes in prop::collection::vec(64u64..9000, 0..60),
-        start_ns in 0u64..10_000,
-    ) {
-        let mut seq = Link::new(Rate::gbps(100.0), Nanos::from_micros(5));
-        let mut bat = Link::new(Rate::gbps(100.0), Nanos::from_micros(5));
-        let now = Nanos::from_nanos(start_ns);
-        let expected: Vec<(Nanos, Nanos)> =
-            sizes.iter().map(|&b| seq.transmit(now, b)).collect();
-        let mut got = Vec::new();
-        bat.transmit_batch(now, &sizes, &mut got);
-        prop_assert_eq!(got, expected);
-        prop_assert_eq!(bat.busy_until(), seq.busy_until());
-        prop_assert_eq!(bat.bytes_sent(), seq.bytes_sent());
-    }
-
     /// Switch port: backlog never exceeds capacity; accepted + dropped =
     /// offered; departures are FIFO-ordered.
     #[test]
@@ -194,21 +175,5 @@ proptest! {
         prop_assert_eq!(never.marks(), 0);
         // Every accepted packet pushes the instantaneous queue above K = 0.
         prop_assert_eq!(always.marks(), offered as u64);
-    }
-
-    /// Plain Link: arrival times are monotone and spaced by serialization.
-    #[test]
-    fn link_serialization_spacing(sizes in prop::collection::vec(64u64..9000, 1..100)) {
-        let rate = Rate::gbps(100.0);
-        let mut l = Link::new(rate, Nanos::from_micros(5));
-        let mut last_arrival = Nanos::ZERO;
-        for &s in &sizes {
-            let (_, arrival) = l.transmit(Nanos::ZERO, s);
-            prop_assert!(arrival >= last_arrival + rate.time_for_bytes(s) - Nanos::from_nanos(1)
-                || last_arrival == Nanos::ZERO);
-            prop_assert!(arrival > last_arrival);
-            last_arrival = arrival;
-        }
-        prop_assert_eq!(l.bytes_sent(), sizes.iter().sum::<u64>());
     }
 }

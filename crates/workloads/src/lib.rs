@@ -9,9 +9,7 @@
 //!   configurable congestion degree (`hostcc_host::MApp` implements its
 //!   mechanics; a scenario's degree is the knob).
 //!
-//! Plus the collective traffic shapes: the Fig 13 incast ([`IncastSpec`])
-//! and a ring-all-reduce rotation ([`RingAllReduceSpec`]), selected per
-//! scenario via [`TrafficPattern`].
+//! Plus the Fig 13 incast shape ([`IncastSpec`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,4 +19,4 @@ mod rpc;
 mod specs;
 
 pub use rpc::{RpcClient, RpcConfig};
-pub use specs::{IncastSpec, RingAllReduceSpec, TrafficPattern, PAPER_RPC_SIZES};
+pub use specs::{IncastSpec, PAPER_RPC_SIZES};

@@ -214,11 +214,10 @@ fn tick_skip_paths_are_pinned() {
 
     // The tick loop does per-flow and per-receiver work only when it is
     // due, so every path that makes a flow or a window due is pinned bit
-    // for bit: RPC message queueing, the TX-host pump, a CC mix, non-focus
-    // deliveries (ring all-reduce), net_stop, receive-window reopening,
-    // TLP/RTO timers (also armed through the TX-host pump) and a sparse
-    // event queue under link flaps. Changing any constant here means a
-    // skip moved published numbers.
+    // for bit: RPC message queueing, the TX-host pump, a CC mix, net_stop,
+    // receive-window reopening, TLP/RTO timers (also armed through the
+    // TX-host pump) and a sparse event queue under link flaps. Changing
+    // any constant here means a skip moved published numbers.
     let quick = |s: Scenario| Budget::quick().apply(s);
     let mut net_stop = Scenario::with_congestion(3.0).enable_hostcc();
     net_stop.net_stop = Some(Nanos::from_millis(4));
@@ -256,12 +255,6 @@ fn tick_skip_paths_are_pinned() {
             quick(Scenario::with_congestion(3.0).with_cc_mix(mix)),
             0xec49_f787_8923_2b94,
             45_683,
-        ),
-        (
-            "ring",
-            quick(Scenario::ring_all_reduce(3, 2)),
-            0x24dd_121e_3f29_70f4,
-            522_698,
         ),
         ("net-stop", quick(net_stop), 0x01ea_3c07_0f36_a4e8, 42_850),
         (
