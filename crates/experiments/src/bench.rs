@@ -3,29 +3,27 @@
 //! `BENCH_<git-short-sha>.json` trajectory file (see
 //! [`hostcc_perf::BenchReport`]).
 //!
-//! Workloads come in three shapes, mirroring the CLI's own subcommands:
-//! single scenarios, sweep grids (single-worker, so events/sec measures
-//! engine speed, not parallelism), and a paired-chaos run (hostCC off/on
-//! under the same fault timeline). Every workload runs with a
-//! [`PerfProfiler`] attached, so the emitted file carries the
-//! per-subsystem attribution breakdown alongside throughput.
+//! Every workload is a grid run by the sweep engine at one worker (so
+//! events/sec measures engine speed, not parallelism) with no profiler
+//! attached: the rates are those of the code users run. A single
+//! scenario is a 1-cell grid, a sweep is its grid, and a chaos workload
+//! is the hostCC-off/on pair `repro chaos` runs. Attribution is
+//! `repro --profile`'s job.
 //!
 //! Iteration wall times vary; everything else is deterministic — the
 //! runner *errors* if a workload's event count or simulated time differs
 //! between iterations, since that would mean the simulation itself is
 //! non-deterministic.
 
-use std::time::Instant;
-
 use hostcc_perf::{
-    alloc_stats, reset_alloc_peak, BenchReport, BenchWorkload, HostMeta, PerfHandle, PerfProfiler,
-    PerfReport,
+    alloc_stats, reset_alloc_peak, BenchReport, BenchWorkload, HostMeta, SimRateReport,
 };
 
 use crate::figures::Budget;
 use crate::grid::GridSpec;
+use crate::resilience::chaos_scenario;
 use crate::sweep::{run_sweep, SweepOptions};
-use crate::{Scenario, Simulation};
+use crate::Scenario;
 
 /// How many iterations a suite runs per workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,179 +58,98 @@ pub fn suites() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// One benchmarkable unit of work.
-enum Workload {
-    /// A single scenario run ([`Simulation::run`]).
-    Scenario {
-        name: &'static str,
-        make: fn() -> Scenario,
-        budget: Budget,
-    },
-    /// A sweep grid run with one worker (engine speed, not parallelism).
-    Sweep {
-        name: &'static str,
-        make: fn() -> Result<GridSpec, String>,
-        budget: Budget,
-    },
-    /// The differential-resilience shape: hostCC off and on under the
-    /// same chaos timeline, run serially as one measured unit.
-    Chaos {
-        name: &'static str,
-        preset: &'static str,
-        budget: Budget,
-    },
-}
-
-/// One measured iteration: wall time plus the deterministic counters.
-struct IterOut {
-    wall_secs: f64,
-    events: u64,
-    sim_ns: u64,
-    perf: Option<PerfReport>,
+/// One benchmarked workload: a grid the sweep engine runs at one worker
+/// with no profiler attached, under `budget`'s windows. A single scenario
+/// is an axis-free 1-cell grid, which keeps the base seed.
+struct Workload {
+    name: &'static str,
+    grid: GridSpec,
+    budget: Budget,
 }
 
 impl Workload {
-    fn name(&self) -> &'static str {
-        match self {
-            Workload::Scenario { name, .. }
-            | Workload::Sweep { name, .. }
-            | Workload::Chaos { name, .. } => name,
+    fn scenario(name: &'static str, scenario: Scenario, budget: Budget) -> Self {
+        Workload {
+            name,
+            grid: GridSpec::new(name, scenario),
+            budget,
         }
     }
 
-    fn run_once(&self) -> Result<IterOut, String> {
-        match self {
-            Workload::Scenario { make, budget, .. } => {
-                let s = budget.apply(make());
-                Ok(run_profiled_sim(s))
-            }
-            Workload::Sweep { make, budget, .. } => {
-                let mut spec = make()?;
-                spec.base = budget.apply(spec.base);
-                let opts = SweepOptions {
-                    workers: 1,
-                    trace: false,
-                    telemetry: false,
-                    perf: true,
-                    ..SweepOptions::default()
-                };
-                let manifest = run_sweep(&spec, &opts)?;
-                let rate = manifest.sim_rate();
-                Ok(IterOut {
-                    wall_secs: rate.wall_secs,
-                    events: rate.events,
-                    sim_ns: rate.sim_ns,
-                    perf: manifest.perf,
-                })
-            }
-            Workload::Chaos { preset, budget, .. } => {
-                // The paired off/on arms run serially under one wall
-                // measurement; their perf reports merge commutatively.
-                let started = Instant::now();
-                let mut events = 0u64;
-                let mut sim_ns = 0u64;
-                let mut perf = PerfReport::default();
-                for hostcc in [false, true] {
-                    let mut s = Scenario::with_congestion(3.0).with_chaos(preset);
-                    if hostcc {
-                        s = s.enable_hostcc();
-                    }
-                    let out = run_profiled_sim(budget.apply(s));
-                    events += out.events;
-                    sim_ns += out.sim_ns;
-                    perf.merge(&out.perf.expect("profiler attached"));
-                }
-                Ok(IterOut {
-                    wall_secs: started.elapsed().as_secs_f64(),
-                    events,
-                    sim_ns,
-                    perf: Some(perf),
-                })
-            }
-        }
+    /// Both arms of `repro chaos PRESET`: its base scenario (RPC clients,
+    /// recorded telemetry, the timeline) with hostCC off and on.
+    fn chaos(name: &'static str, preset: &str, budget: Budget) -> Result<Self, String> {
+        let mut grid = GridSpec::new(name, chaos_scenario(preset, &budget)?);
+        grid.set_axis("hostcc", "off,on")?;
+        Ok(Workload { name, grid, budget })
     }
-}
 
-/// Build, profile and run one simulation; the wall measurement covers
-/// construction too (it is part of what a user pays per run).
-fn run_profiled_sim(s: Scenario) -> IterOut {
-    let started = Instant::now();
-    let mut sim = Simulation::new(s);
-    sim.set_perf(PerfHandle::new(PerfProfiler::new()));
-    let events_before = sim.events_processed();
-    let sim_before = sim.now();
-    sim.run();
-    IterOut {
-        wall_secs: started.elapsed().as_secs_f64(),
-        events: sim.events_processed() - events_before,
-        sim_ns: sim.now().as_nanos() - sim_before.as_nanos(),
-        perf: sim.perf().report(),
+    /// One measured run. The wall time covers building every cell's
+    /// simulation too (it is part of what a user pays per run).
+    fn run_once(&self) -> Result<SimRateReport, String> {
+        let mut grid = self.grid.clone();
+        grid.base = self.budget.apply(grid.base);
+        let opts = SweepOptions {
+            workers: 1,
+            trace: false,
+            // A chaos grid carries the flow ledger `repro chaos` gives
+            // both arms.
+            flows: grid.base.chaos.is_some(),
+            ..SweepOptions::default()
+        };
+        Ok(run_sweep(&grid, &opts)?.sim_rate())
     }
 }
 
 fn suite_workloads(suite: &str) -> Result<Vec<Workload>, String> {
-    let small_grid = || -> Result<GridSpec, String> {
-        let mut g = GridSpec::new("bench-small", Scenario::paper_baseline());
-        g.set_axis("hostcc", "off,on")?;
-        g.set_axis("degree", "0,3")?;
-        Ok(g)
-    };
-    let figure_grid =
-        || GridSpec::preset("figure-grid").ok_or_else(|| "figure-grid preset missing".to_string());
+    let congested = || Scenario::with_congestion(3.0);
     match suite {
-        "smoke" => Ok(vec![
-            Workload::Scenario {
-                name: "scenario:baseline",
-                make: Scenario::paper_baseline,
-                budget: Budget::quick(),
-            },
-            Workload::Scenario {
-                name: "scenario:hostcc",
-                make: || Scenario::with_congestion(3.0).enable_hostcc(),
-                budget: Budget::quick(),
-            },
-            Workload::Sweep {
-                name: "sweep:small",
-                make: small_grid,
-                budget: Budget::quick(),
-            },
-            Workload::Chaos {
-                name: "chaos:flap",
-                preset: "flap",
-                budget: Budget::quick(),
-            },
-        ]),
+        "smoke" => {
+            let mut small = GridSpec::new("bench-small", Scenario::paper_baseline());
+            small.set_axis("hostcc", "off,on")?;
+            small.set_axis("degree", "0,3")?;
+            Ok(vec![
+                Workload::scenario(
+                    "scenario:baseline",
+                    Scenario::paper_baseline(),
+                    Budget::quick(),
+                ),
+                Workload::scenario(
+                    "scenario:hostcc",
+                    congested().enable_hostcc(),
+                    Budget::quick(),
+                ),
+                Workload {
+                    name: "sweep:small",
+                    grid: small,
+                    budget: Budget::quick(),
+                },
+                Workload::chaos("chaos:flap", "flap", Budget::quick())?,
+            ])
+        }
         "standard" => Ok(vec![
-            Workload::Scenario {
-                name: "scenario:baseline",
-                make: Scenario::paper_baseline,
-                budget: Budget::standard(),
-            },
-            Workload::Scenario {
-                name: "scenario:congested",
-                make: || Scenario::with_congestion(3.0),
-                budget: Budget::standard(),
-            },
-            Workload::Scenario {
-                name: "scenario:hostcc",
-                make: || Scenario::with_congestion(3.0).enable_hostcc(),
-                budget: Budget::standard(),
-            },
-            Workload::Scenario {
-                name: "scenario:incast",
-                make: || Scenario::incast(8, 3.0).enable_hostcc(),
-                budget: Budget::standard(),
-            },
-            Workload::Sweep {
+            Workload::scenario(
+                "scenario:baseline",
+                Scenario::paper_baseline(),
+                Budget::standard(),
+            ),
+            Workload::scenario("scenario:congested", congested(), Budget::standard()),
+            Workload::scenario(
+                "scenario:hostcc",
+                congested().enable_hostcc(),
+                Budget::standard(),
+            ),
+            Workload::scenario(
+                "scenario:incast",
+                Scenario::incast(8, 3.0).enable_hostcc(),
+                Budget::standard(),
+            ),
+            Workload {
                 name: "sweep:figure-grid",
-                make: figure_grid,
+                grid: GridSpec::preset("figure-grid").ok_or("figure-grid preset missing")?,
                 budget: Budget::quick(),
             },
-            Workload::Chaos {
-                name: "chaos:flap",
-                preset: "flap",
-                budget: Budget::quick(),
-            },
+            Workload::chaos("chaos:flap", "flap", Budget::quick())?,
         ]),
         other => Err(format!(
             "unknown suite '{other}'\nsuites: {}",
@@ -263,7 +180,6 @@ fn run_workload(w: &Workload, opts: &BenchOptions) -> Result<BenchWorkload, Stri
     let mut walls = Vec::with_capacity(opts.iters as usize);
     let mut events = 0u64;
     let mut sim_ns = 0u64;
-    let mut perf: Option<PerfReport> = None;
     for i in 0..opts.iters {
         let out = w.run_once()?;
         if i == 0 {
@@ -275,16 +191,10 @@ fn run_workload(w: &Workload, opts: &BenchOptions) -> Result<BenchWorkload, Stri
             return Err(format!(
                 "bench '{}': iteration {} processed {} events / {} sim-ns, \
                  expected {events} / {sim_ns} — the simulation is not deterministic",
-                w.name(),
-                i,
-                out.events,
-                out.sim_ns
+                w.name, i, out.events, out.sim_ns
             ));
         }
         walls.push(out.wall_secs);
-        if let Some(p) = out.perf {
-            perf.get_or_insert_with(PerfReport::default).merge(&p);
-        }
     }
     let alloc = match (alloc_before, alloc_stats()) {
         (Some(before), Some(after)) => Some(after.since(&before)),
@@ -293,13 +203,12 @@ fn run_workload(w: &Workload, opts: &BenchOptions) -> Result<BenchWorkload, Stri
     let mut sorted = walls.clone();
     sorted.sort_by(f64::total_cmp);
     Ok(BenchWorkload {
-        name: w.name().to_string(),
+        name: w.name.to_string(),
         wall_secs_p50: quantile(&sorted, 0.50),
         wall_secs_p95: quantile(&sorted, 0.95),
         wall_secs_iters: walls,
         events,
         sim_ns,
-        perf,
         alloc,
     })
 }
@@ -348,7 +257,7 @@ pub fn run_suite(suite: &str, opts: &BenchOptions) -> Result<BenchReport, String
     let workloads = suite_workloads(suite)?;
     let mut measured = Vec::with_capacity(workloads.len());
     for w in &workloads {
-        eprintln!("[bench] {} ...", w.name());
+        eprintln!("[bench] {} ...", w.name);
         measured.push(run_workload(w, opts)?);
     }
     Ok(BenchReport {
@@ -364,7 +273,7 @@ pub fn run_suite(suite: &str, opts: &BenchOptions) -> Result<BenchReport, String
 /// Human summary table of a bench report.
 pub fn render_report(r: &BenchReport) -> String {
     let mut out = format!(
-        "bench suite '{}' @ {} ({} warmup + {} iters)\n{:<22} {:>12} {:>16} {:>10} {:>10} {:>6}\n",
+        "bench suite '{}' @ {} ({} warmup + {} iters)\n{:<22} {:>12} {:>16} {:>10} {:>10}\n",
         r.suite,
         r.git_sha,
         r.warmup,
@@ -374,22 +283,15 @@ pub fn render_report(r: &BenchReport) -> String {
         "sim-ns/wall-s",
         "p50 ms",
         "p95 ms",
-        "attr%",
     );
     for w in &r.workloads {
-        let attr = w
-            .perf
-            .as_ref()
-            .map(|p| format!("{:.1}", 100.0 * p.attributed_frac()))
-            .unwrap_or_else(|| "-".to_string());
         out.push_str(&format!(
-            "{:<22} {:>12.0} {:>16.2e} {:>10.2} {:>10.2} {:>6}\n",
+            "{:<22} {:>12.0} {:>16.2e} {:>10.2} {:>10.2}\n",
             w.name,
             w.events_per_sec(),
             w.sim_ns_per_wall_sec(),
             w.wall_secs_p50 * 1e3,
             w.wall_secs_p95 * 1e3,
-            attr,
         ));
     }
     if let Some(w) = r.workloads.iter().find(|w| w.alloc.is_some()) {
@@ -437,6 +339,29 @@ mod tests {
     }
 
     #[test]
+    fn workloads_run_what_users_run() {
+        let smoke = suite_workloads("smoke").unwrap();
+        // A scenario workload is the scenario itself, seed included.
+        let cells = smoke[0].grid.expand().unwrap();
+        assert_eq!(cells.len(), 1);
+        assert_eq!(
+            format!("{:?}", cells[0].scenario),
+            format!("{:?}", Scenario::paper_baseline())
+        );
+        // The chaos workload is `repro chaos flap`'s pair of arms, up to
+        // the per-cell seeds the grid derives.
+        let budget = Budget::quick();
+        let base = chaos_scenario("flap", &budget).unwrap();
+        let cells = smoke[3].grid.expand().unwrap();
+        assert_eq!(cells.len(), 2);
+        for (cell, arm) in cells.iter().zip([base.clone(), base.enable_hostcc()]) {
+            let mut s = cell.scenario.clone();
+            s.seed = arm.seed;
+            assert_eq!(format!("{s:?}"), format!("{arm:?}"), "{}", cell.key);
+        }
+    }
+
+    #[test]
     fn smoke_suite_emits_a_round_trippable_report() {
         // One tiny measured pass over the real smoke suite: this is the
         // same path `repro bench --suite smoke` takes, minus file IO.
@@ -448,20 +373,23 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(report.workloads.len(), 4);
+        let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "scenario:baseline",
+                "scenario:hostcc",
+                "sweep:small",
+                "chaos:flap"
+            ]
+        );
         for w in &report.workloads {
             assert!(w.events > 0, "{}", w.name);
             assert!(w.sim_ns > 0, "{}", w.name);
             assert!(w.wall_secs_p50 > 0.0, "{}", w.name);
-            let perf = w.perf.as_ref().expect("all bench workloads profile");
-            assert!(
-                perf.attributed_frac() >= 0.95,
-                "{}: attributed only {:.1}%",
-                w.name,
-                100.0 * perf.attributed_frac()
-            );
         }
         let json = report.to_json();
+        assert!(!json.contains("\"perf\""), "{json}");
         let back = BenchReport::from_json(&json).unwrap();
         assert_eq!(back, report);
         // Self-compare: zero deltas, no regressions at any threshold.

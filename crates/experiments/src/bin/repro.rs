@@ -70,20 +70,22 @@
 //! fingerprint, byte-identical at any `--workers` count),
 //! `leaderboard.md` and `leaderboard.csv`.
 //!
-//! `repro bench` runs a named workload suite (`repro bench --list`) with
-//! per-subsystem wall-clock attribution and writes the trajectory file
-//! `BENCH_<git-short-sha>.json` to the current directory (or `--out PATH`).
-//! `repro bench --compare BASELINE.json` diffs a prior file against the
-//! current one (`--current PATH`, else the file for the current git sha,
-//! else the newest `BENCH_*.json`; when `--suite` is also given, against a
-//! fresh run) and exits nonzero if any workload regressed by more than
-//! `--threshold` percent (default 5), or — with `--alloc-threshold PCT` —
-//! if any workload's allocation count grew by more than that (alloc
-//! counts are deterministic, so this gate stays tight even when the
-//! baseline file came from a different machine). Build with
+//! `repro bench` runs a named workload suite (`repro bench --list`) and
+//! writes the trajectory file `BENCH_<git-short-sha>.json` to the current
+//! directory (or `--out PATH`). Every workload runs on the sweep engine
+//! at one worker with no profiler attached, so its rates are those of the
+//! runs users make. `repro bench --compare BASELINE.json` diffs a prior
+//! file against the current one (`--current PATH`, else the file for the
+//! current git sha, else the newest `BENCH_*.json`; when `--suite` is also
+//! given, against a fresh run) and exits nonzero if any baseline workload
+//! is missing or regressed by more than `--threshold` percent (default
+//! 5), or — with `--alloc-threshold PCT` — if any baseline workload's
+//! allocation count grew by more than that or was not counted on either
+//! side (alloc counts are deterministic, so this gate stays tight even
+//! when the baseline file came from a different machine). Build with
 //! `--features alloc-profile` to add allocator counts to the report.
-//! Scenario targets additionally accept `--profile` to print the same
-//! attribution table after a single run.
+//! Scenario targets accept `--profile` to print the wall-clock
+//! attribution per subsystem after a single run.
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -838,6 +840,13 @@ fn preset_catalog() -> String {
 }
 
 fn sweep_main(args: &Args) -> Result<ExitCode, String> {
+    if args.has("--no-trace") && args.has("--trace-filter") {
+        return Err(
+            "--trace-filter needs the cells' tracer, which --no-trace removes \
+                    (it filters the per-kind event totals)"
+                .to_string(),
+        );
+    }
     let (trace_filter, telemetry) = observers(args)?;
     let opts = SweepOptions {
         workers: args.workers(0)?,
@@ -846,7 +855,6 @@ fn sweep_main(args: &Args) -> Result<ExitCode, String> {
         telemetry: telemetry.is_some(),
         strict_invariants: telemetry.is_some_and(|t| t.strict),
         flows: args.has("--flows"),
-        ..SweepOptions::default()
     };
     let mut spec = build_spec(&args.operands)?;
     spec.base = args.budget().apply(spec.base);

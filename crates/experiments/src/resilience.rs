@@ -47,11 +47,7 @@ pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<Resilien
         ));
     }
 
-    let mut base = budget.apply(Scenario::with_congestion(3.0).with_rpc(budget.rpc_clients));
-    base.record = true;
-    base.chaos = Some(spec.to_string());
-    // Resolve link targets here: an arm thread would only panic on them.
-    base.check_chaos()?;
+    let base = chaos_scenario(spec, budget)?;
     let off = base.clone();
     let on = base.clone().enable_hostcc();
 
@@ -82,6 +78,19 @@ pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<Resilien
         off: score_arm(false, &timeline, &off_result, window_end)?,
         on: score_arm(true, &timeline, &on_result, window_end)?,
     })
+}
+
+/// The scenario both arms of a chaos experiment share (hostCC off; the
+/// on arm enables it): 3x congestion with RPC clients, recorded
+/// telemetry for scoring, and the `spec` timeline. `repro bench` times
+/// the same scenario as its `chaos:*` workloads.
+pub(crate) fn chaos_scenario(spec: &str, budget: &Budget) -> Result<Scenario, String> {
+    let mut base = budget.apply(Scenario::with_congestion(3.0).with_rpc(budget.rpc_clients));
+    base.record = true;
+    base.chaos = Some(spec.to_string());
+    // Resolve link targets here: an arm thread would only panic on them.
+    base.check_chaos()?;
+    Ok(base)
 }
 
 /// Last recorded value of a sampled step series at or before `t` (0 before

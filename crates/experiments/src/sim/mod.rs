@@ -1000,34 +1000,49 @@ mod tests {
     #[test]
     fn profiling_attributes_nearly_all_wall_time() {
         use hostcc_perf::{PerfProfiler, Subsystem};
-        let mut s = Scenario::with_congestion(3.0).enable_hostcc();
-        s.warmup = Nanos::from_millis(2);
-        s.measure = Nanos::from_millis(4);
-        let mut sim = Simulation::new(s);
-        sim.set_perf(PerfHandle::new(PerfProfiler::new()));
-        sim.run();
-        let r = sim.perf().report().expect("profiler attached");
-        assert!(r.total_ns > 0);
-        // Scopes nest under `Engine`; the only unattributed wall time is
-        // the handful of instructions between `advance_to` calls.
-        assert!(
-            r.attributed_frac() >= 0.95,
-            "attributed {:.1}% of {} ns",
-            100.0 * r.attributed_frac(),
-            r.total_ns
-        );
-        let by_subsystem = r.subsystem_ns();
-        assert!(by_subsystem[Subsystem::Host as usize] > 0);
-        assert!(by_subsystem[Subsystem::Transport as usize] > 0);
-        assert!(by_subsystem[Subsystem::Fabric as usize] > 0);
-        // Every event kind this scenario exercises got dispatch counts.
-        for scope in [
-            PerfScope::EvDepart,
-            PerfScope::EvArriveSwitch,
-            PerfScope::EvAckArrive,
-            PerfScope::TickHost,
+        let budget = crate::figures::Budget::quick();
+        let flap = crate::resilience::chaos_scenario("flap", &budget).unwrap();
+        let mut hostcc = Scenario::with_congestion(3.0).enable_hostcc();
+        hostcc.warmup = Nanos::from_millis(2);
+        hostcc.measure = Nanos::from_millis(4);
+        // Every run shape `repro bench` times: a quiet and a congested
+        // scenario, and both arms of a chaos experiment.
+        for (name, s) in [
+            ("hostcc", hostcc),
+            ("baseline", budget.apply(Scenario::paper_baseline())),
+            ("flap/off", flap.clone()),
+            ("flap/on", flap.enable_hostcc()),
         ] {
-            assert!(r.scope_enters[scope as usize] > 0, "{}", scope.name());
+            let mut sim = Simulation::new(s);
+            sim.set_perf(PerfHandle::new(PerfProfiler::new()));
+            sim.run();
+            let r = sim.perf().report().expect("profiler attached");
+            assert!(r.total_ns > 0, "{name}");
+            // Scopes nest under `Engine`; the only unattributed wall time
+            // is the handful of instructions between `advance_to` calls.
+            assert!(
+                r.attributed_frac() >= 0.95,
+                "{name}: attributed {:.1}% of {} ns",
+                100.0 * r.attributed_frac(),
+                r.total_ns
+            );
+            let by_subsystem = r.subsystem_ns();
+            assert!(by_subsystem[Subsystem::Host as usize] > 0, "{name}");
+            assert!(by_subsystem[Subsystem::Transport as usize] > 0, "{name}");
+            assert!(by_subsystem[Subsystem::Fabric as usize] > 0, "{name}");
+            // Every event kind these scenarios exercise got dispatch counts.
+            for scope in [
+                PerfScope::EvDepart,
+                PerfScope::EvArriveSwitch,
+                PerfScope::EvAckArrive,
+                PerfScope::TickHost,
+            ] {
+                assert!(
+                    r.scope_enters[scope as usize] > 0,
+                    "{name}: {}",
+                    scope.name()
+                );
+            }
         }
     }
 

@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use hostcc_flowscope::{FlowScope, FlowscopeHandle, FlowscopeResult, FlowscopeSummary};
 use hostcc_metrics::{f2, pct, Cdf, Table};
-use hostcc_perf::{PerfHandle, PerfProfiler, PerfReport, SimRateProfiler, SimRateReport};
+use hostcc_perf::{SimRateProfiler, SimRateReport};
 use hostcc_sim::json::{escape, float, opt};
 use hostcc_sim::Fnv64;
 use hostcc_telemetry::{Telemetry, TelemetryConfig, TelemetryHandle, TelemetrySummary};
@@ -65,11 +65,6 @@ pub struct SweepOptions {
     /// Fail the sweep with the first watchdog diagnostic if any cell
     /// violates an invariant (implies `telemetry`).
     pub strict_invariants: bool,
-    /// Give every cell a wall-clock attribution profiler
-    /// ([`hostcc_perf::PerfProfiler`]) and merge the per-cell reports into
-    /// the manifest. Wall-clock only: the profiled runs stay bit-identical
-    /// and the merged report never enters the fingerprint or the CSV.
-    pub perf: bool,
     /// Attach a flow-ledger recorder ([`hostcc_flowscope::FlowScope`]) to
     /// every cell: per-cell flow tables and stage-residency summaries land
     /// on the runs and a commutatively merged [`FlowscopeSummary`] on the
@@ -87,7 +82,6 @@ impl Default for SweepOptions {
             trace_filter: TraceFilter::all(),
             telemetry: false,
             strict_invariants: false,
-            perf: false,
             flows: false,
         }
     }
@@ -270,9 +264,6 @@ pub struct CellRun {
     pub wall_secs: f64,
     /// Worker thread that ran the cell (varies run to run).
     pub(crate) worker: usize,
-    /// Per-scope wall-clock attribution (None when `SweepOptions::perf`
-    /// was off; varies run to run).
-    pub perf: Option<PerfReport>,
 }
 
 impl CellRun {
@@ -330,16 +321,12 @@ fn run_one(cell: &Cell, opts: &SweepOptions, worker: usize) -> (CellRun, Cdf, Cd
             ..Default::default()
         })));
     }
-    if opts.perf {
-        sim.set_perf(PerfHandle::new(PerfProfiler::new()));
-    }
     if opts.flows {
         sim.set_flowscope(FlowscopeHandle::new(FlowScope::new()));
     }
     let profiler = SimRateProfiler::start(sim.events_processed(), sim.now());
     let result = sim.run();
     let report = profiler.finish(sim.events_processed(), sim.now());
-    let perf = sim.perf().report();
     let run = CellRun {
         index: cell.index,
         key: cell.key.clone(),
@@ -354,7 +341,6 @@ fn run_one(cell: &Cell, opts: &SweepOptions, worker: usize) -> (CellRun, Cdf, Cd
         sim_ns: report.sim_ns,
         wall_secs: report.wall_secs,
         worker,
-        perf,
     };
     (run, result.read_is_cdf, result.read_bs_cdf)
 }
@@ -424,15 +410,14 @@ pub fn run_sweep(spec: &GridSpec, opts: &SweepOptions) -> Result<SweepManifest, 
     let mut trace_totals = TraceCounts::default();
     let mut telemetry_totals: Option<TelemetrySummary> = None;
     let mut flowscope_totals: Option<FlowscopeSummary> = None;
-    let mut perf_totals: Option<PerfReport> = None;
     let mut cell_wall_secs = 0.0;
     let mut events = 0u64;
     let mut sim_ns = 0u64;
     let mut fingerprint = Fnv64::new();
     // Runs are sorted by cell index, so every merge and fingerprint fold
     // below happens in grid order regardless of worker count. Wall-clock
-    // data (cell_wall_secs, perf reports) is merged but NEVER folded into
-    // the fingerprint.
+    // data (cell_wall_secs) is summed but NEVER folded into the
+    // fingerprint.
     for r in &runs {
         trace_totals.merge(&r.trace);
         cell_wall_secs += r.wall_secs;
@@ -452,9 +437,6 @@ pub fn run_sweep(spec: &GridSpec, opts: &SweepOptions) -> Result<SweepManifest, 
             flowscope_totals
                 .get_or_insert_with(FlowscopeSummary::default)
                 .merge(&f.summary);
-        }
-        if let Some(p) = &r.perf {
-            perf_totals.get_or_insert_with(PerfReport::default).merge(p);
         }
     }
     if opts.strict_invariants {
@@ -484,7 +466,6 @@ pub fn run_sweep(spec: &GridSpec, opts: &SweepOptions) -> Result<SweepManifest, 
         trace_totals,
         telemetry: telemetry_totals,
         flowscope: flowscope_totals,
-        perf: perf_totals,
         wall_secs,
         cell_wall_secs,
         events,
@@ -514,10 +495,6 @@ pub struct SweepManifest {
     /// when `SweepOptions::flows` was off). The merge is commutative, so
     /// the value is equal at any worker count.
     pub flowscope: Option<FlowscopeSummary>,
-    /// Wall-clock attribution merged over all cells (None when
-    /// `SweepOptions::perf` was off). Non-deterministic, and — like every
-    /// wall-clock field — excluded from the fingerprint and the CSV.
-    pub perf: Option<PerfReport>,
     /// Whole-sweep elapsed wall-clock seconds.
     pub wall_secs: f64,
     /// Sum of per-cell wall-clock seconds (the serial-equivalent cost).
@@ -599,9 +576,6 @@ impl SweepManifest {
         // the one shared SimRateReport::to_json. Wall-clock derived, so
         // non-deterministic — compare the CSV, not this block.
         s.push_str(&format!("  \"sim_rate\": {},\n", self.sim_rate().to_json()));
-        if let Some(p) = &self.perf {
-            s.push_str(&format!("  \"perf\": {},\n", p.to_json()));
-        }
         s.push_str(&format!(
             "  \"fingerprint\": \"{:#018x}\",\n",
             self.fingerprint
@@ -1120,45 +1094,25 @@ mod tests {
     }
 
     #[test]
-    fn perf_option_keeps_fingerprints_and_surfaces_sim_rate_sidecar() {
-        let spec = tiny_grid();
-        let plain = run_sweep(
-            &spec,
+    fn manifest_surfaces_the_sim_rate_sidecar() {
+        let manifest = run_sweep(
+            &tiny_grid(),
             &SweepOptions {
                 workers: 1,
                 ..SweepOptions::default()
             },
         )
         .unwrap();
-        let profiled = run_sweep(
-            &spec,
-            &SweepOptions {
-                workers: 1,
-                perf: true,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        // Profiling is wall-clock only: the deterministic outputs are
-        // bit-identical with it on.
-        assert_eq!(plain.fingerprint, profiled.fingerprint);
-        assert_eq!(plain.to_csv(), profiled.to_csv());
-        assert!(plain.perf.is_none());
-        let perf = profiled.perf.as_ref().expect("merged perf report");
-        assert!(perf.total_ns > 0);
-        assert!(perf.attributed_frac() >= 0.95);
-        // The sim_rate sidecar block comes from SimRateReport::to_json
-        // and appears regardless of the perf option; the perf block only
-        // when profiling was on.
-        for json in [plain.to_json(), profiled.to_json()] {
-            assert!(json.contains("\"sim_rate\": {\"wall_secs\": "), "{json}");
-            assert!(json.contains("\"events_per_sec\": "), "{json}");
-        }
-        assert!(!plain.to_json().contains("\"perf\": "));
-        assert!(profiled.to_json().contains("\"perf\": {\"total_ns\": "));
-        let rate = profiled.sim_rate();
-        assert_eq!(rate.events, profiled.events);
-        assert_eq!(rate.sim_ns, profiled.sim_ns);
+        // The sim_rate sidecar block comes from SimRateReport::to_json;
+        // the manifest carries no attribution block.
+        let json = manifest.to_json();
+        assert!(json.contains("\"sim_rate\": {\"wall_secs\": "), "{json}");
+        assert!(json.contains("\"events_per_sec\": "), "{json}");
+        assert!(!json.contains("\"perf\": "), "{json}");
+        let rate = manifest.sim_rate();
+        assert_eq!(rate.events, manifest.events);
+        assert_eq!(rate.sim_ns, manifest.sim_ns);
+        assert!(rate.events > 0 && rate.sim_ns > 0);
     }
 
     #[test]

@@ -174,6 +174,99 @@ fn trace_filter_needs_trace() {
 }
 
 #[test]
+fn sweep_trace_filter_needs_the_cell_tracer() {
+    // It used to exit 0 with a filter that reached no tracer.
+    fails_with(
+        &[
+            "sweep",
+            "--quick",
+            "--no-trace",
+            "--trace-filter",
+            "pcie",
+            "baseline",
+        ],
+        "--trace-filter needs the cells' tracer, which --no-trace removes \
+         (it filters the per-kind event totals)\n",
+    );
+}
+
+/// The committed CI baseline, and a copy of it rewritten line by line
+/// (one workload per line) into a scratch file.
+fn baseline_and_variant(name: &str, rewrite: impl Fn(&str) -> Option<String>) -> (String, String) {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ci_baseline.json");
+    let text = std::fs::read_to_string(baseline).unwrap();
+    let mut lines: Vec<String> = text.lines().filter_map(&rewrite).collect();
+    // Dropping workload lines can leave a trailing comma before `]`.
+    for i in 1..lines.len() {
+        if lines[i].trim_start().starts_with(']') {
+            if let Some(stripped) = lines[i - 1].strip_suffix(',') {
+                lines[i - 1] = stripped.to_string();
+            }
+        }
+    }
+    let path = format!("{}/{name}", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, lines.join("\n")).unwrap();
+    (baseline.to_string(), path)
+}
+
+/// `repro bench --compare BASELINE --current CURRENT` at CI's thresholds.
+fn ci_gate(baseline: &str, current: &str) -> (i32, String, String) {
+    repro(&[
+        "bench",
+        "--compare",
+        baseline,
+        "--current",
+        current,
+        "--threshold",
+        "75",
+        "--alloc-threshold",
+        "5",
+    ])
+}
+
+#[test]
+fn alloc_gate_fails_a_report_without_alloc_counts() {
+    // A build without `alloc-profile` writes `"alloc": null`; the gate
+    // used to pass such a report without checking anything.
+    let (baseline, current) = baseline_and_variant("BENCH_no_allocs.json", |line| {
+        Some(match line.find("\"alloc\": {") {
+            Some(i) => {
+                let comma = if line.ends_with(',') { "," } else { "" };
+                format!("{}\"alloc\": null}}{comma}", &line[..i])
+            }
+            None => line.to_string(),
+        })
+    });
+    let (code, out, err) = ci_gate(&baseline, &current);
+    assert_eq!(code, 1, "{out}{err}");
+    assert!(
+        out.contains(
+            "no allocator stats to gate (build with --features alloc-profile): \
+             scenario:baseline, scenario:hostcc, sweep:small, chaos:flap\n"
+        ),
+        "{out}"
+    );
+    assert!(out.contains("REGRESSED"), "{out}");
+    // The unmodified baseline passes the same gate.
+    assert_eq!(ci_gate(&baseline, &baseline).0, 0);
+}
+
+#[test]
+fn compare_fails_when_baseline_workloads_are_gone() {
+    let (baseline, current) = baseline_and_variant("BENCH_one_workload.json", |line| {
+        let workload = line.trim_start().starts_with("{\"name\": ");
+        (!workload || line.contains("\"scenario:baseline\"")).then(|| line.to_string())
+    });
+    let (code, out, err) = ci_gate(&baseline, &current);
+    assert_eq!(code, 1, "{out}{err}");
+    assert!(
+        out.contains("missing from the current report: scenario:hostcc, sweep:small, chaos:flap\n"),
+        "{out}"
+    );
+    assert!(out.contains("gone"), "{out}");
+}
+
+#[test]
 fn observer_flags_need_a_scenario_target() {
     for flags in [
         &["--profile"][..],

@@ -22,7 +22,9 @@
 //!   `alloc-profile` feature so default builds keep `forbid(unsafe_code)`
 //!   and pay nothing.
 //! * **Trajectory** — [`BenchReport`]: the `BENCH_<git-sha>.json` schema
-//!   the `repro bench` subcommand emits, with a registry-free JSON
+//!   the `repro bench` subcommand emits (unprofiled rates, iteration
+//!   spread and allocation counts per workload; no attribution, which
+//!   `repro --profile` and perfbench report), with a registry-free JSON
 //!   parser (`JsonValue`) and [`compare`] for the per-workload delta
 //!   table and regression verdicts that make the performance trajectory
 //!   visible PR over PR.

@@ -374,70 +374,6 @@ impl PerfReport {
         }
         out
     }
-
-    /// JSON object: totals, the subsystem roll-up (with fractions) and
-    /// every scope's nanoseconds and enter count.
-    pub fn to_json(&self) -> String {
-        let total = self.total_ns.max(1) as f64;
-        let by_subsystem = self.subsystem_ns();
-        let subsystems: Vec<String> = Subsystem::ALL
-            .iter()
-            .map(|s| {
-                let ns = by_subsystem[*s as usize];
-                format!(
-                    "\"{}\": {{\"ns\": {}, \"frac\": {}}}",
-                    s.name(),
-                    ns,
-                    json::float(ns as f64 / total)
-                )
-            })
-            .collect();
-        let scopes: Vec<String> = PerfScope::ALL
-            .iter()
-            .map(|s| {
-                format!(
-                    "\"{}\": {{\"ns\": {}, \"enters\": {}}}",
-                    s.name(),
-                    self.scope_ns[*s as usize],
-                    self.scope_enters[*s as usize]
-                )
-            })
-            .collect();
-        format!(
-            "{{\"total_ns\": {}, \"attributed_ns\": {}, \"attributed_frac\": {}, \
-             \"max_depth\": {}, \"subsystems\": {{{}}}, \"scopes\": {{{}}}}}",
-            self.total_ns,
-            self.attributed_ns(),
-            json::float(self.attributed_frac()),
-            self.max_depth,
-            subsystems.join(", "),
-            scopes.join(", "),
-        )
-    }
-
-    /// Parse a report back out of [`PerfReport::to_json`] output.
-    pub(crate) fn from_json(v: &crate::json::JsonValue) -> Result<PerfReport, String> {
-        let mut r = PerfReport {
-            total_ns: v
-                .get("total_ns")
-                .and_then(|x| x.as_u64())
-                .ok_or("perf: missing total_ns")?,
-            max_depth: v.get("max_depth").and_then(|x| x.as_u64()).unwrap_or(0),
-            ..PerfReport::default()
-        };
-        let scopes = v.get("scopes").ok_or("perf: missing scopes")?;
-        for s in PerfScope::ALL {
-            if let Some(entry) = scopes.get(s.name()) {
-                r.scope_ns[s as usize] = entry
-                    .get("ns")
-                    .and_then(|x| x.as_u64())
-                    .ok_or_else(|| format!("perf: scope {} missing ns", s.name()))?;
-                r.scope_enters[s as usize] =
-                    entry.get("enters").and_then(|x| x.as_u64()).unwrap_or(0);
-            }
-        }
-        Ok(r)
-    }
 }
 
 /// An in-flight measurement; [`SimRateProfiler::finish`] closes it.
@@ -668,21 +604,6 @@ mod tests {
         assert_eq!(r.scope_enters[PerfScope::TickHost as usize], 1);
         assert_eq!(r.max_depth, 2);
         assert!(r.attributed_ns() <= r.total_ns);
-    }
-
-    #[test]
-    fn report_json_round_trips() {
-        let mut s = ScopeStack::default();
-        s.enter(PerfScope::Engine, 0);
-        s.enter(PerfScope::EvDepart, 5);
-        s.exit(11);
-        s.exit(20);
-        let r = s.report();
-        let json = r.to_json();
-        let v = crate::json::JsonValue::parse(&json).unwrap();
-        let back = PerfReport::from_json(&v).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.to_json(), json);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! The `BENCH_<git-sha>.json` trajectory format (`hostcc-bench/v1`):
 //! what `repro bench` writes, what `repro bench --compare` reads back.
 //!
-//! One file is one benchmark run: per-workload throughput (events/sec,
-//! sim-ns per wall-sec), iteration spread (p50/p95 wall seconds),
-//! per-subsystem attribution ([`PerfReport`]) and allocator stats when
-//! available, plus a `host` metadata block that describes the machine
-//! and is deliberately **excluded from comparison** — trajectories are
-//! only meaningful within one host, and the compare logic never looks
-//! at it.
+//! One file is one benchmark run: per-workload unprofiled throughput
+//! (events/sec, sim-ns per wall-sec), iteration spread (p50/p95 wall
+//! seconds) and allocator stats when available, plus a `host` metadata
+//! block that describes the machine and is deliberately **excluded from
+//! comparison** — trajectories are only meaningful within one host, and
+//! the compare logic never looks at it. Files written before the bench
+//! ran unprofiled also carry a per-workload `perf` attribution block;
+//! the reader ignores it.
 
 use hostcc_sim::json::{escape, float};
 
 use crate::json::JsonValue;
-use crate::profile::{PerfReport, SimRateReport};
+use crate::profile::SimRateReport;
 use crate::AllocStats;
 
 /// Schema identifier written into (and required from) every BENCH file.
@@ -36,9 +37,6 @@ pub struct BenchWorkload {
     pub events: u64,
     /// Simulated nanoseconds covered by one iteration.
     pub sim_ns: u64,
-    /// Per-scope attribution summed over the measured iterations, when
-    /// profiling was on.
-    pub perf: Option<PerfReport>,
     /// Allocator activity across the measured iterations, when the
     /// counting allocator was registered.
     pub alloc: Option<AllocStats>,
@@ -66,10 +64,6 @@ impl BenchWorkload {
 
     fn to_json(&self) -> String {
         let iters: Vec<String> = self.wall_secs_iters.iter().map(|v| float(*v)).collect();
-        let perf = match &self.perf {
-            Some(p) => p.to_json(),
-            None => "null".to_string(),
-        };
         let alloc = match &self.alloc {
             Some(a) => format!(
                 "{{\"allocs\": {}, \"frees\": {}, \"bytes\": {}, \"peak_live_bytes\": {}}}",
@@ -80,13 +74,12 @@ impl BenchWorkload {
         format!(
             "{{\"name\": \"{}\", \"rate\": {}, \
              \"spread\": {{\"wall_secs_p50\": {}, \"wall_secs_p95\": {}, \"wall_secs_iters\": [{}]}}, \
-             \"perf\": {}, \"alloc\": {}}}",
+             \"alloc\": {}}}",
             escape(&self.name),
             self.rate().to_json(),
             float(self.wall_secs_p50),
             float(self.wall_secs_p95),
             iters.join(", "),
-            perf,
             alloc,
         )
     }
@@ -107,11 +100,6 @@ impl BenchWorkload {
             node.get(key)
                 .and_then(|x| x.as_f64())
                 .ok_or_else(|| format!("bench: workload '{name}' missing {key}"))
-        };
-        let perf = match v.get("perf") {
-            None => None,
-            Some(p) if p.is_null() => None,
-            Some(p) => Some(PerfReport::from_json(p)?),
         };
         let alloc = match v.get("alloc") {
             None => None,
@@ -142,7 +130,6 @@ impl BenchWorkload {
                 .get("sim_ns")
                 .and_then(|x| x.as_u64())
                 .ok_or_else(|| format!("bench: workload '{name}' missing sim_ns"))?,
-            perf,
             alloc,
             name,
         })
@@ -332,6 +319,31 @@ impl BenchDelta {
     pub(crate) fn alloc_regressed(&self, threshold_pct: f64) -> bool {
         matches!(self.alloc_delta_pct(), Some(d) if d > threshold_pct)
     }
+
+    /// Whether the workload is in the baseline but not in the new run.
+    pub(crate) fn gone(&self) -> bool {
+        self.old_events_per_sec.is_some() && self.new_events_per_sec.is_none()
+    }
+
+    /// Whether an alloc gate at `threshold_pct` (infinite = off) cannot
+    /// check this workload, present on both sides, because a side has no
+    /// allocator stats. (A workload on one side only is `gone` or new.)
+    pub(crate) fn alloc_unchecked(&self, threshold_pct: f64) -> bool {
+        threshold_pct.is_finite()
+            && self.old_events_per_sec.is_some()
+            && self.new_events_per_sec.is_some()
+            && (self.old_allocs.is_none() || self.new_allocs.is_none())
+    }
+
+    /// Whether this workload fails the comparison: it is gone, slower than
+    /// the rate threshold allows, or allocates more than (or cannot be
+    /// checked against) the alloc threshold.
+    fn failed(&self, threshold_pct: f64, alloc_threshold_pct: f64) -> bool {
+        self.gone()
+            || self.regressed(threshold_pct)
+            || self.alloc_regressed(alloc_threshold_pct)
+            || self.alloc_unchecked(alloc_threshold_pct)
+    }
 }
 
 /// The result of diffing two [`BenchReport`]s.
@@ -348,14 +360,19 @@ pub struct BenchComparison {
 }
 
 impl BenchComparison {
-    /// Names of workloads slower than the rate threshold allows, or
-    /// allocating more than the alloc threshold allows.
+    /// Names of the baseline workloads that are missing from the new run,
+    /// slower than the rate threshold allows, or allocating more than the
+    /// alloc threshold allows. With an alloc threshold set, a baseline
+    /// workload that lacks allocator stats on either side fails too: the
+    /// gate could not check it.
     pub fn regressions(&self) -> Vec<&str> {
+        self.names(|d| d.failed(self.threshold_pct, self.alloc_threshold_pct))
+    }
+
+    fn names(&self, keep: impl Fn(&BenchDelta) -> bool) -> Vec<&str> {
         self.deltas
             .iter()
-            .filter(|d| {
-                d.regressed(self.threshold_pct) || d.alloc_regressed(self.alloc_threshold_pct)
-            })
+            .filter(|d| keep(d))
             .map(|d| d.name.as_str())
             .collect()
     }
@@ -378,6 +395,7 @@ impl BenchComparison {
             };
             let allocs = match d.alloc_delta_pct() {
                 Some(p) => format!("{p:+.1} %"),
+                None if d.alloc_unchecked(self.alloc_threshold_pct) => "missing".to_string(),
                 None => "-".to_string(),
             };
             out.push_str(&format!(
@@ -387,6 +405,20 @@ impl BenchComparison {
                 side(d.new_events_per_sec),
                 delta,
                 allocs,
+            ));
+        }
+        let gone = self.names(BenchDelta::gone);
+        if !gone.is_empty() {
+            out.push_str(&format!(
+                "missing from the current report: {}\n",
+                gone.join(", ")
+            ));
+        }
+        let unchecked = self.names(|d| d.alloc_unchecked(self.alloc_threshold_pct));
+        if !unchecked.is_empty() {
+            out.push_str(&format!(
+                "no allocator stats to gate (build with --features alloc-profile): {}\n",
+                unchecked.join(", ")
             ));
         }
         let regressions = self.regressions();
@@ -412,17 +444,19 @@ impl BenchComparison {
 
 /// Diff `new` against the `baseline`, matching workloads by name.
 ///
-/// Only `events_per_sec` drives the verdict — it is the one number every
-/// workload has regardless of profiling or allocator availability. Host
-/// metadata is never consulted. Use [`compare_gated`] to additionally
-/// gate on allocation-count growth.
+/// `events_per_sec` drives the verdict — it is the one number every
+/// workload has regardless of allocator availability — and a baseline
+/// workload missing from `new` fails it. Workloads only `new` has are
+/// listed as `new` and never fail. Host metadata is never consulted. Use
+/// [`compare_gated`] to additionally gate on allocation-count growth.
 pub fn compare(baseline: &BenchReport, new: &BenchReport, threshold_pct: f64) -> BenchComparison {
     compare_gated(baseline, new, threshold_pct, f64::INFINITY)
 }
 
 /// Like [`compare`], but a workload also counts as regressed when its
 /// allocation count grew more than `alloc_threshold_pct` percent over
-/// the baseline.
+/// the baseline, or when either side has no allocator stats for it (a
+/// build without `alloc-profile` would otherwise pass unchecked).
 ///
 /// Wall rates are machine-dependent — a committed baseline from one
 /// machine needs a very loose rate threshold on another. Allocation
@@ -467,18 +501,8 @@ pub fn compare_gated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::PerfScope;
 
     fn sample_report() -> BenchReport {
-        let mut perf = PerfReport {
-            total_ns: 1_000_000,
-            ..PerfReport::default()
-        };
-        perf.scope_ns[PerfScope::Engine as usize] = 400_000;
-        perf.scope_ns[PerfScope::TickHost as usize] = 590_000;
-        perf.scope_enters[PerfScope::Engine as usize] = 3;
-        perf.scope_enters[PerfScope::TickHost as usize] = 900;
-        perf.max_depth = 2;
         BenchReport {
             git_sha: "abc1234".to_string(),
             suite: "smoke".to_string(),
@@ -492,7 +516,6 @@ mod tests {
                     wall_secs_iters: vec![0.125, 0.1, 0.25],
                     events: 50_000,
                     sim_ns: 20_000_000,
-                    perf: Some(perf),
                     alloc: Some(AllocStats {
                         allocs: 1234,
                         frees: 1200,
@@ -507,7 +530,6 @@ mod tests {
                     wall_secs_iters: vec![0.5],
                     events: 10_000,
                     sim_ns: 7_000_000,
-                    perf: None,
                     alloc: None,
                 },
             ],
@@ -556,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn added_and_removed_workloads_are_reported_not_regressions() {
+    fn new_workloads_are_informational_and_gone_ones_regress() {
         let base = sample_report();
         let mut new = base.clone();
         new.workloads.remove(1);
@@ -567,11 +589,13 @@ mod tests {
             wall_secs_iters: vec![1.0],
             events: 1,
             sim_ns: 1,
-            perf: None,
             alloc: None,
         });
         let cmp = compare(&base, &new, 5.0);
-        assert!(cmp.regressions().is_empty());
+        // A baseline workload the current report lacks is a regression,
+        // at any threshold; a workload only the current report has is not.
+        assert_eq!(cmp.regressions(), vec!["chaos:flap"]);
+        assert_eq!(compare(&base, &new, 1e9).regressions(), vec!["chaos:flap"]);
         let gone = cmp.deltas.iter().find(|d| d.name == "chaos:flap").unwrap();
         assert_eq!(gone.new_events_per_sec, None);
         let added = cmp.deltas.iter().find(|d| d.name == "sweep:small").unwrap();
@@ -579,11 +603,66 @@ mod tests {
         let text = cmp.render();
         assert!(text.contains("gone"), "{text}");
         assert!(text.contains("new"), "{text}");
+        assert!(
+            text.contains("missing from the current report: chaos:flap\n"),
+            "{text}"
+        );
+        assert!(text.contains("REGRESSED"), "{text}");
+        // Adding a workload never fails the comparison, not even the
+        // alloc gate when the new workload has no allocator stats.
+        let base = with_allocs(base);
+        let mut grown = base.clone();
+        grown.workloads.push(new.workloads[1].clone());
+        assert!(compare_gated(&base, &grown, 5.0, 5.0)
+            .regressions()
+            .is_empty());
+    }
+
+    /// `r` with allocator stats on every workload that lacks them.
+    fn with_allocs(mut r: BenchReport) -> BenchReport {
+        for w in &mut r.workloads {
+            w.alloc.get_or_insert(AllocStats {
+                allocs: 500,
+                frees: 499,
+                bytes: 4096,
+                peak_live_bytes: 1024,
+            });
+        }
+        r
+    }
+
+    #[test]
+    fn alloc_gate_fails_workloads_without_alloc_stats() {
+        let base = with_allocs(sample_report());
+        let mut unprofiled = base.clone();
+        for w in &mut unprofiled.workloads {
+            w.alloc = None;
+        }
+        // Ungated, missing stats are fine: the rates match.
+        assert!(compare(&base, &unprofiled, 5.0).regressions().is_empty());
+        // Gated, every workload the gate could not check fails by name,
+        // whichever side lacks the stats.
+        for (old, new) in [(&base, &unprofiled), (&unprofiled, &base)] {
+            let cmp = compare_gated(old, new, 75.0, 5.0);
+            assert_eq!(cmp.regressions(), vec!["scenario:baseline", "chaos:flap"]);
+            let text = cmp.render();
+            assert!(text.contains("missing"), "{text}");
+            assert!(
+                text.contains(
+                    "no allocator stats to gate (build with --features alloc-profile): \
+                     scenario:baseline, chaos:flap\n"
+                ),
+                "{text}"
+            );
+        }
+        assert!(compare_gated(&base, &base, 75.0, 5.0)
+            .regressions()
+            .is_empty());
     }
 
     #[test]
     fn alloc_growth_beyond_threshold_is_flagged() {
-        let base = sample_report();
+        let base = with_allocs(sample_report());
         let mut leaky = base.clone();
         // Same speed, 20 % more allocations.
         leaky.workloads[0].alloc.as_mut().unwrap().allocs = 1481;
@@ -603,9 +682,41 @@ mod tests {
         assert!(compare_gated(&leaky, &base, 5.0, 10.0)
             .regressions()
             .is_empty());
-        // Workloads without allocator stats (chaos:flap here) are exempt.
+        // chaos:flap allocates the same on both sides.
         let d = cmp.deltas.iter().find(|d| d.name == "chaos:flap").unwrap();
-        assert_eq!(d.alloc_delta_pct(), None);
+        assert_eq!(d.alloc_delta_pct(), Some(0.0));
+    }
+
+    #[test]
+    fn committed_bench_files_load_and_self_compare() {
+        // Every BENCH_*.json at the workspace root, including files that
+        // carry the per-workload `perf` block older benches wrote.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut names: Vec<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect();
+        names.sort();
+        for committed in [
+            "BENCH_7480f50.json",
+            "BENCH_8b605d2.json",
+            "BENCH_ceaff5b.json",
+            "BENCH_ci_baseline.json",
+            "BENCH_ec77f5f.json",
+        ] {
+            assert!(
+                names.iter().any(|n| n == committed),
+                "{committed}: {names:?}"
+            );
+        }
+        for name in &names {
+            let text = std::fs::read_to_string(root.join(name)).unwrap();
+            let report = BenchReport::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!report.workloads.is_empty(), "{name}");
+            let cmp = compare(&report, &report, 0.0);
+            assert!(cmp.regressions().is_empty(), "{name}: {}", cmp.render());
+        }
     }
 
     #[test]
