@@ -113,6 +113,11 @@ impl Fabric {
         &mut self.ports[port as usize]
     }
 
+    /// Number of ports.
+    pub(crate) fn port_count(&self) -> usize {
+        self.ports.len()
+    }
+
     /// Every port with its id.
     pub(crate) fn ports_mut(&mut self) -> impl Iterator<Item = (u32, &mut SwitchPort)> {
         (0..).zip(self.ports.iter_mut())

@@ -4,6 +4,7 @@
 
 use hostcc_fabric::{ArenaRef, FlowId, PacketRef};
 use hostcc_sim::{Nanos, Rng};
+use hostcc_telemetry::MetricRegistry;
 use hostcc_transport::{
     AckInfo, BbrLite, CongestionControl, Cubic, Dcqcn, Dctcp, Flow, FlowConfig, FlowStats,
     Receiver, Reno, Swift, Timely,
@@ -13,6 +14,9 @@ use hostcc_workloads::RpcClient;
 use super::hosts::{Burst, Sender};
 use super::{Ctx, Ev, Observers, FIRST_SENDER};
 use crate::scenario::{CcKind, Scenario};
+
+/// Flows that report their own `transport.flow.<i>.rate_gbps` series.
+const NAMED_RATE_SERIES: usize = 8;
 
 /// `⌊a·b / c⌋`, in u64 when `a·b` fits and in u128 otherwise.
 fn mul_div(a: u64, b: u64, c: u64) -> u64 {
@@ -79,6 +83,9 @@ pub(super) struct Endpoints {
     copied_carry: f64,
     /// Reused pump burst buffer.
     burst: Burst,
+    /// The `transport.flow.<i>.rate_gbps` gauge names, built on the first
+    /// telemetry sample.
+    rate_series: Vec<String>,
     net_stopped: bool,
 }
 
@@ -181,8 +188,9 @@ impl Endpoints {
         e.advertised = ack.rwnd;
         self.closed = self.closed + usize::from(is_closed) - usize::from(was_closed);
         let (flow, ack) = (i as u32, ctx.acks.insert(ack));
+        let lane = ctx.lanes.ack(flow);
         ctx.q
-            .schedule(now + e.ack_delay, Ev::AckArrive { flow, ack });
+            .schedule_in(lane, now + e.ack_delay, Ev::AckArrive { flow, ack });
     }
 
     /// Send everything endpoint `i`'s flow may send, then lower the
@@ -364,14 +372,23 @@ impl Endpoints {
         (greedy, greedy + sum(&self.eps[self.first_rpc..]))
     }
 
-    /// Sending rate (cwnd / srtt, Gbps) of the first few flows — the ones
-    /// interesting individually (Fig 8's convergence view); beyond that
-    /// per-flow series are noise.
-    pub(super) fn flow_rates(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.eps.iter().take(8).enumerate().filter_map(|(i, e)| {
-            let srtt = e.flow.srtt().filter(|&s| s > Nanos::ZERO)?;
-            Some((i, e.flow.cwnd() as f64 * 8.0 / srtt.as_nanos() as f64))
-        })
+    /// Set `transport.flow.<i>.rate_gbps` to the sending rate (cwnd /
+    /// srtt) of each of the first [`NAMED_RATE_SERIES`] flows that has an
+    /// RTT sample — the flows interesting individually (Fig 8's
+    /// convergence view); beyond that per-flow series are noise. The
+    /// names are built on the first call.
+    pub(super) fn record_rates(&mut self, reg: &mut MetricRegistry) {
+        let named = self.eps.len().min(NAMED_RATE_SERIES);
+        if self.rate_series.len() < named {
+            self.rate_series = (0..named)
+                .map(|i| format!("transport.flow.{i}.rate_gbps"))
+                .collect();
+        }
+        for (e, name) in self.eps.iter().zip(&self.rate_series) {
+            if let Some(srtt) = e.flow.srtt().filter(|&s| s > Nanos::ZERO) {
+                reg.gauge_set(name, e.flow.cwnd() as f64 * 8.0 / srtt.as_nanos() as f64);
+            }
+        }
     }
 
     /// Every RPC client, in flow order.

@@ -12,7 +12,7 @@ use hostcc_sim::{Nanos, Rate, Rng};
 use hostcc_trace::TraceEvent;
 use hostcc_transport::Flow;
 
-use super::{chaos::Saved, Ctx, Ev, Observers, FIRST_SENDER};
+use super::{chaos::Saved, Ctx, Ev, Lanes, Observers, FIRST_SENDER};
 use crate::scenario::Scenario;
 
 /// Line rate of every sender NIC (the paper's 100 Gbps testbed links).
@@ -81,7 +81,8 @@ impl Sender {
     /// `Ev::Depart`: the packet's last bit left the NIC. It propagates
     /// (`prop`) to the fabric, and the link starts its next packet.
     pub(super) fn on_depart(&mut self, ctx: &mut Ctx, now: Nanos, prop: Nanos, pkt: PacketRef) {
-        ctx.q.schedule(now + prop, Ev::ArriveSwitch { pkt, hop: 0 });
+        let ev = Ev::ArriveSwitch { pkt, hop: 0 };
+        ctx.q.schedule_in(Lanes::FABRIC_ENTRY, now + prop, ev);
         depart(ctx, self.id, self.nic.on_depart(now));
     }
 
@@ -293,7 +294,8 @@ impl Focus {
                     .with_mut(|t| t.record(now, TraceEvent::EcnMark { flow, host: true }));
             }
             let pkt = ctx.arena.insert(pkt);
-            ctx.q.schedule(now + stack_delay, Ev::DeliverStack { pkt });
+            ctx.q
+                .schedule_in(Lanes::DELIVER, now + stack_delay, Ev::DeliverStack { pkt });
         }
         self.out.copied_app_bytes
     }

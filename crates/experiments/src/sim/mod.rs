@@ -104,11 +104,57 @@ enum Ev {
     Chaos { inj: u32 },
 }
 
-/// What every component's event arm shares: the event queue, the arenas
-/// its events hold handles into, and the observers.
+/// The event queue's FIFO lanes ([`EventQueue::schedule_in`]): one per
+/// stream of events that a fixed delay puts in time order, so each lane
+/// fills in order and its pushes skip the heap. A stream is in order when
+/// its events are scheduled a fixed delay after the time of the event or
+/// tick that schedules them (the clock never runs back), or after a FIFO
+/// port's departures.
+#[derive(Default, Clone, Copy)]
+struct Lanes {
+    ports: usize,
+    /// Lanes for `Ev::AckArrive`: one per flow while they fit beside the
+    /// others under the queue's 65,535; flows past that share the last one
+    /// (still exact, only slower).
+    acks: usize,
+}
+
+impl Lanes {
+    /// `Ev::DeliverStack`: every tick's deliveries, `rx_stack_delay` on.
+    const DELIVER: usize = 0;
+    /// `Ev::ArriveSwitch { hop: 0 }`: every sender NIC's departures,
+    /// `link_prop` on.
+    const FABRIC_ENTRY: usize = 1;
+
+    fn new(ports: usize, flows: usize) -> Self {
+        let fixed = 2 + ports;
+        assert!(fixed < 0xffff, "{fixed} event lanes");
+        let acks = flows.clamp(1, 0xffff - fixed);
+        Lanes { ports, acks }
+    }
+
+    fn count(self) -> usize {
+        2 + self.ports + self.acks
+    }
+
+    /// The arrivals downstream of fabric port `port`: its FIFO departures,
+    /// `link_prop` on.
+    fn port(self, port: u32) -> usize {
+        2 + port as usize
+    }
+
+    /// `Ev::AckArrive` of `flow`: its ACKs, the flow's `ack_delay` on.
+    fn ack(self, flow: u32) -> usize {
+        2 + self.ports + (flow as usize).min(self.acks - 1)
+    }
+}
+
+/// What every component's event arm shares: the event queue and its lane
+/// layout, the arenas its events hold handles into, and the observers.
 #[derive(Default)]
 struct Ctx {
     q: EventQueue<Ev>,
+    lanes: Lanes,
     /// In-flight packets (events and fq queues hold handles into this).
     /// Steady state: the arena grows to the peak in-flight population
     /// during warm-up and never allocates again.
@@ -220,7 +266,12 @@ impl Simulation {
             Some(spec) => Fabric::from_topology(spec.build(), &cfg, endpoints.senders()),
             None => Fabric::implicit(cfg.switch, endpoints.senders().len()),
         };
-        let mut ctx = Ctx::default();
+        let lanes = Lanes::new(fabric.port_count(), endpoints.senders().len());
+        let mut ctx = Ctx {
+            q: EventQueue::with_lanes(lanes.count()),
+            lanes,
+            ..Ctx::default()
+        };
         let spec = cfg.chaos.as_deref();
         let chaos = spec.map(|s| ChaosRt::new(s, cfg.seed, &fabric, &mut ctx.q));
         if cfg.record {
@@ -450,12 +501,12 @@ impl Simulation {
                 .with_mut(|t| t.record(now, TraceEvent::EcnMark { flow, host: false }));
         }
         let arrive = departs + self.cfg.link_prop;
-        let q = &mut ctx.q;
-        if last {
-            q.schedule(arrive, Ev::ArriveRxNic { pkt });
+        let ev = if last {
+            Ev::ArriveRxNic { pkt }
         } else {
-            q.schedule(arrive, Ev::ArriveSwitch { pkt, hop: hop + 1 });
-        }
+            Ev::ArriveSwitch { pkt, hop: hop + 1 }
+        };
+        ctx.q.schedule_in(ctx.lanes.port(port), arrive, ev);
     }
 
     /// Apply one chaos injection (a fault window opening or closing) to
@@ -629,9 +680,7 @@ impl Simulation {
             reg.gauge_set("host.memctrl.utilization", probe.mc_utilization);
             reg.gauge_set("host.ddio.eviction_fraction", probe.ddio_eviction_fraction);
             reg.gauge_set("host.copy.backlog_bytes", probe.copy_backlog_app_bytes);
-            for (i, gbps) in self.endpoints.flow_rates() {
-                reg.gauge_set(&format!("transport.flow.{i}.rate_gbps"), gbps);
-            }
+            self.endpoints.record_rates(reg);
             reg.counter_set("host.nic.arrivals", probe.nic_arrivals_total);
             reg.counter_set("host.nic.drops", probe.nic_drops_total);
             let ecn_marks = focus.echo.host_marks + self.fabric.totals().1;
@@ -798,6 +847,48 @@ mod tests {
     fn events_stay_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Ev>(), 16);
         assert_eq!(std::mem::size_of::<hostcc_sim::ScheduledEvent<Ev>>(), 32);
+    }
+
+    #[test]
+    fn scenario_presets_keep_every_lane_in_order() {
+        // Each lane carries one fixed-delay stream, so no push may fall
+        // back to the heap: the fast path is the path taken.
+        use crate::grid::GridSpec;
+        let names: Vec<_> = GridSpec::presets()
+            .filter(|&(family, _, _)| family == "scenario")
+            .map(|(_, name, _)| name)
+            .collect();
+        assert_eq!(
+            names,
+            ["baseline", "congested", "hostcc", "incast", "fat-tree"]
+        );
+        for name in names {
+            let [cell] = &GridSpec::preset(name).unwrap().expand().unwrap()[..] else {
+                panic!("{name}: one cell");
+            };
+            let mut s = cell.scenario.clone();
+            s.warmup = Nanos::from_millis(2);
+            s.measure = Nanos::from_millis(4);
+            let mut sim = Simulation::new(s);
+            sim.run();
+            assert!(sim.events_processed() > 10_000, "{name}");
+            assert_eq!(sim.ctx.q.lane_fallbacks(), 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn ack_lanes_fit_under_the_queue_limit() {
+        let few = Lanes::new(3, 8);
+        assert_eq!(
+            (few.count(), few.port(2), few.ack(0), few.ack(7)),
+            (13, 4, 5, 12)
+        );
+        // Past 65,535 lanes in all, the last flows share one ACK lane.
+        let many = Lanes::new(3, 100_000);
+        assert_eq!(many.count(), 0xffff);
+        assert_eq!(many.ack(70_000), many.ack(99_999));
+        assert_eq!(many.ack(99_999), 0xfffe);
+        EventQueue::<Ev>::with_lanes(many.count());
     }
 
     #[test]

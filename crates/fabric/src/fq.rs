@@ -21,7 +21,7 @@
 use std::collections::VecDeque;
 
 use hostcc_flowscope::{FlowscopeHandle, Stage};
-use hostcc_sim::{Nanos, Rate};
+use hostcc_sim::{LinkRate, Nanos, Rate};
 
 use crate::packet::{FlowId, PacketRef};
 
@@ -37,7 +37,7 @@ pub struct Departure {
 /// A fair-queueing link (sender NIC + qdisc).
 #[derive(Debug)]
 pub struct FqLink {
-    rate: Rate,
+    rate: LinkRate,
     /// Per-flow FIFO queues of (handle, wire bytes, packet id), indexed by
     /// `FlowId.0`. The id rides along so the flowscope recorder can stamp
     /// stage boundaries without resolving the arena handle.
@@ -65,7 +65,7 @@ impl FqLink {
     pub fn new(rate: Rate) -> Self {
         assert!(!rate.is_zero());
         FqLink {
-            rate,
+            rate: LinkRate::new(rate),
             queues: Vec::new(),
             flow_bytes: Vec::new(),
             active: VecDeque::new(),
@@ -84,7 +84,7 @@ impl FqLink {
 
     /// The serialization rate.
     pub fn rate(&self) -> Rate {
-        self.rate
+        self.rate.rate()
     }
 
     /// Change the serialization rate mid-run (chaos brownouts). Applies
@@ -92,7 +92,7 @@ impl FqLink {
     /// its already-scheduled departure.
     pub fn set_rate(&mut self, rate: Rate) {
         assert!(!rate.is_zero(), "use set_up(false) to take the link down");
-        self.rate = rate;
+        self.rate.set(rate);
     }
 
     /// Whether the link is currently up.

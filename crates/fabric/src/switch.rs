@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use hostcc_sim::{Nanos, Rate};
+use hostcc_sim::{LinkRate, Nanos, Rate};
 
 /// Configuration of a switch egress port.
 #[derive(Debug, Clone, Copy)]
@@ -52,7 +52,10 @@ pub enum EnqueueOutcome {
 /// arrival from the returned departure time instead).
 #[derive(Debug, Clone)]
 pub struct SwitchPort {
+    /// The buffer and marking thresholds (`config.rate` is the initial
+    /// rate; `rate` is the live one).
     config: SwitchPortConfig,
+    rate: LinkRate,
     /// In-flight (departure_time, bytes) in FIFO order.
     queue: VecDeque<(Nanos, u64)>,
     backlog_bytes: u64,
@@ -73,6 +76,7 @@ impl SwitchPort {
         );
         SwitchPort {
             config,
+            rate: LinkRate::new(config.rate),
             queue: VecDeque::new(),
             backlog_bytes: 0,
             busy_until: Nanos::ZERO,
@@ -108,7 +112,7 @@ impl SwitchPort {
         // congestion signal by one packet per excursion.
         let marked = self.backlog_bytes + bytes > self.config.ecn_threshold_bytes;
         let start = now.max(self.busy_until);
-        let departs = start + self.config.rate.time_for_bytes(bytes);
+        let departs = start + self.rate.time_for_bytes(bytes);
         self.busy_until = departs;
         self.backlog_bytes += bytes;
         self.queue.push_back((departs, bytes));
@@ -145,7 +149,7 @@ impl SwitchPort {
     /// enqueued after the change serialize at the new rate.
     pub fn set_rate(&mut self, rate: Rate) {
         assert!(!rate.is_zero(), "switch port rate must be positive");
-        self.config.rate = rate;
+        self.rate.set(rate);
     }
 }
 

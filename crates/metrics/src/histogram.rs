@@ -11,11 +11,14 @@ const SUBBUCKET_BITS: u32 = 6;
 ///
 /// Values are placed in log-linear buckets (64 linear sub-buckets per power
 /// of two), the same scheme HdrHistogram uses, so percentile queries are
-/// O(buckets) and the memory footprint is fixed regardless of sample count.
-/// This matters: the Fig 4 / Fig 12 experiments record millions of RPC
-/// latencies spanning 10 µs to 200 ms.
+/// O(buckets) and the memory footprint is bounded regardless of sample
+/// count. This matters: the Fig 4 / Fig 12 experiments record millions of
+/// RPC latencies spanning 10 µs to 200 ms. The buckets grow on demand, up
+/// to the highest one recorded, so an unused histogram costs no buffer
+/// (a full one is 1,952 buckets, 15.6 KB).
 #[derive(Debug, Clone)]
 pub struct Histogram {
+    /// Counts of buckets `0..counts.len()`; every higher bucket is empty.
     counts: Vec<u64>,
     total: u64,
     min: u64,
@@ -43,7 +46,9 @@ fn bucket_upper_bound(index: usize) -> u64 {
     let rel = index - half - SUBBUCKETS / 2;
     let shift = (rel / half) as u32;
     let sub = rel % half + half;
-    ((sub + 1) << shift) - 1
+    // The top bucket's bound is u64::MAX: its `(sub + 1) << shift` is 2⁶⁴,
+    // which wraps to 0.
+    ((sub + 1) << shift).wrapping_sub(1)
 }
 
 impl Default for Histogram {
@@ -55,10 +60,8 @@ impl Default for Histogram {
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        // 64-bit values → at most (64 - 6 + 1) * 32 + 64 buckets.
-        let max_buckets = bucket_index(u64::MAX) + 1;
         Histogram {
-            counts: vec![0; max_buckets],
+            counts: Vec::new(),
             total: 0,
             min: u64::MAX,
             max: 0,
@@ -69,7 +72,11 @@ impl Histogram {
     /// Record one latency sample.
     pub fn record(&mut self, value: Nanos) {
         let v = value.as_nanos();
-        self.counts[bucket_index(v)] += 1;
+        let i = bucket_index(v);
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
         self.total += 1;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
@@ -136,6 +143,9 @@ impl Histogram {
 
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -158,6 +168,75 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A histogram with every bucket allocated up front: the reference
+    /// the lazily grown one must match.
+    fn eager() -> Histogram {
+        Histogram {
+            counts: vec![0; bucket_index(u64::MAX) + 1],
+            ..Histogram::new()
+        }
+    }
+
+    /// Every answer a histogram gives: its summary, whiskers and a sweep
+    /// of quantiles.
+    fn answers(h: &Histogram) -> Vec<Option<Nanos>> {
+        let mut out = vec![
+            h.min(),
+            h.max(),
+            h.mean(),
+            Some(Nanos::from_nanos(h.count())),
+        ];
+        out.extend(h.whiskers().into_iter().flatten().map(Some));
+        out.extend((0..=40).map(|i| h.quantile(f64::from(i) / 40.0)));
+        out
+    }
+
+    /// Samples from nanoseconds to centuries, so bucket counts differ
+    /// widely between histograms.
+    fn samples() -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::vec(
+            prop_oneof![
+                0u64..64,
+                64u64..1 << 20,
+                1u64 << 20..1u64 << 40,
+                1u64 << 40..u64::MAX
+            ],
+            0..60,
+        )
+    }
+
+    proptest! {
+        /// Lazily grown buckets answer exactly like eagerly sized ones,
+        /// through records, merges in both directions (shorter into longer
+        /// and longer into shorter) and a clear.
+        #[test]
+        fn lazy_buckets_match_an_eager_reference(a in samples(), b in samples(), c in samples()) {
+            let fill = |mut h: Histogram, xs: &[u64]| {
+                for &x in xs {
+                    h.record(Nanos::from_nanos(x));
+                }
+                h
+            };
+            let (mut la, lb) = (fill(Histogram::new(), &a), fill(Histogram::new(), &b));
+            let (mut ea, eb) = (fill(eager(), &a), fill(eager(), &b));
+            prop_assert_eq!(answers(&la), answers(&ea));
+            prop_assert_eq!(answers(&lb), answers(&eb));
+            la.merge(&lb);
+            ea.merge(&eb);
+            prop_assert_eq!(answers(&la), answers(&ea));
+            // Unequal lengths both ways: lazy into eager, eager into lazy.
+            let mut lazy_into_eager = fill(eager(), &c);
+            lazy_into_eager.merge(&la);
+            let mut eager_into_lazy = fill(Histogram::new(), &c);
+            eager_into_lazy.merge(&ea);
+            prop_assert_eq!(answers(&lazy_into_eager), answers(&eager_into_lazy));
+            la.clear();
+            ea.clear();
+            prop_assert_eq!(answers(&fill(la, &c)), answers(&fill(ea, &c)));
+        }
+    }
 
     #[test]
     fn empty_histogram_has_no_stats() {
@@ -320,6 +399,14 @@ mod tests {
                 assert!((ub - v) as f64 / v as f64 <= 1.0 / 32.0, "v={v} ub={ub}");
             }
         }
+    }
+
+    #[test]
+    fn the_top_bucket_reaches_u64_max() {
+        let mut h = Histogram::new();
+        h.record(Nanos::from_nanos(u64::MAX));
+        assert_eq!(bucket_upper_bound(bucket_index(u64::MAX)), u64::MAX);
+        assert_eq!(h.quantile(1.0), Some(Nanos::from_nanos(u64::MAX)));
     }
 
     #[test]

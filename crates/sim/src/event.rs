@@ -1,30 +1,50 @@
-//! The pending-event set: a binary heap ordered by `(at, seq)`.
+//! The pending-event set: a binary heap ordered by `(at, seq)`, fed by
+//! FIFO lanes.
 //!
 //! Every event carries the firing time `at` and a monotone `seq` assigned
-//! at scheduling, and the heap pops the minimum of the pair. Pop order is
+//! at scheduling, and the queue pops the minimum of the pair. Pop order is
 //! therefore a total order: time first, and among events for the same
 //! instant, the order they were scheduled in. That order is what makes
 //! every run bit-identical for its seed.
 //!
-//! A plain heap is the smallest structure with that order, and on this
-//! simulator's traffic it is also the fastest one measured: queues stay a
-//! few hundred events deep (a k=8 fat tree peaks near 1,300), so a sift is
-//! a handful of 32-byte moves, and each event is placed once. The heap's
-//! buffer is reused, never shrunk, so a steady-state schedule/pop cycle
-//! allocates nothing.
+//! Most of a simulator's events come from streams with a fixed delay: a
+//! link's propagation, a stack's latency, a flow's reverse path. Each
+//! stream schedules its events in time order, so a stream is already
+//! sorted. [`EventQueue::schedule_in`] appends such an event to its
+//! stream's *lane*, a `VecDeque`, and only each lane's head sits in the
+//! heap. Popping a head refills the heap's top from the same lane with
+//! one sift instead of a pop and a push. An event that would break its
+//! lane's order (earlier than the lane's last event) goes into the heap
+//! as a lane-less event instead, so the pop order is the same `(at, seq)`
+//! order whatever the lanes hold: the lanes are only a faster way to find
+//! the same minimum.
+//!
+//! Queues stay a few hundred events deep on this simulator's traffic (a
+//! k=8 fat tree peaks near 1,300), and with lanes the heap holds one
+//! entry per busy stream rather than one per pending event. The heap's
+//! and the lanes' buffers are reused, never shrunk, so a steady-state
+//! schedule/pop cycle allocates nothing.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::Nanos;
+
+/// Low bits of `seq` that carry the lane of a heap entry.
+const LANE_BITS: u32 = 16;
+/// The lane tag of an entry with no lane behind it: plain
+/// [`EventQueue::schedule`]s and out-of-order lane pushes.
+const NO_LANE: u64 = (1 << LANE_BITS) - 1;
 
 /// An event scheduled for execution at [`ScheduledEvent::at`].
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
     /// Firing time.
     pub at: Nanos,
-    /// Monotone sequence number; breaks ties so that two events scheduled
-    /// for the same instant fire in scheduling order (determinism).
+    /// Monotone sequence number in the high 48 bits, which breaks ties so
+    /// that two events scheduled for the same instant fire in scheduling
+    /// order (determinism); the low 16 bits name the event's lane.
     pub(crate) seq: u64,
     /// The user payload.
     pub event: E,
@@ -60,6 +80,17 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
+/// One FIFO lane: the events of one fixed-delay stream behind the lane's
+/// head, which sits in the heap.
+#[derive(Debug, Clone)]
+struct LaneBuf<E> {
+    /// The events after the head, in `(at, seq)` order.
+    tail: VecDeque<ScheduledEvent<E>>,
+    /// Firing time of the lane's last event while the lane has a head in
+    /// the heap; `None` while the lane is empty.
+    last: Option<Nanos>,
+}
+
 /// A discrete-event queue over a user-defined payload type `E`.
 ///
 /// The queue tracks the simulation clock: [`EventQueue::pop`] advances
@@ -79,8 +110,18 @@ impl<E> Ord for ScheduledEvent<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Pending events, earliest `(at, seq)` on top.
+    /// Lane-less events and the head of every non-empty lane, earliest
+    /// `(at, seq)` on top.
     heap: BinaryHeap<ScheduledEvent<E>>,
+    /// Lanes `0..lane_count`, allocated together on the first
+    /// `schedule_in` (so building a queue allocates nothing).
+    lanes: Vec<LaneBuf<E>>,
+    lane_count: usize,
+    /// Events waiting in lane tails (not in the heap).
+    queued: usize,
+    /// Lane pushes that broke their lane's time order and went to the
+    /// heap instead.
+    fallbacks: u64,
     now: Nanos,
     seq: u64,
     popped: u64,
@@ -93,10 +134,28 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue with the clock at zero.
+    /// An empty queue with the clock at zero and no lanes.
     pub fn new() -> Self {
+        Self::with_lanes(0)
+    }
+
+    /// An empty queue with lanes `0..lanes` for [`EventQueue::schedule_in`].
+    /// One allocation, made on the first `schedule_in`, holds every lane;
+    /// a lane's buffer is allocated on its first queued event.
+    ///
+    /// # Panics
+    /// If `lanes` exceeds 65,535, the lane ids that fit beside `seq`.
+    pub fn with_lanes(lanes: usize) -> Self {
+        assert!(
+            (lanes as u64) <= NO_LANE,
+            "{lanes} lanes: at most {NO_LANE} fit"
+        );
         EventQueue {
             heap: BinaryHeap::new(),
+            lanes: Vec::new(),
+            lane_count: lanes,
+            queued: 0,
+            fallbacks: 0,
             now: Nanos::ZERO,
             seq: 0,
             popped: 0,
@@ -109,16 +168,17 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently pending, in the heap and in lanes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.queued
     }
 
-    /// Whether no events are pending.
+    /// Whether no events are pending. (A non-empty lane always has its
+    /// head in the heap.)
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events ever popped; useful for progress accounting
@@ -163,19 +223,96 @@ impl<E> EventQueue<E> {
         self.is_empty()
     }
 
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// # Panics
-    /// If `at` is earlier than the current clock.
-    pub fn schedule(&mut self, at: Nanos, event: E) {
+    /// Lane pushes so far that were earlier than their lane's last event
+    /// and so took the heap instead (same pop order, slower path).
+    #[inline]
+    pub fn lane_fallbacks(&self) -> u64 {
+        self.fallbacks
+    }
+
+    /// The next `seq`, shifted clear of the lane tag.
+    #[inline]
+    fn next_seq(&mut self, at: Nanos) -> u64 {
         assert!(
             at >= self.now,
             "scheduled event in the past: at={at} now={}",
             self.now
         );
-        let seq = self.seq;
+        // 2⁴⁸ schedules (months of wall time at this simulator's rates)
+        // before the counter would run into the lane bits.
+        debug_assert!(self.seq < 1 << (64 - LANE_BITS), "seq overflow");
+        let seq = self.seq << LANE_BITS;
         self.seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at absolute time `at`.
+    ///
+    /// # Panics
+    /// If `at` is earlier than the current clock.
+    pub fn schedule(&mut self, at: Nanos, event: E) {
+        let seq = self.next_seq(at) | NO_LANE;
         self.heap.push(ScheduledEvent { at, seq, event });
+    }
+
+    /// Schedule `event` at absolute time `at` in FIFO lane `lane`. Pop
+    /// order is the same as [`EventQueue::schedule`]'s; the push is cheap
+    /// when `at` is not before the lane's last event, which holds for a
+    /// stream with a fixed delay. An earlier `at` is counted in
+    /// [`EventQueue::lane_fallbacks`] and goes to the heap.
+    ///
+    /// ```
+    /// use hostcc_sim::{EventQueue, Nanos};
+    ///
+    /// let mut q = EventQueue::with_lanes(1);
+    /// q.schedule_in(0, Nanos::from_nanos(10), "a");
+    /// q.schedule(Nanos::from_nanos(10), "b");
+    /// q.schedule_in(0, Nanos::from_nanos(20), "c");
+    /// q.schedule_in(0, Nanos::from_nanos(5), "d"); // out of order
+    /// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+    /// assert_eq!(order, ["d", "a", "b", "c"]);
+    /// assert_eq!(q.lane_fallbacks(), 1);
+    /// ```
+    ///
+    /// # Panics
+    /// If `at` is earlier than the current clock, or `lane` is not one of
+    /// [`EventQueue::with_lanes`]'s.
+    pub fn schedule_in(&mut self, lane: usize, at: Nanos, event: E) {
+        let seq = self.next_seq(at);
+        if lane >= self.lanes.len() {
+            self.open_lanes(lane);
+        }
+        let l = &mut self.lanes[lane];
+        if l.last.is_some_and(|last| at < last) {
+            self.fallbacks += 1;
+            let seq = seq | NO_LANE;
+            return self.heap.push(ScheduledEvent { at, seq, event });
+        }
+        let ev = ScheduledEvent {
+            at,
+            seq: seq | lane as u64,
+            event,
+        };
+        // A busy lane queues the event behind its head; in an idle lane
+        // the event is the head.
+        if l.last.replace(at).is_some() {
+            l.tail.push_back(ev);
+            self.queued += 1;
+        } else {
+            self.heap.push(ev);
+        }
+    }
+
+    /// Allocate every lane, on the first push into `lane`.
+    #[cold]
+    fn open_lanes(&mut self, lane: usize) {
+        let n = self.lane_count;
+        assert!(lane < n, "lane {lane} of a queue with {n} lanes");
+        self.lanes.reserve_exact(n);
+        self.lanes.resize_with(n, || LaneBuf {
+            tail: VecDeque::new(),
+            last: None,
+        });
     }
 
     /// Firing time of the next pending event, if any.
@@ -186,7 +323,23 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event, advancing the clock to its firing time.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        let ev = self.heap.pop()?;
+        let mut top = self.heap.peek_mut()?;
+        let lane = top.seq & NO_LANE;
+        let ev = match self.lanes.get_mut(lane as usize) {
+            Some(l) => match l.tail.pop_front() {
+                // The lane's next event replaces its head: one sift down
+                // when `top` drops.
+                Some(next) => {
+                    self.queued -= 1;
+                    std::mem::replace(&mut *top, next)
+                }
+                None => {
+                    l.last = None;
+                    PeekMut::pop(top)
+                }
+            },
+            None => PeekMut::pop(top),
+        };
         debug_assert!(ev.at >= self.now, "queue produced an out-of-order event");
         self.now = ev.at;
         self.popped += 1;
@@ -407,6 +560,99 @@ mod tests {
         for _ in 0..4 {
             cycle(&mut q, |q| assert_eq!(q.heap.capacity(), warm));
         }
+    }
+
+    #[test]
+    fn len_and_drained_count_events_held_in_lanes() {
+        let mut q = EventQueue::with_lanes(2);
+        for t in [5, 6, 7] {
+            q.schedule_in(0, Nanos::from_nanos(t), t);
+        }
+        q.schedule_in(1, Nanos::from_nanos(1), 1);
+        q.schedule(Nanos::from_nanos(9), 9);
+        // Two lane heads and one plain event in the heap, two in lane 0.
+        assert_eq!((q.heap.len(), q.len()), (3, 5));
+        let mut left = 5;
+        let order: Vec<_> = std::iter::from_fn(|| {
+            let (_, e) = q.pop()?;
+            left -= 1;
+            assert_eq!((q.len(), q.drained()), (left, left == 0));
+            Some(e)
+        })
+        .collect();
+        assert_eq!(order, [1, 5, 6, 7, 9]);
+        assert!(q.drained());
+        assert_eq!(q.lane_fallbacks(), 0);
+    }
+
+    #[test]
+    fn lanes_are_allocated_on_first_use() {
+        let mut q = EventQueue::with_lanes(3);
+        assert_eq!(q.lanes.capacity(), 0);
+        q.schedule_in(2, Nanos::from_nanos(1), ());
+        assert_eq!((q.lanes.len(), q.lanes.capacity()), (3, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 2 of a queue with 2 lanes")]
+    fn unknown_lane_panics() {
+        let mut q = EventQueue::with_lanes(2);
+        q.schedule_in(2, Nanos::from_nanos(1), ());
+    }
+
+    #[test]
+    fn emptied_lane_restarts_at_any_time() {
+        // Once a lane drains, its next push starts it afresh: an earlier
+        // time than the drained events is in order again.
+        let mut q = EventQueue::with_lanes(1);
+        q.schedule_in(0, Nanos::from_nanos(50), "a");
+        q.schedule_in(0, Nanos::from_nanos(40), "b"); // out of order
+        assert_eq!(q.lane_fallbacks(), 1);
+        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
+        q.schedule_in(0, Nanos::from_nanos(60), "c");
+        q.schedule_in(0, Nanos::from_nanos(60), "d");
+        assert_eq!(q.lane_fallbacks(), 1);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["c", "d"]);
+    }
+
+    #[test]
+    fn warm_lanes_allocate_nothing() {
+        // Four fixed-delay streams fed from a tick loop, the way the
+        // simulator feeds them: after the first cycle, neither the heap
+        // nor any lane grows again.
+        fn cycle(q: &mut EventQueue<u64>) {
+            let base = q.now().as_nanos() + 1_000;
+            q.advance_to(Nanos::from_nanos(base));
+            for i in 0..400u64 {
+                let lane = (i % 4) as usize;
+                q.schedule_in(lane, Nanos::from_nanos(base + i * 7 + lane as u64 * 300), i);
+            }
+            while !q.is_empty() {
+                let tick = q.now().as_nanos() + 100;
+                while q.pop_before(Nanos::from_nanos(tick)).is_some() {}
+                q.advance_to(Nanos::from_nanos(tick));
+            }
+        }
+        let capacities = |q: &EventQueue<u64>| {
+            (
+                q.heap.capacity(),
+                q.lanes
+                    .iter()
+                    .map(|l| l.tail.capacity())
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let mut q = EventQueue::with_lanes(4);
+        cycle(&mut q);
+        let warm = capacities(&q);
+        assert!(warm.1.iter().all(|&c| c >= 99), "{warm:?}");
+        for _ in 0..4 {
+            cycle(&mut q);
+            assert_eq!(capacities(&q), warm);
+        }
+        assert_eq!(q.lane_fallbacks(), 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use event::{EventQueue, ScheduledEvent};
 pub use ewma::Ewma;
 pub use hash::{derive_seed, Fnv64};
 pub use probe::{Probe, Snapshot};
-pub use rate::Rate;
+pub use rate::{LinkRate, Rate};
 pub use rng::Rng;
 pub use round::round_u64;
 pub use time::Nanos;

@@ -91,18 +91,8 @@ impl Rate {
     /// Returns [`Nanos::MAX`] for a zero rate.
     #[inline]
     pub fn time_for_bytes(self, bytes: u64) -> Nanos {
-        if self.0 <= 0.0 {
-            return Nanos::MAX;
-        }
-        let ticks = self.fixed_ticks();
-        if ticks == 0 {
-            return Nanos::MAX;
-        }
-        let ns = match bytes.checked_mul(1 << FIXED_SHIFT) {
-            Some(num) => num.div_ceil(ticks),
-            None => ((u128::from(bytes) << FIXED_SHIFT).div_ceil(u128::from(ticks))) as u64,
-        };
-        Nanos::from_nanos(ns)
+        // A zero, negative or NaN rate snaps to zero ticks.
+        serialization_time(self.fixed_ticks(), bytes)
     }
 
     /// True when the rate is exactly zero (or negative, which we clamp).
@@ -121,6 +111,73 @@ impl Rate {
     #[inline]
     pub fn max(self, other: Rate) -> Rate {
         Rate(self.0.max(other.0))
+    }
+}
+
+/// `ceil(bytes·2²⁴ / ticks)` ns ([`Rate::time_for_bytes`]), or
+/// [`Nanos::MAX`] for zero ticks.
+#[inline]
+fn serialization_time(ticks: u64, bytes: u64) -> Nanos {
+    if ticks == 0 {
+        return Nanos::MAX;
+    }
+    let ns = match bytes.checked_mul(1 << FIXED_SHIFT) {
+        Some(num) => num.div_ceil(ticks),
+        None => ((u128::from(bytes) << FIXED_SHIFT).div_ceil(u128::from(ticks))) as u64,
+    };
+    Nanos::from_nanos(ns)
+}
+
+/// A link's serialization rate with [`Rate::time_for_bytes`] memoised:
+/// the fixed-point rate is converted once per rate change, and the last
+/// `(bytes, time)` pair is kept, since nearly every packet on a link is
+/// MTU-sized. The times are the same function of the same inputs.
+///
+/// ```
+/// use hostcc_sim::{LinkRate, Rate};
+///
+/// let mut link = LinkRate::new(Rate::gbps(100.0));
+/// assert_eq!(link.time_for_bytes(4096), Rate::gbps(100.0).time_for_bytes(4096));
+/// link.set(Rate::gbps(70.0));
+/// assert_eq!(link.time_for_bytes(4096), Rate::gbps(70.0).time_for_bytes(4096));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct LinkRate {
+    rate: Rate,
+    ticks: u64,
+    /// The last `(bytes, time_for_bytes(bytes))`.
+    memo: (u64, Nanos),
+}
+
+impl LinkRate {
+    /// Serialization at `rate`.
+    pub fn new(rate: Rate) -> Self {
+        let ticks = rate.fixed_ticks();
+        LinkRate {
+            rate,
+            ticks,
+            memo: (0, serialization_time(ticks, 0)),
+        }
+    }
+
+    /// The current rate.
+    #[inline]
+    pub fn rate(&self) -> Rate {
+        self.rate
+    }
+
+    /// Change the rate.
+    pub fn set(&mut self, rate: Rate) {
+        *self = LinkRate::new(rate);
+    }
+
+    /// [`Rate::time_for_bytes`] at the current rate.
+    #[inline]
+    pub fn time_for_bytes(&mut self, bytes: u64) -> Nanos {
+        if bytes != self.memo.0 {
+            self.memo = (bytes, serialization_time(self.ticks, bytes));
+        }
+        self.memo.1
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation engine.
 
-use hostcc_sim::{round_u64, EventQueue, Ewma, Nanos, Rate, Rng};
+use hostcc_sim::{round_u64, EventQueue, Ewma, LinkRate, Nanos, Rate, Rng};
 use proptest::prelude::*;
 
 /// One step of a tick loop, for the queue oracle below.
@@ -12,6 +12,20 @@ enum TickOp {
     /// one follow-up `follow` after the first event popped, then
     /// `advance_to` the deadline.
     Tick { step: u64, follow: u64 },
+}
+
+/// One step of the lane oracle below. `lane` 4 means a plain
+/// `schedule`; lanes 0–3 go through `schedule_in`.
+#[derive(Debug, Clone)]
+enum LaneOp {
+    /// Schedule `delta` after `now`: in or out of the lane's order.
+    Push { lane: usize, delta: u64 },
+    /// Schedule `gap` after the lane's latest event (or `now`): a
+    /// fixed-delay stream, always in order.
+    Stream { lane: usize, gap: u64 },
+    /// Drain every event due by `now + step` with `pop_before`, then
+    /// `advance_to` the deadline.
+    Tick { step: u64 },
 }
 
 /// Scheduling deltas from a few nanoseconds (dense same-instant ties) to
@@ -198,6 +212,92 @@ proptest! {
         prop_assert!(q.drained());
     }
 
+    /// Lanes change nothing but speed: a lane queue pops exactly the
+    /// `(at, payload)` sequence of a plain queue given the same schedules
+    /// (all of them plain `schedule`s), through in-order and out-of-order
+    /// lane pushes, `pop_before` deadlines and `advance_to`. `len` counts
+    /// events held in lanes, and `lane_fallbacks` counts exactly the lane
+    /// pushes earlier than their lane's last pending event.
+    #[test]
+    fn lanes_match_a_plain_heap(
+        ops in prop::collection::vec(
+            prop_oneof![
+                (0usize..5, prop_oneof![0u64..400, 1u64 << 10..1u64 << 20])
+                    .prop_map(|(lane, delta)| LaneOp::Push { lane, delta }),
+                (0usize..4, prop_oneof![0u64..3, 0u64..500])
+                    .prop_map(|(lane, gap)| LaneOp::Stream { lane, gap }),
+                prop_oneof![1u64..200, 1u64 << 8..1u64 << 16]
+                    .prop_map(|step| LaneOp::Tick { step }),
+            ],
+            1..300,
+        ),
+    ) {
+        const LANES: usize = 4;
+        let mut lanes = EventQueue::with_lanes(LANES);
+        let mut plain = EventQueue::new();
+        // The lane model: each lane's latest event time (for streams),
+        // and its pending in-order events with the last one's time (for
+        // the fallback count); `member[id]` is the lane holding event id.
+        let mut latest = [0u64; LANES];
+        let mut pending = [(0usize, 0u64); LANES];
+        let mut member: Vec<Option<usize>> = Vec::new();
+        let mut fallbacks = 0u64;
+        let pop = |lanes: &mut EventQueue<usize>,
+                       plain: &mut EventQueue<usize>,
+                       pending: &mut [(usize, u64); LANES],
+                       member: &[Option<usize>],
+                       deadline: u64| {
+            let got = lanes.pop_before(Nanos::from_nanos(deadline));
+            let want = plain.pop_before(Nanos::from_nanos(deadline));
+            prop_assert_eq!(got, want);
+            if let Some((_, id)) = got {
+                if let Some(l) = member[id] {
+                    pending[l].0 -= 1;
+                }
+            }
+            Ok(got.is_some())
+        };
+        for op in ops {
+            let now = lanes.now().as_nanos();
+            let (lane, at) = match op {
+                LaneOp::Push { lane, delta } => (lane, now + delta),
+                LaneOp::Stream { lane, gap } => (lane, latest[lane].max(now) + gap),
+                LaneOp::Tick { step } => {
+                    let deadline = now + step;
+                    while pop(&mut lanes, &mut plain, &mut pending, &member, deadline)? {}
+                    lanes.advance_to(Nanos::from_nanos(deadline));
+                    plain.advance_to(Nanos::from_nanos(deadline));
+                    prop_assert_eq!(lanes.peek_time(), plain.peek_time());
+                    prop_assert_eq!(lanes.len(), plain.len());
+                    continue;
+                }
+            };
+            let id = member.len();
+            if lane == LANES {
+                lanes.schedule(Nanos::from_nanos(at), id);
+                member.push(None);
+            } else {
+                lanes.schedule_in(lane, Nanos::from_nanos(at), id);
+                latest[lane] = latest[lane].max(at);
+                let (n, last) = &mut pending[lane];
+                if *n > 0 && at < *last {
+                    fallbacks += 1;
+                    member.push(None);
+                } else {
+                    (*n, *last) = (*n + 1, at);
+                    member.push(Some(lane));
+                }
+            }
+            plain.schedule(Nanos::from_nanos(at), id);
+            prop_assert_eq!(lanes.len(), plain.len());
+            prop_assert_eq!(lanes.lane_fallbacks(), fallbacks);
+        }
+        while pop(&mut lanes, &mut plain, &mut pending, &member, u64::MAX)? {}
+        prop_assert!(lanes.drained() && plain.drained());
+        prop_assert_eq!(lanes.popped(), plain.popped());
+        prop_assert_eq!(pending.map(|(n, _)| n), [0; LANES]);
+    }
+
     /// Far-future stress: every event lies days to decades ahead, and
     /// the queue must still pop them in oracle order.
     #[test]
@@ -241,6 +341,28 @@ proptest! {
         e.update(x);
         let after = (e.get() - x).abs();
         prop_assert!(after <= before * (1.0 - weight) + 1e-9);
+    }
+
+    /// A `LinkRate` answers exactly `Rate::time_for_bytes` at its current
+    /// rate, through repeated sizes (the memo), new sizes and rate
+    /// changes, degraded and fractional rates included.
+    #[test]
+    fn link_rate_memo_is_time_for_bytes(
+        steps in prop::collection::vec(
+            (prop_oneof![Just(None), (0.001f64..400.0).prop_map(Some)], prop_oneof![Just(4162u64), 0u64..10_000]),
+            1..100,
+        ),
+    ) {
+        let mut rate = Rate::gbps(100.0);
+        let mut link = LinkRate::new(rate);
+        for (new_rate, bytes) in steps {
+            if let Some(g) = new_rate {
+                rate = Rate::gbps(g);
+                link.set(rate);
+            }
+            prop_assert_eq!(link.rate(), rate);
+            prop_assert_eq!(link.time_for_bytes(bytes), rate.time_for_bytes(bytes));
+        }
     }
 
     /// Rate round-trips between units.
