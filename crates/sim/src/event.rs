@@ -113,10 +113,8 @@ pub struct EventQueue<E> {
     /// Lane-less events and the head of every non-empty lane, earliest
     /// `(at, seq)` on top.
     heap: BinaryHeap<ScheduledEvent<E>>,
-    /// Lanes `0..lane_count`, allocated together on the first
-    /// `schedule_in` (so building a queue allocates nothing).
+    /// Lanes `0..lanes.len()`.
     lanes: Vec<LaneBuf<E>>,
-    lane_count: usize,
     /// Events waiting in lane tails (not in the heap).
     queued: usize,
     /// Lane pushes that broke their lane's time order and went to the
@@ -140,8 +138,8 @@ impl<E> EventQueue<E> {
     }
 
     /// An empty queue with lanes `0..lanes` for [`EventQueue::schedule_in`].
-    /// One allocation, made on the first `schedule_in`, holds every lane;
-    /// a lane's buffer is allocated on its first queued event.
+    /// One allocation holds every lane; a lane's buffer is allocated on
+    /// its first queued event.
     ///
     /// # Panics
     /// If `lanes` exceeds 65,535, the lane ids that fit beside `seq`.
@@ -152,8 +150,12 @@ impl<E> EventQueue<E> {
         );
         EventQueue {
             heap: BinaryHeap::new(),
-            lanes: Vec::new(),
-            lane_count: lanes,
+            lanes: (0..lanes)
+                .map(|_| LaneBuf {
+                    tail: VecDeque::new(),
+                    last: None,
+                })
+                .collect(),
             queued: 0,
             fallbacks: 0,
             now: Nanos::ZERO,
@@ -279,9 +281,6 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::with_lanes`]'s.
     pub fn schedule_in(&mut self, lane: usize, at: Nanos, event: E) {
         let seq = self.next_seq(at);
-        if lane >= self.lanes.len() {
-            self.open_lanes(lane);
-        }
         let l = &mut self.lanes[lane];
         if l.last.is_some_and(|last| at < last) {
             self.fallbacks += 1;
@@ -301,18 +300,6 @@ impl<E> EventQueue<E> {
         } else {
             self.heap.push(ev);
         }
-    }
-
-    /// Allocate every lane, on the first push into `lane`.
-    #[cold]
-    fn open_lanes(&mut self, lane: usize) {
-        let n = self.lane_count;
-        assert!(lane < n, "lane {lane} of a queue with {n} lanes");
-        self.lanes.reserve_exact(n);
-        self.lanes.resize_with(n, || LaneBuf {
-            tail: VecDeque::new(),
-            last: None,
-        });
     }
 
     /// Firing time of the next pending event, if any.
@@ -586,15 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn lanes_are_allocated_on_first_use() {
-        let mut q = EventQueue::with_lanes(3);
-        assert_eq!(q.lanes.capacity(), 0);
-        q.schedule_in(2, Nanos::from_nanos(1), ());
-        assert_eq!((q.lanes.len(), q.lanes.capacity()), (3, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "lane 2 of a queue with 2 lanes")]
+    #[should_panic(expected = "the len is 2 but the index is 2")]
     fn unknown_lane_panics() {
         let mut q = EventQueue::with_lanes(2);
         q.schedule_in(2, Nanos::from_nanos(1), ());
