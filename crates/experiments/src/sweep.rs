@@ -1196,6 +1196,55 @@ mod tests {
         }
     }
 
+    /// `manifest.json` and `results.csv` pinned by length and FNV-1a, with
+    /// the run-varying wall-clock fields and worker ids set to fixed
+    /// values: `fig17` at the quick budget with the default options, and a
+    /// two-cell RPC grid with telemetry and flows on, which fills every
+    /// optional block (per-size RPC tails, telemetry, flowscope).
+    #[test]
+    fn manifest_and_csv_bytes_are_pinned() {
+        let pin = |doc: &str| {
+            let mut h = Fnv64::new();
+            h.write_bytes(doc.as_bytes());
+            (doc.len(), h.finish())
+        };
+        let run = |spec: &GridSpec, opts: SweepOptions| {
+            let mut m = run_sweep(spec, &SweepOptions { workers: 1, ..opts }).unwrap();
+            m.wall_secs = 2.5;
+            m.cell_wall_secs = 2.25;
+            for c in &mut m.cells {
+                c.wall_secs = 0.125;
+                c.worker = 0;
+            }
+            m
+        };
+        let quick = crate::figures::Budget::quick();
+        let mut fig17 = GridSpec::preset("fig17").unwrap();
+        fig17.base = quick.apply(fig17.base);
+        let m = run(&fig17, SweepOptions::default());
+        assert_eq!(
+            [pin(&m.to_json()), pin(&m.to_csv())],
+            [(4320, 0xb961_f249_2dc8_445a), (1403, 0x43f3_d8e2_6470_be8b)]
+        );
+
+        let base = quick.apply(Scenario::with_congestion(3.0).with_rpc(2));
+        let mut rpc = GridSpec::new("pin-rpc", base);
+        rpc.set_axis("hostcc", "off,on").unwrap();
+        let m = run(
+            &rpc,
+            SweepOptions {
+                telemetry: true,
+                flows: true,
+                ..SweepOptions::default()
+            },
+        );
+        assert!(m.cells.iter().all(|c| !c.metrics.rpc.is_empty()));
+        assert_eq!(
+            [pin(&m.to_json()), pin(&m.to_csv())],
+            [(3743, 0x3d4d_f785_e810_742a), (748, 0xa1bb_11b4_7bd4_51b2)]
+        );
+    }
+
     #[test]
     fn worker_resolution() {
         assert_eq!(resolve_workers(1, 10), 1);

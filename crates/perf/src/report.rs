@@ -554,6 +554,35 @@ mod tests {
     }
 
     #[test]
+    fn bench_json_bytes_are_pinned() {
+        let expected = concat!(
+            "{\n",
+            "  \"schema\": \"hostcc-bench/v1\",\n",
+            "  \"git_sha\": \"abc1234\",\n",
+            "  \"suite\": \"smoke\",\n",
+            "  \"warmup\": 1,\n",
+            "  \"iters\": 3,\n",
+            "  \"workloads\": [\n",
+            "    {\"name\": \"scenario:baseline\", \"rate\": {\"wall_secs\": 0.125, ",
+            "\"events\": 50000, \"sim_ns\": 20000000, \"events_per_sec\": 400000.0, ",
+            "\"sim_ns_per_wall_sec\": 160000000.0, \"wall_us_per_sim_ms\": 6250.0}, ",
+            "\"spread\": {\"wall_secs_p50\": 0.125, \"wall_secs_p95\": 0.25, ",
+            "\"wall_secs_iters\": [0.125, 0.1, 0.25]}, \"alloc\": {\"allocs\": 1234, ",
+            "\"frees\": 1200, \"bytes\": 987654, \"peak_live_bytes\": 65536}},\n",
+            "    {\"name\": \"chaos:flap\", \"rate\": {\"wall_secs\": 0.5, ",
+            "\"events\": 10000, \"sim_ns\": 7000000, \"events_per_sec\": 20000.0, ",
+            "\"sim_ns_per_wall_sec\": 14000000.0, \"wall_us_per_sim_ms\": 71428.57142857143}, ",
+            "\"spread\": {\"wall_secs_p50\": 0.5, \"wall_secs_p95\": 0.5, ",
+            "\"wall_secs_iters\": [0.5]}, \"alloc\": null}\n",
+            "  ],\n",
+            "  \"host\": {\"cpus\": 8, \"rustc\": \"rustc 1.80.0\", \"os\": \"linux\", ",
+            "\"arch\": \"x86_64\", \"timestamp_unix\": 1750000000}\n",
+            "}\n",
+        );
+        assert_eq!(sample_report().to_json(), expected);
+    }
+
+    #[test]
     fn identical_files_compare_to_zero_delta() {
         let report = sample_report();
         let cmp = compare(&report, &report, 5.0);

@@ -204,4 +204,31 @@ mod tests {
         assert!(json.contains("\"fingerprint\": \"0x"));
         assert!(json.contains("\"diagnostic\": null"));
     }
+
+    #[test]
+    fn summary_json_with_violations_is_pinned() {
+        let mut t = Telemetry::default();
+        let broken = WatchdogInput {
+            mba_levels: 5,
+            mba_requested: 9,
+            pcie_inflight_bytes: 8000.0,
+            pcie_credit_limit_bytes: 5952.0,
+            ..Default::default()
+        };
+        t.check_and_sample(Nanos::from_nanos(700), &broken);
+        let expected = r#"{
+  "samples": 1,
+  "checks": 1,
+  "watchdog_violations": 2,
+  "violations_by_invariant": {
+    "mba_level": 1,
+    "pcie_credits": 1
+  },
+  "strict": false,
+  "diagnostic": "invariant 'pcie_credits' violated at t=0.700 µs (2 total violation(s)): wire 8000.0 B + IIO 0.0 B = 8000.0 B held vs credit limit 5952.0 B",
+  "fingerprint": "0x60a50ff2c6b8a5d3"
+}
+"#;
+        assert_eq!(summary_json(&t.finish()), expected);
+    }
 }
