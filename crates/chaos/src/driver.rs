@@ -54,7 +54,7 @@ impl ChaosDriver {
         for (i, ev) in timeline.events.iter().enumerate() {
             seeds.push(derive_seed(
                 scenario_seed,
-                &format!("chaos[{i}]:{}", ev.canonical()),
+                format_args!("chaos[{i}]:{}", ev.canonical()),
             ));
             match ev.kind {
                 ChaosKind::PauseStorm => {

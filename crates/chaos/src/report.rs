@@ -3,7 +3,7 @@
 //! clean — for paired hostcc-off/hostcc-on arms under one identical
 //! timeline.
 
-use hostcc_sim::json::{escape, float, opt};
+use hostcc_sim::json::Obj;
 use hostcc_sim::{Fnv64, Nanos};
 
 use crate::timeline::ChaosKind;
@@ -35,6 +35,21 @@ pub struct EventScore {
     /// kind (see [`ChaosKind::may_violate`]). Always `false` when
     /// [`EventScore::violations`] is zero.
     pub annotated: bool,
+}
+
+impl EventScore {
+    fn json(&self) -> Obj {
+        Obj::compact()
+            .num("index", self.index as u64)
+            .str("kind", self.kind.name())
+            .num("start_ns", self.start.as_nanos())
+            .num("end_ns", self.end.as_nanos())
+            .float("dip_frac", self.dip_frac)
+            .num("recover_ns", self.recover_ns)
+            .bool("recovered", self.recovered)
+            .num("violations", self.violations)
+            .bool("annotated", self.annotated)
+    }
 }
 
 /// One arm (hostcc on or off) of a differential chaos run.
@@ -101,44 +116,19 @@ impl ArmReport {
         }
     }
 
-    fn to_json(&self) -> String {
-        let events: Vec<String> = self
-            .events
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"index\":{},\"kind\":\"{}\",\"start_ns\":{},\"end_ns\":{},\
-                     \"dip_frac\":{},\"recover_ns\":{},\"recovered\":{},\
-                     \"violations\":{},\"annotated\":{}}}",
-                    e.index,
-                    e.kind.name(),
-                    e.start.as_nanos(),
-                    e.end.as_nanos(),
-                    float(e.dip_frac),
-                    e.recover_ns,
-                    e.recovered,
-                    e.violations,
-                    e.annotated,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"hostcc\":{},\"goodput_gbps\":{},\"drop_rate_pct\":{},\"p99_rpc_ns\":{},\
-             \"pre_mean_gbps\":{},\"fairness_jain\":{},\"watchdog_checks\":{},\"violations\":{},\
-             \"annotated_violations\":{},\"telemetry_fingerprint\":\"{:#018x}\",\
-             \"events\":[{}]}}",
-            self.hostcc,
-            float(self.goodput_gbps),
-            float(self.drop_rate_pct),
-            opt(self.p99_rpc_ns),
-            float(self.pre_mean_gbps),
-            float(self.fairness_jain),
-            self.watchdog_checks,
-            self.violations,
-            self.annotated_violations,
-            self.telemetry_fingerprint,
-            events.join(","),
-        )
+    fn json(&self) -> Obj {
+        Obj::compact()
+            .bool("hostcc", self.hostcc)
+            .float("goodput_gbps", self.goodput_gbps)
+            .float("drop_rate_pct", self.drop_rate_pct)
+            .opt("p99_rpc_ns", self.p99_rpc_ns)
+            .float("pre_mean_gbps", self.pre_mean_gbps)
+            .float("fairness_jain", self.fairness_jain)
+            .num("watchdog_checks", self.watchdog_checks)
+            .num("violations", self.violations)
+            .num("annotated_violations", self.annotated_violations)
+            .hex("telemetry_fingerprint", self.telemetry_fingerprint)
+            .list("events", self.events.iter().map(EventScore::json))
     }
 }
 
@@ -189,15 +179,14 @@ impl ResilienceReport {
     /// Deterministic JSON encoding (no timestamps, no wall-clock — safe to
     /// byte-compare across worker counts and machines).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"preset\":\"{}\",\"spec\":\"{}\",\"fingerprint\":\"{:#018x}\",\
-             \"off\":{},\"on\":{}}}\n",
-            escape(&self.preset),
-            escape(&self.spec),
-            self.fingerprint(),
-            self.off.to_json(),
-            self.on.to_json(),
-        )
+        Obj::compact()
+            .str("preset", &self.preset)
+            .str("spec", &self.spec)
+            .hex("fingerprint", self.fingerprint())
+            .raw("off", self.off.json())
+            .raw("on", self.on.json())
+            .finish()
+            + "\n"
     }
 
     /// Human-readable rendering.

@@ -38,7 +38,7 @@ use std::time::Instant;
 use hostcc_flowscope::{FlowScope, FlowscopeHandle, FlowscopeResult, FlowscopeSummary};
 use hostcc_metrics::{f2, pct, Cdf, Table};
 use hostcc_perf::{SimRateProfiler, SimRateReport};
-use hostcc_sim::json::{escape, float, opt};
+use hostcc_sim::json::{float, hex, line, string, Obj};
 use hostcc_sim::Fnv64;
 use hostcc_telemetry::{Telemetry, TelemetryConfig, TelemetryHandle, TelemetrySummary};
 use hostcc_trace::{TraceCounts, TraceFilter, TraceHandle, Tracer};
@@ -230,6 +230,43 @@ impl CellMetrics {
     }
 }
 
+/// A [`CellMetrics`] column: its name and its value's rendering.
+type MetricColumn = (&'static str, fn(&CellMetrics) -> String);
+
+/// The scalar columns of [`CellMetrics`] in export order, each with its
+/// rendered value: the CSV header, the CSV rows and the manifest's
+/// `metrics` objects all read this table.
+const METRIC_COLUMNS: [MetricColumn; 19] = [
+    ("goodput_gbps", |m| float(m.goodput_gbps)),
+    ("goodput_all_gbps", |m| float(m.goodput_all_gbps)),
+    ("drop_rate_pct", |m| float(m.drop_rate_pct)),
+    ("nic_drops", |m| m.nic_drops.to_string()),
+    ("switch_drops", |m| m.switch_drops.to_string()),
+    ("data_packets", |m| m.data_packets.to_string()),
+    ("nic_peak_bytes", |m| m.nic_peak_bytes.to_string()),
+    ("net_mem_util", |m| float(m.net_mem_util)),
+    ("mapp_mem_util", |m| float(m.mapp_mem_util)),
+    ("mapp_app_gbps", |m| float(m.mapp_app_gbps)),
+    ("retransmits", |m| m.retransmits.to_string()),
+    ("timeouts", |m| m.timeouts.to_string()),
+    ("tlp_probes", |m| m.tlp_probes.to_string()),
+    ("host_marks", |m| m.host_marks.to_string()),
+    ("fabric_marks", |m| m.fabric_marks.to_string()),
+    ("mean_is", |m| float(m.mean_is)),
+    ("mean_bs_gbps", |m| float(m.mean_bs_gbps)),
+    ("mean_level", |m| float(m.mean_level)),
+    ("mba_writes", |m| m.mba_writes.to_string()),
+];
+
+impl RpcSummary {
+    fn json(&self) -> Obj {
+        Obj::spaced()
+            .num("size", self.size)
+            .num("count", self.count)
+            .list("whiskers_ns", self.whiskers_ns)
+    }
+}
+
 /// One executed cell: the deterministic measurements plus the (run-varying)
 /// execution record — which worker ran it and how long it took.
 #[derive(Debug, Clone)]
@@ -267,6 +304,45 @@ pub struct CellRun {
 }
 
 impl CellRun {
+    /// The cell's row of the manifest's `cells` array.
+    fn json(&self) -> Obj {
+        let params = self
+            .params
+            .iter()
+            .fold(Obj::spaced(), |o, (name, value)| o.str(name, value));
+        let mut row = Obj::spaced()
+            .num("index", self.index as u64)
+            .str("key", &self.key)
+            .raw("params", params)
+            .num("seed", self.seed)
+            .num("worker", self.worker as u64)
+            .float("wall_secs", self.wall_secs)
+            .num("events", self.events)
+            .num("sim_ns", self.sim_ns)
+            .num("trace_total", self.trace.total());
+        if let Some(ts) = &self.telemetry {
+            row = row
+                .hex("telemetry_fingerprint", ts.fingerprint())
+                .num("watchdog_violations", ts.total_violations());
+        }
+        if let Some(fs) = &self.flowscope {
+            row = row
+                .hex("flowscope_fingerprint", fs.fingerprint())
+                .float("flowscope_jain", fs.jain)
+                .num(
+                    "flowscope_conservation_failures",
+                    fs.summary.conservation_failures,
+                );
+        }
+        let m = &self.metrics;
+        let metrics = METRIC_COLUMNS
+            .iter()
+            .fold(Obj::spaced(), |o, (name, value)| o.raw(name, value(m)));
+        row.hex("fingerprint", m.fingerprint())
+            .raw("metrics", metrics)
+            .list("rpc", m.rpc.iter().map(RpcSummary::json))
+    }
+
     /// The value this cell has on `axis`, if that axis is part of the grid.
     pub fn get(&self, axis: &str) -> Option<&str> {
         self.params
@@ -559,160 +635,56 @@ impl SweepManifest {
     /// serialization dependency). Wall-clock fields are included here —
     /// diff the CSV, not the JSON, when checking determinism.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096 + self.cells.len() * 512);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"name\": \"{}\",\n", escape(&self.name)));
-        s.push_str(&format!("  \"workers\": {},\n", self.workers));
-        s.push_str(&format!("  \"cell_count\": {},\n", self.cells.len()));
-        s.push_str(&format!("  \"wall_secs\": {},\n", float(self.wall_secs)));
-        s.push_str(&format!(
-            "  \"cell_wall_secs\": {},\n",
-            float(self.cell_wall_secs)
-        ));
-        s.push_str(&format!("  \"speedup\": {},\n", float(self.speedup())));
-        s.push_str(&format!("  \"events\": {},\n", self.events));
-        s.push_str(&format!("  \"sim_ns\": {},\n", self.sim_ns));
+        let mut s = String::from("{\n");
+        line(&mut s, "name", string(&self.name));
+        line(&mut s, "workers", self.workers);
+        line(&mut s, "cell_count", self.cells.len());
+        line(&mut s, "wall_secs", float(self.wall_secs));
+        line(&mut s, "cell_wall_secs", float(self.cell_wall_secs));
+        line(&mut s, "speedup", float(self.speedup()));
+        line(&mut s, "events", self.events);
+        line(&mut s, "sim_ns", self.sim_ns);
         // Sim-rate sidecar: aggregate events/sec and friends, emitted by
         // the one shared SimRateReport::to_json. Wall-clock derived, so
         // non-deterministic — compare the CSV, not this block.
-        s.push_str(&format!("  \"sim_rate\": {},\n", self.sim_rate().to_json()));
-        s.push_str(&format!(
-            "  \"fingerprint\": \"{:#018x}\",\n",
-            self.fingerprint
-        ));
-        s.push_str(&format!(
-            "  \"read_latency_ns\": {{\"is_p50\": {}, \"is_p99\": {}, \"bs_p50\": {}, \"bs_p99\": {}}},\n",
-            opt(self.read_is_p50_ns),
-            opt(self.read_is_p99_ns),
-            opt(self.read_bs_p50_ns),
-            opt(self.read_bs_p99_ns),
-        ));
+        line(&mut s, "sim_rate", self.sim_rate().to_json());
+        line(&mut s, "fingerprint", hex(self.fingerprint));
+        let read_latency = Obj::spaced()
+            .opt("is_p50", self.read_is_p50_ns)
+            .opt("is_p99", self.read_is_p99_ns)
+            .opt("bs_p50", self.read_bs_p50_ns)
+            .opt("bs_p99", self.read_bs_p99_ns);
+        line(&mut s, "read_latency_ns", read_latency);
         if let Some(t) = &self.telemetry {
-            s.push_str(&format!(
-                "  \"telemetry\": {{\"samples\": {}, \"checks\": {}, \
-                 \"watchdog_violations\": {}, \"fingerprint\": \"{:#018x}\"}},\n",
-                t.samples,
-                t.checks,
-                t.total_violations(),
-                t.fingerprint()
-            ));
+            let block = Obj::spaced()
+                .num("samples", t.samples)
+                .num("checks", t.checks)
+                .num("watchdog_violations", t.total_violations())
+                .hex("fingerprint", t.fingerprint());
+            line(&mut s, "telemetry", block);
         }
         if let Some(f) = &self.flowscope {
-            s.push_str(&format!(
-                "  \"flowscope\": {{\"completed\": {}, \"dropped\": {}, \
-                 \"conservation_failures\": {}, \"stage_total_ns\": {}, \
-                 \"e2e_total_ns\": {}, \"fingerprint\": \"{:#018x}\"}},\n",
-                f.completed,
-                f.dropped,
-                f.conservation_failures,
-                f.stage_grand_total_ns(),
-                f.e2e_total_ns,
-                f.fingerprint()
-            ));
+            let block = Obj::spaced()
+                .num("completed", f.completed)
+                .num("dropped", f.dropped)
+                .num("conservation_failures", f.conservation_failures)
+                .num("stage_total_ns", f.stage_grand_total_ns())
+                .num("e2e_total_ns", f.e2e_total_ns)
+                .hex("fingerprint", f.fingerprint());
+            line(&mut s, "flowscope", block);
         }
-        s.push_str("  \"trace_totals\": {");
-        let mut first = true;
-        for (kind, count) in self.trace_totals.iter() {
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("\"{}\": {}", kind.name(), count));
-        }
-        s.push_str("},\n");
+        let trace_totals = self
+            .trace_totals
+            .iter()
+            .fold(Obj::spaced(), |o, (kind, count)| o.num(kind.name(), count));
+        line(&mut s, "trace_totals", trace_totals);
+        // Hand layout: one cell per line.
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"index\": {}, ", c.index));
-            s.push_str(&format!("\"key\": \"{}\", ", escape(&c.key)));
-            s.push_str("\"params\": {");
-            for (j, (name, value)) in c.params.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{name}\": \"{}\"", escape(value)));
-            }
-            s.push_str("}, ");
-            s.push_str(&format!("\"seed\": {}, ", c.seed));
-            s.push_str(&format!("\"worker\": {}, ", c.worker));
-            s.push_str(&format!("\"wall_secs\": {}, ", float(c.wall_secs)));
-            s.push_str(&format!("\"events\": {}, ", c.events));
-            s.push_str(&format!("\"sim_ns\": {}, ", c.sim_ns));
-            s.push_str(&format!("\"trace_total\": {}, ", c.trace.total()));
-            if let Some(ts) = &c.telemetry {
-                s.push_str(&format!(
-                    "\"telemetry_fingerprint\": \"{:#018x}\", \"watchdog_violations\": {}, ",
-                    ts.fingerprint(),
-                    ts.total_violations()
-                ));
-            }
-            if let Some(fs) = &c.flowscope {
-                s.push_str(&format!(
-                    "\"flowscope_fingerprint\": \"{:#018x}\", \"flowscope_jain\": {}, \
-                     \"flowscope_conservation_failures\": {}, ",
-                    fs.fingerprint(),
-                    float(fs.jain),
-                    fs.summary.conservation_failures
-                ));
-            }
-            s.push_str(&format!(
-                "\"fingerprint\": \"{:#018x}\", ",
-                c.metrics.fingerprint()
-            ));
-            let m = &c.metrics;
-            s.push_str("\"metrics\": {");
-            let fields: [(&str, String); 19] = [
-                ("goodput_gbps", float(m.goodput_gbps)),
-                ("goodput_all_gbps", float(m.goodput_all_gbps)),
-                ("drop_rate_pct", float(m.drop_rate_pct)),
-                ("nic_drops", m.nic_drops.to_string()),
-                ("switch_drops", m.switch_drops.to_string()),
-                ("data_packets", m.data_packets.to_string()),
-                ("nic_peak_bytes", m.nic_peak_bytes.to_string()),
-                ("net_mem_util", float(m.net_mem_util)),
-                ("mapp_mem_util", float(m.mapp_mem_util)),
-                ("mapp_app_gbps", float(m.mapp_app_gbps)),
-                ("retransmits", m.retransmits.to_string()),
-                ("timeouts", m.timeouts.to_string()),
-                ("tlp_probes", m.tlp_probes.to_string()),
-                ("host_marks", m.host_marks.to_string()),
-                ("fabric_marks", m.fabric_marks.to_string()),
-                ("mean_is", float(m.mean_is)),
-                ("mean_bs_gbps", float(m.mean_bs_gbps)),
-                ("mean_level", float(m.mean_level)),
-                ("mba_writes", m.mba_writes.to_string()),
-            ];
-            for (j, (name, value)) in fields.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{name}\": {value}"));
-            }
-            s.push_str("}, ");
-            s.push_str("\"rpc\": [");
-            for (j, r) in m.rpc.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!(
-                    "{{\"size\": {}, \"count\": {}, \"whiskers_ns\": [{}, {}, {}, {}, {}]}}",
-                    r.size,
-                    r.count,
-                    r.whiskers_ns[0],
-                    r.whiskers_ns[1],
-                    r.whiskers_ns[2],
-                    r.whiskers_ns[3],
-                    r.whiskers_ns[4],
-                ));
-            }
-            s.push_str("]}");
-            if i + 1 < self.cells.len() {
-                s.push(',');
-            }
-            s.push('\n');
+            let comma = if i + 1 < self.cells.len() { "," } else { "" };
+            s.push_str(&format!("    {}{comma}\n", c.json()));
         }
-        s.push_str("  ]\n}\n");
-        s
+        s + "  ]\n}\n"
     }
 
     /// Per-cell results as CSV: one parameter column per grid axis, then
@@ -724,44 +696,29 @@ impl SweepManifest {
             .first()
             .map(|c| c.params.iter().map(|(n, _)| *n).collect())
             .unwrap_or_default();
-        let mut s = String::new();
-        s.push_str("index,seed");
+        let mut s = String::from("index,seed");
         for a in &axes {
-            s.push_str(&format!(",{a}"));
+            s.push(',');
+            s.push_str(a);
         }
-        s.push_str(
-            ",goodput_gbps,goodput_all_gbps,drop_rate_pct,nic_drops,switch_drops,\
-             data_packets,nic_peak_bytes,net_mem_util,mapp_mem_util,mapp_app_gbps,\
-             retransmits,timeouts,tlp_probes,host_marks,fabric_marks,mean_is,\
-             mean_bs_gbps,mean_level,mba_writes,trace_total,events,sim_ns,fingerprint\n",
-        );
+        for (name, _) in &METRIC_COLUMNS {
+            s.push(',');
+            s.push_str(name);
+        }
+        s.push_str(",trace_total,events,sim_ns,fingerprint\n");
         for c in &self.cells {
             let m = &c.metrics;
             s.push_str(&format!("{},{}", c.index, c.seed));
             for (_, value) in &c.params {
-                s.push_str(&format!(",{}", csv_escape(value)));
+                s.push(',');
+                s.push_str(&csv_escape(value));
+            }
+            for (_, value) in &METRIC_COLUMNS {
+                s.push(',');
+                s.push_str(&value(m));
             }
             s.push_str(&format!(
-                ",{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:#018x}\n",
-                float(m.goodput_gbps),
-                float(m.goodput_all_gbps),
-                float(m.drop_rate_pct),
-                m.nic_drops,
-                m.switch_drops,
-                m.data_packets,
-                m.nic_peak_bytes,
-                float(m.net_mem_util),
-                float(m.mapp_mem_util),
-                float(m.mapp_app_gbps),
-                m.retransmits,
-                m.timeouts,
-                m.tlp_probes,
-                m.host_marks,
-                m.fabric_marks,
-                float(m.mean_is),
-                float(m.mean_bs_gbps),
-                float(m.mean_level),
-                m.mba_writes,
+                ",{},{},{},{:#018x}\n",
                 c.trace.total(),
                 c.events,
                 c.sim_ns,

@@ -333,8 +333,8 @@ impl Routes<'_> {
     pub fn route(&self, src: u32, flow: u32, base_seed: u64) -> Vec<u32> {
         let (t, dst) = (self.topo, self.dst);
         assert!(src < t.hosts && src != dst);
-        let key = format!("ecmp:{}:h{src}->h{dst}:flow{flow}", t.name);
-        let mut rng = Rng::new(derive_seed(base_seed, &key));
+        let key = format_args!("ecmp:{}:h{src}->h{dst}:flow{flow}", t.name);
+        let mut rng = Rng::new(derive_seed(base_seed, key));
         // Hops from the far end of link `l` to `dst`.
         let d_via = |l: u32| match t.links[l as usize].to {
             Node::Switch(s) => self.dist[s as usize],

@@ -2,7 +2,7 @@
 //! their deterministic JSON/CSV/fingerprint encodings.
 
 use hostcc_metrics::Histogram;
-use hostcc_sim::json::{escape, float, opt};
+use hostcc_sim::json::Obj;
 use hostcc_sim::{Fnv64, Nanos};
 
 use crate::scope::{Stage, STAGE_COUNT};
@@ -169,27 +169,22 @@ impl FlowTableRow {
         h.write_u64(self.cwnd_samples);
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"flow\":{},\"greedy\":{},\"fct_ns\":{},\"delivered_bytes\":{},\
-             \"delivered_packets\":{},\"goodput_gbps\":{},\"drops\":{},\
-             \"ecn_host\":{},\"ecn_fabric\":{},\"retransmits\":{},\
-             \"cwnd_last\":{},\"cwnd_min\":{},\"cwnd_max\":{},\"cwnd_samples\":{}}}",
-            self.flow,
-            self.greedy,
-            opt(self.fct_ns),
-            self.delivered_bytes,
-            self.delivered_packets,
-            float(self.goodput_gbps),
-            self.drops,
-            self.ecn_host,
-            self.ecn_fabric,
-            self.retransmits,
-            self.cwnd_last,
-            self.cwnd_min,
-            self.cwnd_max,
-            self.cwnd_samples,
-        )
+    fn json(&self) -> Obj {
+        Obj::compact()
+            .num("flow", self.flow.into())
+            .bool("greedy", self.greedy)
+            .opt("fct_ns", self.fct_ns)
+            .num("delivered_bytes", self.delivered_bytes)
+            .num("delivered_packets", self.delivered_packets)
+            .float("goodput_gbps", self.goodput_gbps)
+            .num("drops", self.drops)
+            .num("ecn_host", self.ecn_host)
+            .num("ecn_fabric", self.ecn_fabric)
+            .num("retransmits", self.retransmits)
+            .num("cwnd_last", self.cwnd_last)
+            .num("cwnd_min", self.cwnd_min)
+            .num("cwnd_max", self.cwnd_max)
+            .num("cwnd_samples", self.cwnd_samples)
     }
 }
 
@@ -226,18 +221,15 @@ impl GroupScore {
         h.write_u64(self.retransmits);
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"group\":\"{}\",\"flows\":{},\"delivered_bytes\":{},\
-             \"goodput_gbps\":{},\"jain\":{},\"drops\":{},\"retransmits\":{}}}",
-            escape(&self.group),
-            self.flows,
-            self.delivered_bytes,
-            float(self.goodput_gbps),
-            float(self.jain),
-            self.drops,
-            self.retransmits,
-        )
+    fn json(&self) -> Obj {
+        Obj::compact()
+            .str("group", &self.group)
+            .num("flows", self.flows)
+            .num("delivered_bytes", self.delivered_bytes)
+            .float("goodput_gbps", self.goodput_gbps)
+            .float("jain", self.jain)
+            .num("drops", self.drops)
+            .num("retransmits", self.retransmits)
     }
 }
 
@@ -309,61 +301,47 @@ impl FlowscopeResult {
     /// Deterministic JSON encoding (`hostcc-flowscope/v1`), wall-clock
     /// free — safe to byte-compare across worker counts.
     pub fn to_json(&self) -> String {
-        let stages: Vec<String> = Stage::ALL
-            .iter()
-            .map(|&s| {
-                let i = s as usize;
-                let hist = &self.summary.stage_hist[i];
-                format!(
-                    "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"mean_ns\":{},\
-                     \"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                    s.name(),
-                    hist.count(),
-                    self.summary.stage_total_ns[i],
-                    opt(hist.mean().map(Nanos::as_nanos)),
-                    opt(hist.quantile(0.50).map(Nanos::as_nanos)),
-                    opt(hist.quantile(0.99).map(Nanos::as_nanos)),
-                    opt(hist.max().map(Nanos::as_nanos)),
-                )
-            })
-            .collect();
-        let flows: Vec<String> = self.flows.iter().map(FlowTableRow::to_json).collect();
-        let groups: Vec<String> = self.groups.iter().map(GroupScore::to_json).collect();
-        let drops: Vec<String> = self.drops_after_stage.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"schema\":\"hostcc-flowscope/v1\",\"fingerprint\":\"{:#018x}\",\
-             \"window_ns\":{},\"completed\":{},\"dropped\":{},\"in_flight\":{},\
-             \"conservation_failures\":{},\"orphan_stamps\":{},\
-             \"stage_total_ns_sum\":{},\"e2e_total_ns\":{},\
-             \"e2e_p50_ns\":{},\"e2e_p99_ns\":{},\"e2e_max_ns\":{},\
-             \"fct_p50_ns\":{},\"fct_max_ns\":{},\
-             \"ecn_host\":{},\"ecn_fabric\":{},\"retransmits\":{},\
-             \"jain\":{},\"convergence_ns\":{},\
-             \"stages\":[{}],\"drops_after_stage\":[{}],\"groups\":[{}],\"flows\":[{}]}}\n",
-            self.fingerprint(),
-            self.window.as_nanos(),
-            self.summary.completed,
-            self.summary.dropped,
-            self.in_flight,
-            self.summary.conservation_failures,
-            self.orphan_stamps,
-            self.summary.stage_grand_total_ns(),
-            self.summary.e2e_total_ns,
-            opt(self.summary.e2e_hist.quantile(0.50).map(Nanos::as_nanos)),
-            opt(self.summary.e2e_hist.quantile(0.99).map(Nanos::as_nanos)),
-            opt(self.summary.e2e_hist.max().map(Nanos::as_nanos)),
-            opt(self.summary.fct_hist.quantile(0.50).map(Nanos::as_nanos)),
-            opt(self.summary.fct_hist.max().map(Nanos::as_nanos)),
-            self.summary.ecn_host,
-            self.summary.ecn_fabric,
-            self.summary.retransmits,
-            float(self.jain),
-            opt(self.convergence_ns),
-            stages.join(","),
-            drops.join(","),
-            groups.join(","),
-            flows.join(","),
-        )
+        let ns = |t: Option<Nanos>| t.map(Nanos::as_nanos);
+        let sum = &self.summary;
+        let stages = Stage::ALL.iter().map(|&stage| {
+            let i = stage as usize;
+            let hist = &sum.stage_hist[i];
+            Obj::compact()
+                .str("name", stage.name())
+                .num("count", hist.count())
+                .num("total_ns", sum.stage_total_ns[i])
+                .opt("mean_ns", ns(hist.mean()))
+                .opt("p50_ns", ns(hist.quantile(0.50)))
+                .opt("p99_ns", ns(hist.quantile(0.99)))
+                .opt("max_ns", ns(hist.max()))
+        });
+        Obj::compact()
+            .str("schema", "hostcc-flowscope/v1")
+            .hex("fingerprint", self.fingerprint())
+            .num("window_ns", self.window.as_nanos())
+            .num("completed", sum.completed)
+            .num("dropped", sum.dropped)
+            .num("in_flight", self.in_flight)
+            .num("conservation_failures", sum.conservation_failures)
+            .num("orphan_stamps", self.orphan_stamps)
+            .num("stage_total_ns_sum", sum.stage_grand_total_ns())
+            .num("e2e_total_ns", sum.e2e_total_ns)
+            .opt("e2e_p50_ns", ns(sum.e2e_hist.quantile(0.50)))
+            .opt("e2e_p99_ns", ns(sum.e2e_hist.quantile(0.99)))
+            .opt("e2e_max_ns", ns(sum.e2e_hist.max()))
+            .opt("fct_p50_ns", ns(sum.fct_hist.quantile(0.50)))
+            .opt("fct_max_ns", ns(sum.fct_hist.max()))
+            .num("ecn_host", sum.ecn_host)
+            .num("ecn_fabric", sum.ecn_fabric)
+            .num("retransmits", sum.retransmits)
+            .float("jain", self.jain)
+            .opt("convergence_ns", self.convergence_ns)
+            .list("stages", stages)
+            .list("drops_after_stage", self.drops_after_stage)
+            .list("groups", self.groups.iter().map(GroupScore::json))
+            .list("flows", self.flows.iter().map(FlowTableRow::json))
+            .finish()
+            + "\n"
     }
 
     /// The flow table as CSV (header + one row per flow).

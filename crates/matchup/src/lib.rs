@@ -29,7 +29,7 @@
 #![warn(unreachable_pub)]
 
 use hostcc_metrics::{f2, Table};
-use hostcc_sim::json::{escape, float, opt};
+use hostcc_sim::json::{string, Obj};
 use hostcc_sim::Fnv64;
 
 /// Fold a string, length-delimited so "ab"+"c" never collides with
@@ -37,6 +37,16 @@ use hostcc_sim::Fnv64;
 fn write_str(h: &mut Fnv64, s: &str) {
     h.write_bytes(s.as_bytes());
     h.write_u64(s.len() as u64);
+}
+
+/// Append `,\n"key":[\n  row,\n  row\n]`: a member that starts a line of
+/// its own, holding one row per line.
+fn rows(out: &mut String, key: &str, items: impl Iterator<Item = Obj>) {
+    out.push_str(&format!(",\n{}:[\n", string(key)));
+    for (i, row) in items.enumerate() {
+        out.push_str(&format!("{}  {row}", if i == 0 { "" } else { ",\n" }));
+    }
+    out.push_str("\n]");
 }
 
 /// One CC group's outcome inside a heterogeneous-mix cell (copied from the
@@ -64,16 +74,13 @@ impl GroupOutcome {
         h.write_u64(self.retransmits);
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"group\":\"{}\",\"flows\":{},\"goodput_gbps\":{},\"jain\":{},\
-             \"retransmits\":{}}}",
-            escape(&self.group),
-            self.flows,
-            float(self.goodput_gbps),
-            float(self.jain),
-            self.retransmits,
-        )
+    fn json(&self) -> Obj {
+        Obj::compact()
+            .str("group", &self.group)
+            .num("flows", self.flows)
+            .float("goodput_gbps", self.goodput_gbps)
+            .float("jain", self.jain)
+            .num("retransmits", self.retransmits)
     }
 }
 
@@ -141,28 +148,22 @@ impl CellScore {
         self.groups.iter().find(|g| g.group == label)
     }
 
-    fn to_json(&self) -> String {
-        let groups: Vec<String> = self.groups.iter().map(GroupOutcome::to_json).collect();
-        format!(
-            "{{\"cc\":\"{}\",\"hostcc\":{},\"context\":\"{}\",\"key\":\"{}\",\
-             \"seed\":{},\"goodput_gbps\":{},\"min_flow_gbps\":{},\"jain\":{},\
-             \"convergence_ns\":{},\"retransmits\":{},\"timeouts\":{},\
-             \"drop_rate_pct\":{},\"rpc_p99_ns\":{},\"groups\":[{}]}}",
-            escape(&self.cc),
-            self.hostcc,
-            escape(&self.context),
-            escape(&self.key),
-            self.seed,
-            float(self.goodput_gbps),
-            float(self.min_flow_gbps),
-            float(self.jain),
-            opt(self.convergence_ns),
-            self.retransmits,
-            self.timeouts,
-            float(self.drop_rate_pct),
-            opt(self.rpc_p99_ns),
-            groups.join(","),
-        )
+    fn json(&self) -> Obj {
+        Obj::compact()
+            .str("cc", &self.cc)
+            .bool("hostcc", self.hostcc)
+            .str("context", &self.context)
+            .str("key", &self.key)
+            .num("seed", self.seed)
+            .float("goodput_gbps", self.goodput_gbps)
+            .float("min_flow_gbps", self.min_flow_gbps)
+            .float("jain", self.jain)
+            .opt("convergence_ns", self.convergence_ns)
+            .num("retransmits", self.retransmits)
+            .num("timeouts", self.timeouts)
+            .float("drop_rate_pct", self.drop_rate_pct)
+            .opt("rpc_p99_ns", self.rpc_p99_ns)
+            .list("groups", self.groups.iter().map(GroupOutcome::json))
     }
 }
 
@@ -197,24 +198,19 @@ pub struct LeaderboardRow {
 }
 
 impl LeaderboardRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"rank\":{},\"cc\":\"{}\",\"hostcc\":{},\"cells\":{},\
-             \"mean_goodput_gbps\":{},\"mean_jain\":{},\"converged\":{},\
-             \"mean_convergence_ns\":{},\"retransmits\":{},\
-             \"worst_rpc_p99_ns\":{},\"score\":{}}}",
-            self.rank,
-            escape(&self.cc),
-            self.hostcc,
-            self.cells,
-            float(self.mean_goodput_gbps),
-            float(self.mean_jain),
-            self.converged,
-            opt(self.mean_convergence_ns),
-            self.retransmits,
-            opt(self.worst_rpc_p99_ns),
-            float(self.score),
-        )
+    fn json(&self) -> Obj {
+        Obj::compact()
+            .num("rank", self.rank as u64)
+            .str("cc", &self.cc)
+            .bool("hostcc", self.hostcc)
+            .num("cells", self.cells)
+            .float("mean_goodput_gbps", self.mean_goodput_gbps)
+            .float("mean_jain", self.mean_jain)
+            .num("converged", self.converged)
+            .opt("mean_convergence_ns", self.mean_convergence_ns)
+            .num("retransmits", self.retransmits)
+            .opt("worst_rpc_p99_ns", self.worst_rpc_p99_ns)
+            .float("score", self.score)
     }
 }
 
@@ -304,27 +300,25 @@ impl MatchupReport {
     /// Deterministic `hostcc-matchup/v1` JSON: wall-clock free,
     /// byte-identical at any worker count.
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .map(|c| format!("  {}", c.to_json()))
-            .collect();
-        let board: Vec<String> = self
-            .leaderboard()
-            .iter()
-            .map(|r| format!("  {}", r.to_json()))
-            .collect();
-        format!(
-            "{{\"schema\":\"hostcc-matchup/v1\",\"preset\":\"{}\",\"budget\":\"{}\",\
-             \"fingerprint\":\"{:#018x}\",\"cell_count\":{},\n\"leaderboard\":[\n{}\n],\
-             \n\"cells\":[\n{}\n]}}\n",
-            escape(&self.preset),
-            escape(&self.budget),
-            self.fingerprint(),
-            self.cells.len(),
-            board.join(",\n"),
-            cells.join(",\n"),
-        )
+        let mut s = Obj::compact()
+            .str("schema", "hostcc-matchup/v1")
+            .str("preset", &self.preset)
+            .str("budget", &self.budget)
+            .hex("fingerprint", self.fingerprint())
+            .num("cell_count", self.cells.len() as u64)
+            .finish();
+        // Hand layout: reopen the object, then each row array starts on a
+        // line of its own and holds one row per line.
+        s.pop();
+        let board = self.leaderboard();
+        rows(
+            &mut s,
+            "leaderboard",
+            board.iter().map(LeaderboardRow::json),
+        );
+        rows(&mut s, "cells", self.cells.iter().map(CellScore::json));
+        s.push_str("}\n");
+        s
     }
 
     /// The leaderboard as a GitHub-flavored Markdown table.

@@ -22,7 +22,8 @@
 
 use std::time::Instant;
 
-use hostcc_sim::{json, Nanos, Probe, Snapshot};
+use hostcc_sim::json::Obj;
+use hostcc_sim::{Nanos, Probe, Snapshot};
 
 /// One attribution bucket: an event-dispatch kind or a host-tick phase.
 ///
@@ -455,17 +456,14 @@ impl SimRateReport {
     /// `wall_secs` and everything derived from it are wall-clock data —
     /// non-deterministic, and never part of any fingerprint.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"wall_secs\": {}, \"events\": {}, \"sim_ns\": {}, \
-             \"events_per_sec\": {}, \"sim_ns_per_wall_sec\": {}, \
-             \"wall_us_per_sim_ms\": {}}}",
-            json::float(self.wall_secs),
-            self.events,
-            self.sim_ns,
-            json::float(self.events_per_sec()),
-            json::float(self.sim_ns_per_wall_sec()),
-            json::float(self.wall_us_per_sim_ms()),
-        )
+        Obj::spaced()
+            .float("wall_secs", self.wall_secs)
+            .num("events", self.events)
+            .num("sim_ns", self.sim_ns)
+            .float("events_per_sec", self.events_per_sec())
+            .float("sim_ns_per_wall_sec", self.sim_ns_per_wall_sec())
+            .float("wall_us_per_sim_ms", self.wall_us_per_sim_ms())
+            .finish()
     }
 
     /// One-line human rendering for end-of-run output.

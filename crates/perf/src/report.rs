@@ -10,7 +10,7 @@
 //! ran unprofiled also carry a per-workload `perf` attribution block;
 //! the reader ignores it.
 
-use hostcc_sim::json::{escape, float};
+use hostcc_sim::json::{float, line, string, Obj};
 
 use crate::json::JsonValue;
 use crate::profile::SimRateReport;
@@ -62,26 +62,27 @@ impl BenchWorkload {
         self.rate().sim_ns_per_wall_sec()
     }
 
-    fn to_json(&self) -> String {
-        let iters: Vec<String> = self.wall_secs_iters.iter().map(|v| float(*v)).collect();
-        let alloc = match &self.alloc {
-            Some(a) => format!(
-                "{{\"allocs\": {}, \"frees\": {}, \"bytes\": {}, \"peak_live_bytes\": {}}}",
-                a.allocs, a.frees, a.bytes, a.peak_live_bytes
-            ),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"name\": \"{}\", \"rate\": {}, \
-             \"spread\": {{\"wall_secs_p50\": {}, \"wall_secs_p95\": {}, \"wall_secs_iters\": [{}]}}, \
-             \"alloc\": {}}}",
-            escape(&self.name),
-            self.rate().to_json(),
-            float(self.wall_secs_p50),
-            float(self.wall_secs_p95),
-            iters.join(", "),
-            alloc,
-        )
+    fn json(&self) -> Obj {
+        let alloc = self.alloc.as_ref().map_or("null".to_string(), |a| {
+            Obj::spaced()
+                .num("allocs", a.allocs)
+                .num("frees", a.frees)
+                .num("bytes", a.bytes)
+                .num("peak_live_bytes", a.peak_live_bytes)
+                .finish()
+        });
+        let spread = Obj::spaced()
+            .float("wall_secs_p50", self.wall_secs_p50)
+            .float("wall_secs_p95", self.wall_secs_p95)
+            .list(
+                "wall_secs_iters",
+                self.wall_secs_iters.iter().map(|&v| float(v)),
+            );
+        Obj::spaced()
+            .str("name", &self.name)
+            .raw("rate", self.rate().to_json())
+            .raw("spread", spread)
+            .raw("alloc", alloc)
     }
 
     fn from_json(v: &JsonValue) -> Result<BenchWorkload, String> {
@@ -90,46 +91,42 @@ impl BenchWorkload {
             .and_then(|x| x.as_str())
             .ok_or("bench: workload missing name")?
             .to_string();
-        let rate = v
-            .get("rate")
-            .ok_or_else(|| format!("bench: workload '{name}' missing rate"))?;
-        let spread = v
-            .get("spread")
-            .ok_or_else(|| format!("bench: workload '{name}' missing spread"))?;
-        let req_f64 = |node: &JsonValue, key: &str| {
+        let missing = |key: &str| format!("bench: workload '{name}' missing {key}");
+        let rate = v.get("rate").ok_or_else(|| missing("rate"))?;
+        let spread = v.get("spread").ok_or_else(|| missing("spread"))?;
+        let count = |node: &JsonValue, key: &str| {
             node.get(key)
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| format!("bench: workload '{name}' missing {key}"))
+                .and_then(|x| x.as_u64())
+                .ok_or_else(|| missing(key))
         };
+        let secs = |key: &str| {
+            spread
+                .get(key)
+                .and_then(|x| x.as_f64())
+                .ok_or_else(|| missing(key))
+        };
+        // A partial alloc block is an error, not zeros: a zero count would
+        // leave the alloc gate nothing to measure growth against.
         let alloc = match v.get("alloc") {
             None => None,
             Some(a) if a.is_null() => None,
             Some(a) => Some(AllocStats {
-                allocs: a.get("allocs").and_then(|x| x.as_u64()).unwrap_or(0),
-                frees: a.get("frees").and_then(|x| x.as_u64()).unwrap_or(0),
-                bytes: a.get("bytes").and_then(|x| x.as_u64()).unwrap_or(0),
-                peak_live_bytes: a
-                    .get("peak_live_bytes")
-                    .and_then(|x| x.as_u64())
-                    .unwrap_or(0),
+                allocs: count(a, "allocs")?,
+                frees: count(a, "frees")?,
+                bytes: count(a, "bytes")?,
+                peak_live_bytes: count(a, "peak_live_bytes")?,
             }),
         };
         Ok(BenchWorkload {
-            wall_secs_p50: req_f64(spread, "wall_secs_p50")?,
-            wall_secs_p95: req_f64(spread, "wall_secs_p95")?,
+            wall_secs_p50: secs("wall_secs_p50")?,
+            wall_secs_p95: secs("wall_secs_p95")?,
             wall_secs_iters: spread
                 .get("wall_secs_iters")
                 .and_then(|x| x.as_arr())
                 .map(|items| items.iter().filter_map(|i| i.as_f64()).collect())
                 .unwrap_or_default(),
-            events: rate
-                .get("events")
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("bench: workload '{name}' missing events"))?,
-            sim_ns: rate
-                .get("sim_ns")
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("bench: workload '{name}' missing sim_ns"))?,
+            events: count(rate, "events")?,
+            sim_ns: count(rate, "sim_ns")?,
             alloc,
             name,
         })
@@ -154,16 +151,13 @@ pub struct HostMeta {
 }
 
 impl HostMeta {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"cpus\": {}, \"rustc\": \"{}\", \"os\": \"{}\", \"arch\": \"{}\", \
-             \"timestamp_unix\": {}}}",
-            self.cpus,
-            escape(&self.rustc),
-            escape(&self.os),
-            escape(&self.arch),
-            self.timestamp_unix
-        )
+    fn json(&self) -> Obj {
+        Obj::spaced()
+            .num("cpus", self.cpus)
+            .str("rustc", &self.rustc)
+            .str("os", &self.os)
+            .str("arch", &self.arch)
+            .num("timestamp_unix", self.timestamp_unix)
     }
 
     fn from_json(v: &JsonValue) -> HostMeta {
@@ -209,23 +203,22 @@ impl BenchReport {
     /// Serialise to the `hostcc-bench/v1` JSON document (pretty at the
     /// top level: one line per workload).
     pub fn to_json(&self) -> String {
-        let workloads: Vec<String> = self
-            .workloads
-            .iter()
-            .map(|w| format!("    {}", w.to_json()))
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"{}\",\n  \"git_sha\": \"{}\",\n  \"suite\": \"{}\",\n  \
-             \"warmup\": {},\n  \"iters\": {},\n  \"workloads\": [\n{}\n  ],\n  \
-             \"host\": {}\n}}\n",
-            BENCH_SCHEMA,
-            escape(&self.git_sha),
-            escape(&self.suite),
-            self.warmup,
-            self.iters,
-            workloads.join(",\n"),
-            self.host.to_json(),
-        )
+        let mut s = String::from("{\n");
+        line(&mut s, "schema", string(BENCH_SCHEMA));
+        line(&mut s, "git_sha", string(&self.git_sha));
+        line(&mut s, "suite", string(&self.suite));
+        line(&mut s, "warmup", self.warmup);
+        line(&mut s, "iters", self.iters);
+        // Hand layout: one workload per line, then the host block last.
+        s.push_str("  \"workloads\": [\n");
+        for (i, w) in self.workloads.iter().enumerate() {
+            s.push_str(&format!(
+                "{}    {}",
+                if i == 0 { "" } else { ",\n" },
+                w.json()
+            ));
+        }
+        s + &format!("\n  ],\n  \"host\": {}\n}}\n", self.host.json())
     }
 
     /// Parse a BENCH document, rejecting unknown schema identifiers.
@@ -327,12 +320,14 @@ impl BenchDelta {
 
     /// Whether an alloc gate at `threshold_pct` (infinite = off) cannot
     /// check this workload, present on both sides, because a side has no
-    /// allocator stats. (A workload on one side only is `gone` or new.)
+    /// allocator stats or the baseline counts zero allocations (no growth
+    /// percentage exists against zero). (A workload on one side only is
+    /// `gone` or new.)
     pub(crate) fn alloc_unchecked(&self, threshold_pct: f64) -> bool {
         threshold_pct.is_finite()
             && self.old_events_per_sec.is_some()
             && self.new_events_per_sec.is_some()
-            && (self.old_allocs.is_none() || self.new_allocs.is_none())
+            && (matches!(self.old_allocs, None | Some(0)) || self.new_allocs.is_none())
     }
 
     /// Whether this workload fails the comparison: it is gone, slower than
@@ -395,6 +390,7 @@ impl BenchComparison {
             };
             let allocs = match d.alloc_delta_pct() {
                 Some(p) => format!("{p:+.1} %"),
+                None if d.old_allocs == Some(0) => "zero base".to_string(),
                 None if d.alloc_unchecked(self.alloc_threshold_pct) => "missing".to_string(),
                 None => "-".to_string(),
             };
@@ -414,11 +410,23 @@ impl BenchComparison {
                 gone.join(", ")
             ));
         }
-        let unchecked = self.names(|d| d.alloc_unchecked(self.alloc_threshold_pct));
-        if !unchecked.is_empty() {
+        let unchecked = |zero: bool| {
+            self.names(|d| {
+                d.alloc_unchecked(self.alloc_threshold_pct) && (d.old_allocs == Some(0)) == zero
+            })
+        };
+        let missing = unchecked(false);
+        if !missing.is_empty() {
             out.push_str(&format!(
                 "no allocator stats to gate (build with --features alloc-profile): {}\n",
-                unchecked.join(", ")
+                missing.join(", ")
+            ));
+        }
+        let zero = unchecked(true);
+        if !zero.is_empty() {
+            out.push_str(&format!(
+                "zero-allocation baseline, no growth to gate against: {}\n",
+                zero.join(", ")
             ));
         }
         let regressions = self.regressions();
@@ -687,6 +695,48 @@ mod tests {
         assert!(compare_gated(&base, &base, 75.0, 5.0)
             .regressions()
             .is_empty());
+    }
+
+    #[test]
+    fn partial_alloc_blocks_are_rejected_by_name() {
+        let json = sample_report().to_json();
+        for key in ["allocs", "frees", "bytes", "peak_live_bytes"] {
+            let field = format!("\"{key}\": ");
+            let at = json.find(&field).unwrap();
+            let end = at + json[at..].find([',', '}']).unwrap();
+            // Drop the member and its separator, whichever side it is on.
+            let partial = if json[end..].starts_with(", ") {
+                format!("{}{}", &json[..at], &json[end + 2..])
+            } else {
+                format!("{}{}", &json[..at - 2], &json[end..])
+            };
+            let err = BenchReport::from_json(&partial).unwrap_err();
+            assert_eq!(
+                err,
+                format!("bench: workload 'scenario:baseline' missing {key}")
+            );
+        }
+    }
+
+    #[test]
+    fn zero_alloc_baseline_fails_the_alloc_gate() {
+        let mut base = with_allocs(sample_report());
+        base.workloads[0].alloc.as_mut().unwrap().allocs = 0;
+        let grown = with_allocs(sample_report());
+        // Ungated, nothing to report; gated, the zero baseline cannot
+        // bound any growth, so it fails by name.
+        assert!(compare(&base, &grown, 5.0).regressions().is_empty());
+        let cmp = compare_gated(&base, &grown, 5.0, 5.0);
+        assert_eq!(cmp.regressions(), vec!["scenario:baseline"]);
+        let text = cmp.render();
+        assert!(text.contains("zero base"), "{text}");
+        assert!(
+            text.contains(
+                "zero-allocation baseline, no growth to gate against: scenario:baseline\n"
+            ),
+            "{text}"
+        );
+        assert!(!text.contains("no allocator stats"), "{text}");
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! RNG seed comes from [`derive_seed`]. Both are pure functions of their
 //! input bytes, which is what makes serial and parallel runs agree.
 
+use std::fmt::{self, Write as _};
+
 use crate::rng::splitmix64;
 
 /// 64-bit FNV-1a over a byte stream.
@@ -44,6 +46,15 @@ impl Fnv64 {
     }
 }
 
+/// Fold formatted text as its UTF-8 bytes, so a key can be hashed as it
+/// is formatted, without building the string.
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 impl Default for Fnv64 {
     fn default() -> Self {
         Fnv64::new()
@@ -64,13 +75,25 @@ impl Default for Fnv64 {
 ///
 /// The empty key is the identity: a one-cell grid with no axes runs the
 /// base scenario with its own seed, bit-identical to a plain single run.
-pub fn derive_seed(base: u64, key: &str) -> u64 {
-    if key.is_empty() {
+///
+/// The key is hashed as it is formatted (pass `format_args!` to hash a
+/// composed key without allocating it): the seed is that of the key's
+/// text.
+pub fn derive_seed(base: u64, key: impl fmt::Display) -> u64 {
+    /// The key's hash, and whether the key had any bytes.
+    struct Key(Fnv64, bool);
+    impl fmt::Write for Key {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.1 |= !s.is_empty();
+            self.0.write_str(s)
+        }
+    }
+    let mut k = Key(Fnv64::new(), false);
+    write!(k, "{key}").expect("a key formats without error");
+    if !k.1 {
         return base;
     }
-    let mut h = Fnv64::new();
-    h.write_bytes(key.as_bytes());
-    let mut z = base ^ h.finish();
+    let mut z = base ^ k.0.finish();
     for _ in 0..2 {
         z = splitmix64(&mut z);
     }

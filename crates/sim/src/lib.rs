@@ -15,7 +15,8 @@
 //! * [`Fnv64`], [`derive_seed`] and [`json`] — the determinism kernel: the
 //!   one FNV-1a hasher behind every fingerprint, the one seed derivation
 //!   behind every per-cell, per-chaos-event and per-route RNG stream, and
-//!   the one set of JSON value renderers behind every exported document.
+//!   the one JSON writer behind every exported report (the trace
+//!   exporters, whose payload floats use `Display`, format their own).
 //! * [`Probe`] — the one optional-observer handle: a shared recorder (a
 //!   tracer, telemetry pipeline, profiler or flow ledger) or nothing, with
 //!   [`Snapshot`] as its read-back.

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use hostcc_metrics::TimeSeries;
-use hostcc_sim::json::{escape, float};
+use hostcc_sim::json::{float, hex, line, string, Obj};
 use hostcc_sim::Nanos;
 
 use crate::handle::TelemetryResult;
@@ -45,12 +45,11 @@ pub fn to_jsonl(series: &BTreeMap<String, TimeSeries>) -> String {
     let mut out = String::new();
     for (name, s) in series {
         for (t, v) in s.iter() {
-            out.push_str(&format!(
-                "{{\"t_us\":{:.3},\"metric\":\"{}\",\"value\":{}}}\n",
-                t.as_micros_f64(),
-                escape(name),
-                float(v)
-            ));
+            let row = Obj::compact()
+                .raw("t_us", format_args!("{:.3}", t.as_micros_f64()))
+                .str("metric", name)
+                .float("value", v);
+            out.push_str(&format!("{row}\n"));
         }
     }
     out
@@ -95,35 +94,26 @@ pub fn prometheus_text(registry: &MetricRegistry) -> String {
 pub fn summary_json(result: &TelemetryResult) -> String {
     let s = &result.summary;
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"samples\": {},\n", s.samples));
-    out.push_str(&format!("  \"checks\": {},\n", s.checks));
-    out.push_str(&format!(
-        "  \"watchdog_violations\": {},\n",
-        s.total_violations()
-    ));
+    line(&mut out, "samples", s.samples);
+    line(&mut out, "checks", s.checks);
+    line(&mut out, "watchdog_violations", s.total_violations());
+    // Hand layout: one invariant per line, or `{}` when none was violated.
     out.push_str("  \"violations_by_invariant\": {");
-    let mut first = true;
-    for (k, v) in &s.violations {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\n    \"{}\": {}", escape(k), v));
+    for (i, (name, count)) in s.violations.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        out.push_str(&format!("{sep}\n    {}: {count}", string(name)));
     }
-    if !first {
+    if !s.violations.is_empty() {
         out.push_str("\n  ");
     }
     out.push_str("},\n");
-    out.push_str(&format!("  \"strict\": {},\n", result.strict));
-    match &result.diagnostic {
-        Some(d) => out.push_str(&format!("  \"diagnostic\": \"{}\",\n", escape(d))),
-        None => out.push_str("  \"diagnostic\": null,\n"),
-    }
-    out.push_str(&format!(
-        "  \"fingerprint\": \"{:#018x}\"\n}}\n",
-        s.fingerprint()
-    ));
-    out
+    line(&mut out, "strict", result.strict);
+    let diagnostic = result
+        .diagnostic
+        .as_deref()
+        .map_or("null".to_string(), string);
+    line(&mut out, "diagnostic", diagnostic);
+    out + &format!("  \"fingerprint\": {}\n}}\n", hex(s.fingerprint()))
 }
 
 fn mangle(name: &str) -> String {
