@@ -208,7 +208,25 @@ impl HostCc {
 
     /// [`HostCc::on_tick`] with the receiver NIC backlog supplied, for the
     /// [`SignalSource::NicBuffer`] variant (ignored otherwise).
+    #[inline]
     pub fn on_tick_with_nic(
+        &mut self,
+        now: Nanos,
+        bank: &MsrBank,
+        nic_backlog_bytes: u64,
+        mba: &mut Mba,
+    ) -> Option<Sample> {
+        if !self.sampler.due(now) {
+            return None;
+        }
+        self.on_sample_due(now, bank, nic_backlog_bytes, mba)
+    }
+
+    /// The body of [`HostCc::on_tick_with_nic`], out of line: the
+    /// controller acts only on a fresh sample, and most ticks fall between
+    /// samples.
+    #[inline(never)]
+    fn on_sample_due(
         &mut self,
         now: Nanos,
         bank: &MsrBank,

@@ -98,6 +98,7 @@ impl SignalSampler {
     }
 
     /// Whether a sample is due at `now`.
+    #[inline]
     pub fn due(&self, now: Nanos) -> bool {
         now >= self.next_at
     }
@@ -113,10 +114,18 @@ impl SignalSampler {
     /// Take a sample if one is due. Returns the new sample, or `None` if
     /// it is not time yet (or this is the priming read establishing the
     /// first counter snapshot).
+    #[inline]
     pub fn maybe_sample(&mut self, now: Nanos, bank: &MsrBank) -> Option<Sample> {
         if !self.due(now) {
             return None;
         }
+        self.sample(now, bank)
+    }
+
+    /// The body of [`SignalSampler::maybe_sample`], out of line: most ticks
+    /// fall between samples and take only the check in front of it.
+    #[inline(never)]
+    fn sample(&mut self, now: Nanos, bank: &MsrBank) -> Option<Sample> {
         // Two MSR reads (R_OCC and R_INS) per sample; the paper's kernel
         // thread reads them back to back.
         let read_is = self.read_model.draw(&mut self.rng);

@@ -48,7 +48,7 @@ pub fn suites() -> Vec<(&'static str, &'static str)> {
     vec![
         (
             "smoke",
-            "4 small workloads (~seconds): 2 quick scenarios, a 4-cell sweep, chaos:flap",
+            "5 small workloads (~seconds): 2 quick scenarios, a 4-cell sweep, chaos:flap, the k=4 fat tree",
         ),
         (
             "standard",
@@ -125,6 +125,13 @@ fn suite_workloads(suite: &str) -> Result<Vec<Workload>, String> {
                     budget: Budget::quick(),
                 },
                 Workload::chaos("chaos:flap", "flap", Budget::quick())?,
+                // The fat tree's allocation count is mostly its set-up:
+                // the topology, the routes and one sender per host.
+                Workload {
+                    name: "scenario:fat-tree",
+                    grid: GridSpec::preset("fat-tree").ok_or("fat-tree preset missing")?,
+                    budget: Budget::quick(),
+                },
             ])
         }
         "standard" => Ok(vec![
@@ -380,7 +387,8 @@ mod tests {
                 "scenario:baseline",
                 "scenario:hostcc",
                 "sweep:small",
-                "chaos:flap"
+                "chaos:flap",
+                "scenario:fat-tree"
             ]
         );
         for w in &report.workloads {

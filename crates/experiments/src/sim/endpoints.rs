@@ -79,6 +79,9 @@ pub(super) struct Endpoints {
     /// Lower bound on every flow's [`Flow::next_deadline`], and at most
     /// `now` while some flow is unpumped: before it, no flow is due.
     deadline_floor: Nanos,
+    /// Lower bound on every RPC client's [`RpcClient::next_due`]: before
+    /// it, no client queues a message. A completion lowers it.
+    rpc_floor: Nanos,
     /// Copied bytes not yet handed to a socket (the drain is whole bytes).
     copied_carry: f64,
     /// Reused pump burst buffer.
@@ -220,6 +223,9 @@ impl Endpoints {
             for c in done {
                 rpc.on_completion(c.end_offset, c.completed_at);
             }
+            if let Some(due) = rpc.next_due() {
+                self.rpc_floor = self.rpc_floor.min(due);
+            }
         }
         self.ack(ctx, now, i, ack);
     }
@@ -264,19 +270,25 @@ impl Endpoints {
         }
         let drainable = (self.copied_carry as u64).min(total);
         let mut remaining = drainable;
+        // A socket with nothing unconsumed has no share and reads nothing.
         for i in 0..self.eps.len() {
             if remaining == 0 {
                 break;
             }
-            let share = mul_div(drainable, self.eps[i].recv.unconsumed(), total);
-            remaining -= self.app_read(i, share.min(remaining));
+            let unconsumed = self.eps[i].recv.unconsumed();
+            if unconsumed > 0 {
+                let share = mul_div(drainable, unconsumed, total);
+                remaining -= self.app_read(i, share.min(remaining));
+            }
         }
         // Round-off leftovers: first-come, first-served.
         for i in 0..self.eps.len() {
             if remaining == 0 {
                 break;
             }
-            remaining -= self.app_read(i, remaining);
+            if self.eps[i].recv.unconsumed() > 0 {
+                remaining -= self.app_read(i, remaining);
+            }
         }
         self.copied_carry -= (drainable - remaining) as f64;
     }
@@ -304,15 +316,24 @@ impl Endpoints {
     }
 
     /// Tick phase 7, workloads: each RPC client may queue its next
-    /// message, which makes its flow due now.
+    /// message, which makes its flow due now. Before the RPC floor no
+    /// client is due, so none is visited.
     pub(super) fn run_workloads(&mut self, now: Nanos) {
+        if now < self.rpc_floor {
+            return;
+        }
+        let mut floor = Nanos::MAX;
         for e in &mut self.eps[self.first_rpc..] {
             let rpc = e.rpc.as_mut().expect("RPC endpoints come last");
             if rpc.maybe_send(now, &mut e.flow) {
                 e.pumped = false;
                 self.deadline_floor = self.deadline_floor.min(now);
             }
+            if let Some(due) = rpc.next_due() {
+                floor = floor.min(due);
+            }
         }
+        self.rpc_floor = floor;
     }
 
     /// Tick phase 7, flow timers: only due flows get tick work. A flow
@@ -357,6 +378,12 @@ impl Endpoints {
                 .filter_map(|e| e.flow.next_deadline())
                 .all(|d| d >= self.deadline_floor),
             "a flow deadline is below the deadline floor"
+        );
+        debug_assert!(
+            self.rpc_clients()
+                .filter_map(RpcClient::next_due)
+                .all(|d| d >= self.rpc_floor),
+            "an RPC client is due below the RPC floor"
         );
     }
 

@@ -71,8 +71,14 @@ impl FaultInjector {
     /// not short-circuit the corrupt draw), so the injector consumes a
     /// fixed two RNG values per packet regardless of outcome: the decision
     /// stream for one fault dimension cannot shift when the other
-    /// dimension's configuration changes.
+    /// dimension's configuration changes. With both chances 0 no draw can
+    /// fire, and the stream is private to the injector, so it draws
+    /// nothing.
     pub fn apply(&mut self) -> FaultOutcome {
+        if self.config.drop_chance == 0.0 && self.config.corrupt_chance == 0.0 {
+            self.passed += 1;
+            return FaultOutcome::Pass;
+        }
         let drop = self.rng.chance(self.config.drop_chance);
         let corrupt = self.rng.chance(self.config.corrupt_chance);
         if drop {

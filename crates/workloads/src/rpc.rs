@@ -97,6 +97,16 @@ impl RpcClient {
         self.outstanding.iter().map(|o| o.end_offset)
     }
 
+    /// When [`RpcClient::maybe_send`] next queues a request: `None` while
+    /// a closed-loop request is outstanding (only its completion, which
+    /// sets the next send time, can make the client due again).
+    pub fn next_due(&self) -> Option<Nanos> {
+        match self.cfg.open_loop_rate {
+            None if !self.outstanding.is_empty() => None,
+            _ => Some(self.next_send_at),
+        }
+    }
+
     /// Issue the next request when due: closed loop sends one at a time
     /// after think time; open loop fires at Poisson intervals regardless
     /// of outstanding requests. Call before polling the flow for packets.
@@ -225,6 +235,19 @@ mod tests {
         assert_eq!(c.outstanding_count(), 0);
         c.maybe_send(Nanos::from_micros(55), &mut f);
         assert_eq!(c.outstanding_count(), 1);
+    }
+
+    #[test]
+    fn next_due_waits_on_the_outstanding_closed_loop_request() {
+        let mut c = client();
+        let mut f = flow();
+        assert_eq!(c.next_due(), Some(Nanos::ZERO));
+        c.maybe_send(Nanos::ZERO, &mut f);
+        assert_eq!(c.next_due(), None, "busy until the completion");
+        let end = c.outstanding.front().unwrap().end_offset;
+        c.on_completion(end, Nanos::from_micros(50));
+        // 50 µs completion + 5 µs think time.
+        assert_eq!(c.next_due(), Some(Nanos::from_micros(55)));
     }
 
     #[test]
