@@ -202,6 +202,43 @@ mod smoke {
         assert!(!r.panels[1].1.is_empty());
     }
 
+    /// Every figure's rendered text at the tiny budget, pinned by its
+    /// length and FNV-1a: a change to any cell, seed, window or panel
+    /// layout of any figure fails here.
+    #[test]
+    fn every_figure_renders_its_pinned_text() {
+        type Fig = fn(&Budget) -> FigureReport;
+        let pins: [(Fig, usize, u64); 16] = [
+            (fig2, 878, 0x6924_22a6_1af7_b17c),
+            (fig3, 662, 0x6f0c_b0dc_2756_fcbc),
+            (fig4, 1046, 0x4ff3_0ffd_986e_ca6c),
+            (fig7, 446, 0x6316_84b8_debc_ff8f),
+            (fig8, 2204, 0xb35c_4955_9f0a_48b8),
+            (fig9, 1159, 0x4a9c_8b1e_7e0f_19b4),
+            (fig10, 999, 0x716a_7de1_2575_0113),
+            (fig11, 648, 0x3116_7718_93c9_14e2),
+            (fig12, 1581, 0xcfed_c89c_1180_3e06),
+            (fig13, 1329, 0xd6c5_5f5b_bc8b_28ba),
+            (fig14, 989, 0xc9bd_1ae8_4383_cd93),
+            (fig15, 1573, 0x8291_751f_5285_53d9),
+            (fig16, 837, 0x070a_23a0_6f93_4b67),
+            (fig17, 481, 0x5234_4fae_9e1c_d1c3),
+            (fig18, 1379, 0x79c3_1f81_8ff0_18ba),
+            (fig19, 2348, 0xfd2e_eb30_12b6_a751),
+        ];
+        let got: Vec<(usize, u64)> = pins
+            .iter()
+            .map(|(fig, ..)| {
+                let text = fig(&tiny()).render();
+                let mut h = hostcc_sim::Fnv64::new();
+                h.write_bytes(text.as_bytes());
+                (text.len(), h.finish())
+            })
+            .collect();
+        let want: Vec<(usize, u64)> = pins.iter().map(|&(_, n, h)| (n, h)).collect();
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn fig19_snapshot_is_nonempty() {
         let r = fig19(&tiny());
