@@ -451,38 +451,45 @@ impl ChaosTimeline {
 
     /// Check every link fault against the scenario's addressable links.
     ///
-    /// `links` is the set of valid target names (empty on the implicit
-    /// single-switch fabric, which has no named links). The rules —
+    /// The scenario has `links` addressable links (none on the implicit
+    /// single-switch fabric, which has no named links); `is_link` tells
+    /// whether a target names one of them, and `names` renders the valid
+    /// names, space-separated, for an error message only. The rules —
     /// mirroring the `--telemetry-filter` zero-match rejection:
     ///
-    /// * a named target must exist in `links`;
+    /// * a named target must be one of the links;
     /// * with more than one addressable link, an *untargeted* link fault
     ///   is ambiguous and rejected — `flap@2ms` must say which link;
     /// * without any addressable links, targets are rejected (there is
     ///   only the implicit single link) and untargeted faults pass.
-    pub fn validate_targets(&self, links: &[&str]) -> Result<(), String> {
+    pub fn validate_targets(
+        &self,
+        links: usize,
+        is_link: impl Fn(&str) -> bool,
+        names: impl Fn() -> String,
+    ) -> Result<(), String> {
         let listing = || {
-            if links.is_empty() {
+            if links == 0 {
                 "(none: this scenario has a single implicit link)".to_string()
             } else {
-                links.join(" ")
+                names()
             }
         };
         for ev in &self.events {
             match &ev.target {
-                Some(t) if !links.contains(&t.as_str()) => {
+                Some(t) if links == 0 || !is_link(t) => {
                     return Err(format!(
                         "chaos target 'link:{t}' matches no link in this scenario; \
                          valid targets: {}",
                         listing()
                     ));
                 }
-                None if ev.kind.is_link_fault() && links.len() > 1 => {
+                None if ev.kind.is_link_fault() && links > 1 => {
                     return Err(format!(
                         "ambiguous link fault '{}@…': this topology has {} links, so the \
                          fault must address one ('{}@link:<name>@…'); valid targets: {}",
                         ev.kind.name(),
-                        links.len(),
+                        links,
                         ev.kind.name(),
                         listing()
                     ));
@@ -564,45 +571,31 @@ mod tests {
 
     #[test]
     fn target_validation_mirrors_filter_rejection() {
+        let check = |spec: &str, links: &[&str]| {
+            ChaosTimeline::parse(spec).unwrap().validate_targets(
+                links.len(),
+                |t| links.contains(&t),
+                || links.join(" "),
+            )
+        };
         let links = ["h0-leaf0", "leaf0-spine0", "spine0-leaf1"];
         // A named, existing target passes.
-        ChaosTimeline::parse("flap@link:leaf0-spine0@2ms")
-            .unwrap()
-            .validate_targets(&links)
-            .unwrap();
+        check("flap@link:leaf0-spine0@2ms", &links).unwrap();
         // Unknown target: rejected, listing the valid set.
-        let err = ChaosTimeline::parse("flap@link:nope@2ms")
-            .unwrap()
-            .validate_targets(&links)
-            .unwrap_err();
+        let err = check("flap@link:nope@2ms", &links).unwrap_err();
         assert!(err.contains("matches no link"), "{err}");
         assert!(err.contains("leaf0-spine0"), "{err}");
         // Untargeted link fault on a multi-link topology: ambiguous.
-        let err = ChaosTimeline::parse("flap@2ms")
-            .unwrap()
-            .validate_targets(&links)
-            .unwrap_err();
+        let err = check("flap@2ms", &links).unwrap_err();
         assert!(err.contains("ambiguous link fault"), "{err}");
         assert!(err.contains("flap@link:<name>"), "{err}");
         // Implicit single-switch fabric: untargeted passes, targets do not.
-        ChaosTimeline::parse("flap@2ms")
-            .unwrap()
-            .validate_targets(&[])
-            .unwrap();
-        assert!(ChaosTimeline::parse("flap@link:x@2ms")
-            .unwrap()
-            .validate_targets(&[])
-            .is_err());
+        check("flap@2ms", &[]).unwrap();
+        assert!(check("flap@link:x@2ms", &[]).is_err());
         // Non-link kinds never need a target.
-        ChaosTimeline::parse("mbastall@2ms")
-            .unwrap()
-            .validate_targets(&links)
-            .unwrap();
+        check("mbastall@2ms", &links).unwrap();
         // Exactly one addressable link: nothing to disambiguate.
-        ChaosTimeline::parse("flap@2ms")
-            .unwrap()
-            .validate_targets(&["s0-s1"])
-            .unwrap();
+        check("flap@2ms", &["s0-s1"]).unwrap();
     }
 
     #[test]

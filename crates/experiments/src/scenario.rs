@@ -500,14 +500,18 @@ impl Scenario {
         let Some(spec) = &self.chaos else {
             return Ok(());
         };
-        let t = hostcc_chaos::ChaosTimeline::resolve(spec)
+        let timeline = hostcc_chaos::ChaosTimeline::resolve(spec)
             .map_err(|e| format!("invalid chaos spec: {e}"))?;
-        // With a topology, link faults must address one of its links.
-        let names = self
-            .topology
-            .map_or_else(Vec::new, |s| s.build().link_names());
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        t.validate_targets(&names)
+        // With a topology, link faults must address one of its links: each
+        // target is looked up; the names are rendered only for an error.
+        let topology = self.topology.map(|s| s.build());
+        let topology = topology.as_ref();
+        timeline
+            .validate_targets(
+                topology.map_or(0, |t| t.links().len()),
+                |name| topology.is_some_and(|t| t.find_link(name).is_some()),
+                || topology.map_or_else(String::new, |t| t.link_names().join(" ")),
+            )
             .map_err(|e| format!("invalid chaos spec: {e}"))
     }
 

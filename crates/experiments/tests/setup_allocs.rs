@@ -61,3 +61,13 @@ fn fat_tree_set_up_stays_within_its_allocation_ceilings() {
         assert!(allocs <= ceiling, "k={k} with hostCC: {allocs} allocations");
     }
 }
+
+/// A targeted link fault is checked by looking the link up, not by
+/// rendering every link name into a list of strings.
+#[test]
+fn targeted_chaos_set_up_stays_within_its_allocation_ceiling() {
+    let mut scenario = Scenario::fat_tree_incast(4, 3.0);
+    scenario.chaos = Some("flap@link:p3e1-h15@4500us+400us".to_string());
+    let allocs = setup_allocs(scenario);
+    assert!(allocs <= 80, "{allocs} allocations");
+}
