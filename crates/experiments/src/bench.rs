@@ -89,14 +89,8 @@ impl Workload {
     fn run_once(&self) -> Result<SimRateReport, String> {
         let mut grid = self.grid.clone();
         grid.base = self.budget.apply(grid.base);
-        let opts = SweepOptions {
-            workers: 1,
-            trace: false,
-            // A chaos grid carries the flow ledger `repro chaos` gives
-            // both arms.
-            flows: grid.base.chaos.is_some(),
-            ..SweepOptions::default()
-        };
+        // A chaos grid carries the flow ledger `repro chaos` gives both arms.
+        let opts = SweepOptions::untraced(1, grid.base.chaos.is_some());
         Ok(run_sweep(&grid, &opts)?.sim_rate())
     }
 }

@@ -92,7 +92,7 @@ use std::str::FromStr;
 
 use hostcc_chaos::ChaosTimeline;
 use hostcc_experiments::bench::{self, BenchOptions};
-use hostcc_experiments::figures::{self, Budget, FigureReport};
+use hostcc_experiments::figures::{self, Budget};
 use hostcc_experiments::grid::{self, GridSpec};
 use hostcc_experiments::matchup::{self, run_matchup};
 use hostcc_experiments::resilience::run_chaos;
@@ -115,18 +115,6 @@ use hostcc_trace::{
 #[cfg(feature = "alloc-profile")]
 #[global_allocator]
 static ALLOC: hostcc_perf::CountingAllocator = hostcc_perf::CountingAllocator;
-
-type FigFn = fn(&Budget) -> FigureReport;
-
-#[rustfmt::skip]
-const FIGS: &[(&str, FigFn)] = &[
-    ("fig2", figures::fig2), ("fig3", figures::fig3), ("fig4", figures::fig4),
-    ("fig7", figures::fig7), ("fig8", figures::fig8), ("fig9", figures::fig9),
-    ("fig10", figures::fig10), ("fig11", figures::fig11), ("fig12", figures::fig12),
-    ("fig13", figures::fig13), ("fig14", figures::fig14), ("fig15", figures::fig15),
-    ("fig16", figures::fig16), ("fig17", figures::fig17), ("fig18", figures::fig18),
-    ("fig19", figures::fig19),
-];
 
 /// One command-line flag: its name, the metavariable of the value it takes
 /// (`None` for a switch), and its help text.
@@ -497,7 +485,11 @@ fn observers(args: &Args) -> Result<(TraceFilter, Option<TelemetryConfig>), Stri
 }
 
 fn valid_figures() -> Vec<&'static str> {
-    FIGS.iter().map(|(n, _)| *n).collect()
+    figures::names().collect()
+}
+
+fn is_figure(target: &str) -> bool {
+    figures::names().any(|n| n == target)
 }
 
 /// The scenario targets (traceable single runs): the grid's `scenario`
@@ -525,7 +517,7 @@ fn scenario(target: &str) -> Option<Scenario> {
 /// even when `all` appears alongside it (a silently dropped typo used to
 /// make `repro all figX` exit 0 without running `figX`).
 fn resolve_targets(requested: &[String]) -> Result<Vec<String>, String> {
-    let known = |t: &str| is_scenario(t) || FIGS.iter().any(|(n, _)| *n == t);
+    let known = |t: &str| is_scenario(t) || is_figure(t);
     let unknown: Vec<&str> = requested
         .iter()
         .map(String::as_str)
@@ -548,7 +540,7 @@ fn resolve_targets(requested: &[String]) -> Result<Vec<String>, String> {
             .iter()
             .filter(|t| is_scenario(t))
             .cloned()
-            .chain(FIGS.iter().map(|(n, _)| n.to_string()))
+            .chain(figures::names().map(String::from))
             .collect())
     } else {
         Ok(requested.to_vec())
@@ -579,7 +571,7 @@ fn check_single_run_outputs(
 /// `--profile` and the telemetry flags observe a scenario run. A flag no
 /// target reads is an error, not a silent no-op.
 fn check_flags_are_read(targets: &[String], args: &Args) -> Result<(), String> {
-    let figures = targets.iter().any(|t| FIGS.iter().any(|(n, _)| n == t));
+    let figures = targets.iter().any(|t| is_figure(t));
     let scenarios = targets.iter().any(|t| is_scenario(t));
     if args.has("--csv") && !figures {
         return Err("--csv needs a figure target (it writes figure panels)".to_string());
@@ -764,17 +756,23 @@ fn targets_main(args: &Args) -> Result<ExitCode, String> {
     let targets = resolve_targets(&args.operands)?;
     check_single_run_outputs(&targets, args.has("--trace"), args.has("--telemetry-out"))?;
     check_flags_are_read(&targets, args)?;
+    // Every requested figure runs on one pool first; each prints in its
+    // place among the targets.
+    let figs: Vec<&str> = targets
+        .iter()
+        .map(String::as_str)
+        .filter(|t| is_figure(t))
+        .collect();
+    let pool = (!figs.is_empty())
+        .then(|| figures::regenerate(&figs, &args.budget(), 0))
+        .transpose()?;
+    let mut reports = pool.iter().flat_map(|p| &p.figures);
     for t in &targets {
         if let Some(scenario) = scenario(t) {
             run_scenario(t, scenario, args, trace_filter, telemetry.as_ref())?;
             continue;
         }
-        let (_, f) = FIGS
-            .iter()
-            .find(|(n, _)| n == t)
-            .expect("resolve_targets checked every name");
-        let started = std::time::Instant::now();
-        let report = f(&args.budget());
+        let (report, cell_wall) = reports.next().expect("one report per figure target");
         println!("{}", report.render());
         if let Some(dir) = args.value("--csv") {
             let panels = report
@@ -786,7 +784,11 @@ fn targets_main(args: &Args) -> Result<ExitCode, String> {
                 });
             write_files(dir, panels)?;
         }
-        println!("[{} regenerated in {:.1?}]\n", t, started.elapsed());
+        println!("[{t} regenerated in {cell_wall:.1?}]\n");
+    }
+    if let Some(p) = &pool {
+        let (runs, workers, wall) = (p.runs, p.workers, p.wall);
+        println!("[figures: {runs} distinct runs, {workers} workers, regenerated in {wall:.1?}]");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1113,7 +1115,7 @@ mod tests {
     fn all_expands_to_every_figure_keeping_scenarios() {
         let t = resolve_targets(&names(&["baseline", "all"])).unwrap();
         assert_eq!(t[0], "baseline");
-        assert_eq!(t.len(), 1 + FIGS.len());
+        assert_eq!(t.len(), 1 + figures::names().count());
         assert!(t.iter().any(|x| x == "fig19"));
     }
 

@@ -1,84 +1,74 @@
 //! Figures 2–4: the host-congestion phenomenon with vanilla DCTCP (§2.2).
 
-use hostcc_metrics::{f2, pct, Table};
+use hostcc_metrics::{pct, Table};
 use hostcc_workloads::PAPER_RPC_SIZES;
 
-use super::{run, sweep_preset, us, Budget, FigureReport};
+use super::{mtu_and_flows, presets, split_panels, us, Budget, Plan, Run, Shown};
+use crate::grid::Cell;
 use crate::Scenario;
 
 /// Figure 2: throughput, drop rate, and memory-bandwidth split vs the
 /// degree of host congestion, with DDIO on and off.
-pub fn fig2(budget: &Budget) -> FigureReport {
-    let mut left = Table::new(["degree", "ddio", "tput_gbps", "drop_pct"]);
-    let mut right = Table::new(["degree", "ddio", "netapp_mem_util", "mapp_mem_util"]);
-    for c in sweep_preset("fig2", budget) {
-        let d = format!("{}x", c.get("degree").unwrap());
-        let dd = c.get("ddio").unwrap().to_string();
-        let m = &c.metrics;
-        left.row([
-            d.clone(),
-            dd.clone(),
-            f2(m.goodput_gbps),
-            pct(m.drop_rate_pct),
-        ]);
-        right.row([d, dd, f2(m.net_mem_util), f2(m.mapp_mem_util)]);
-    }
-    FigureReport {
-        id: "Figure 2",
-        title: "Host congestion degrades DCTCP throughput and drops packets at the host",
-        panels: vec![
-            ("left: network throughput / packet drop rate".into(), left),
-            ("right: memory bandwidth utilization split".into(), right),
-        ],
-        notes: vec![
-            "paper anchors (DDIO off): ≈98/80/55/43 Gbps at 0–3x; ≈0.3% drops at 3x".into(),
-        ],
-    }
+pub(super) fn fig2(budget: &Budget) -> Plan {
+    (presets(&["fig2"], budget), |runs| {
+        let panels = split_panels(
+            runs,
+            [
+                "left: network throughput / packet drop rate",
+                "right: memory bandwidth utilization split",
+            ],
+            &["degree", "ddio"],
+            |c| vec![format!("{}x", c.get("degree").unwrap()), ddio(c)],
+        );
+        let note = "paper anchors (DDIO off): ≈98/80/55/43 Gbps at 0–3x; ≈0.3% drops at 3x";
+        (panels, vec![note.into()])
+    })
+}
+
+/// The row label of a cell on the `ddio` axis.
+pub(super) fn ddio(c: &Cell) -> String {
+    c.get("ddio").unwrap().to_string()
 }
 
 /// Figure 3: the impact of host congestion worsens with MTU size and the
 /// number of active flows (3× congestion).
-pub fn fig3(budget: &Budget) -> FigureReport {
-    let mut mtu_panel = Table::new(["mtu", "ddio", "tput_gbps", "drop_pct"]);
-    for c in sweep_preset("fig3-mtu", budget) {
-        mtu_panel.row([
-            format!("{}B", c.get("mtu").unwrap()),
-            c.get("ddio").unwrap().to_string(),
-            f2(c.metrics.goodput_gbps),
-            pct(c.metrics.drop_rate_pct),
-        ]);
-    }
-    let mut flows_panel = Table::new(["flows", "ddio", "tput_gbps", "drop_pct"]);
-    for c in sweep_preset("fig3-flows", budget) {
-        flows_panel.row([
-            c.get("flows").unwrap().to_string(),
-            c.get("ddio").unwrap().to_string(),
-            f2(c.metrics.goodput_gbps),
-            pct(c.metrics.drop_rate_pct),
-        ]);
-    }
-    FigureReport {
-        id: "Figure 3",
-        title: "Impact worsens with larger MTU and more flows (3x congestion)",
-        panels: vec![
-            ("left: MTU sweep".into(), mtu_panel),
-            ("right: flow-count sweep".into(), flows_panel),
-        ],
-        notes: vec![
-            "paper: drop rates rise with MTU and flows; DDIO-on suffers more at 9000B/16 flows"
-                .into(),
-        ],
-    }
+pub(super) fn fig3(budget: &Budget) -> Plan {
+    (presets(&["fig3-mtu", "fig3-flows"], budget), |runs| {
+        let note =
+            "paper: drop rates rise with MTU and flows; DDIO-on suffers more at 9000B/16 flows";
+        (mtu_and_flows(runs, "ddio", ddio), vec![note.into()])
+    })
 }
 
-/// Shared body for the latency figures (4, 12, 15): run NetApp-T +
-/// NetApp-L + MApp and tabulate the P50–P99.99 whiskers per RPC size.
-pub(crate) fn latency_figure(
-    budget: &Budget,
-    variants: Vec<(&'static str, Scenario)>,
-    id: &'static str,
-    title: &'static str,
-) -> FigureReport {
+/// The latency variants of Figs 4, 12 and 15, in table order.
+const LATENCY_VARIANTS: [&str; 3] = [
+    "dctcp/no-congestion",
+    "dctcp/3x-congestion",
+    "dctcp+hostcc/3x-congestion",
+];
+
+/// The first `variants` of [`LATENCY_VARIANTS`] as axis-free cells under
+/// the latency windows: NetApp-T + NetApp-L, plus MApp at 3× for the
+/// congested ones. Fig 4's two are Fig 12's first two.
+pub(super) fn latency_cells(budget: &Budget, ddio: bool, variants: usize) -> Vec<Cell> {
+    let ddio = |s: Scenario| if ddio { s.enable_ddio() } else { s };
+    let n = budget.rpc_clients;
+    [
+        ddio(Scenario::paper_baseline()).with_rpc(n),
+        ddio(Scenario::with_congestion(3.0)).with_rpc(n),
+        ddio(Scenario::with_congestion(3.0))
+            .with_rpc(n)
+            .enable_hostcc(),
+    ]
+    .into_iter()
+    .take(variants)
+    .map(|s| Cell::single(budget.apply_latency(s)))
+    .collect()
+}
+
+/// The panel of the latency figures (4, 12, 15): the P50–P99.99 whiskers
+/// per RPC size of each variant.
+pub(super) fn latency_panel(runs: &[Run]) -> Shown {
     let mut t = Table::new([
         "config",
         "rpc_size",
@@ -90,8 +80,7 @@ pub(crate) fn latency_figure(
         "samples",
     ]);
     let mut notes = Vec::new();
-    for (name, s) in variants {
-        let r = run(budget.apply_latency(s));
+    for (name, &(_, r)) in LATENCY_VARIANTS.iter().zip(runs) {
         for size in PAPER_RPC_SIZES {
             match r.rpc_whiskers(size) {
                 Some([p50, p90, p99, p999, p9999]) => {
@@ -117,26 +106,11 @@ pub(crate) fn latency_figure(
             pct(r.drop_rate_pct)
         ));
     }
-    FigureReport {
-        id,
-        title,
-        panels: vec![("latency whiskers per RPC size".into(), t)],
-        notes,
-    }
+    (vec![("latency whiskers per RPC size".into(), t)], notes)
 }
 
 /// Figure 4: orders-of-magnitude tail-latency inflation for NetApp-L under
 /// host congestion (DDIO off, no hostCC).
-pub fn fig4(budget: &Budget) -> FigureReport {
-    let no_cong = Scenario::paper_baseline().with_rpc(budget.rpc_clients);
-    let cong = Scenario::with_congestion(3.0).with_rpc(budget.rpc_clients);
-    latency_figure(
-        budget,
-        vec![
-            ("dctcp/no-congestion", no_cong),
-            ("dctcp/3x-congestion", cong),
-        ],
-        "Figure 4",
-        "Host congestion inflates tail latency (P99 ≈ NIC queueing; P99.9 ≈ 200 ms RTO)",
-    )
+pub(super) fn fig4(budget: &Budget) -> Plan {
+    (latency_cells(budget, false, 2), latency_panel)
 }

@@ -1,231 +1,124 @@
 //! Figures 9–15: hostCC's benefits (§5.1–§5.2) and the MBA actuator sweep.
 
-use hostcc_metrics::{f2, pct, Table};
+use hostcc_metrics::{f2, pct};
 
-use super::baseline::latency_figure;
-use super::{sweep_preset, Budget, FigureReport};
-use crate::Scenario;
+use super::baseline::{ddio, latency_cells, latency_panel};
+use super::{mtu_and_flows, presets, split_panels, table, Budget, Plan, Run, Shown};
+use crate::grid::Cell;
 
 /// Figure 9: MBA efficacy — NetApp-T and MApp throughput at hard-coded
 /// host-local response levels 0–4, DDIO on/off, 3× congestion.
-pub fn fig9(budget: &Budget) -> FigureReport {
-    let mut left = Table::new(["level", "ddio", "netapp_tput_gbps", "mapp_tput_gbps"]);
-    let mut right = Table::new(["level", "ddio", "netapp_mem_util", "mapp_mem_util"]);
-    for c in sweep_preset("fig9", budget) {
-        let level = c.get("level").unwrap().to_string();
-        let dd = c.get("ddio").unwrap().to_string();
-        let m = &c.metrics;
-        left.row([
-            level.clone(),
-            dd.clone(),
-            f2(m.goodput_gbps),
-            f2(m.mapp_app_gbps),
-        ]);
-        right.row([level, dd, f2(m.net_mem_util), f2(m.mapp_mem_util)]);
-    }
-    FigureReport {
-        id: "Figure 9",
-        title: "MBA efficacy: higher response levels shift bandwidth from MApp to NetApp-T",
-        panels: vec![
+pub(super) fn fig9(budget: &Budget) -> Plan {
+    (presets(&["fig9"], budget), |runs| {
+        let level = |c: &Cell| c.get("level").unwrap().to_string();
+        let left = table(
+            runs,
+            &["level", "ddio", "netapp_tput_gbps", "mapp_tput_gbps"],
+            |c, r| [level(c), ddio(c), f2(r.goodput_gbps()), f2(r.mapp_app_gbps)],
+        );
+        let right = table(
+            runs,
+            &["level", "ddio", "netapp_mem_util", "mapp_mem_util"],
+            |c, r| [level(c), ddio(c), f2(r.net_mem_util), f2(r.mapp_mem_util)],
+        );
+        let panels = vec![
             ("left/middle: application throughputs".into(), left),
             ("right: memory bandwidth split".into(), right),
-        ],
-        notes: vec![
+        ];
+        let notes = vec![
             "paper (DDIO off): NetApp-T ≈ 43→55→70→77→100 Gbps across levels 0–4".into(),
             "paper: DDIO-on reaches line rate at a lower level (≈3) than DDIO-off (4)".into(),
-        ],
-    }
+        ];
+        (panels, notes)
+    })
 }
 
-/// Shared body for Figures 10/14: DCTCP vs DCTCP+hostCC across congestion
+/// The row label of a cell on the `hostcc` axis.
+fn cc_name(c: &Cell) -> String {
+    if c.get("hostcc") == Some("on") {
+        "dctcp+hostcc"
+    } else {
+        "dctcp"
+    }
+    .to_string()
+}
+
+/// The panels of Figures 10/14: DCTCP vs DCTCP+hostCC across congestion
 /// degrees.
-fn hostcc_benefit_figure(
-    budget: &Budget,
-    preset: &'static str,
-    id: &'static str,
-    title: &'static str,
-) -> FigureReport {
-    let mut left = Table::new(["degree", "cc", "tput_gbps", "drop_pct"]);
-    let mut right = Table::new(["degree", "cc", "netapp_mem_util", "mapp_mem_util"]);
-    for c in sweep_preset(preset, budget) {
-        let name = if c.get("hostcc") == Some("on") {
-            "dctcp+hostcc"
-        } else {
-            "dctcp"
-        };
-        let d = format!("{}x", c.get("degree").unwrap());
-        let m = &c.metrics;
-        left.row([
-            d.clone(),
-            name.into(),
-            f2(m.goodput_gbps),
-            pct(m.drop_rate_pct),
-        ]);
-        right.row([d, name.into(), f2(m.net_mem_util), f2(m.mapp_mem_util)]);
-    }
-    FigureReport {
-        id,
-        title,
-        panels: vec![
-            ("left: throughput / drop rate".into(), left),
-            ("right: memory bandwidth split".into(), right),
+fn hostcc_benefit(runs: &[Run]) -> Shown {
+    let panels = split_panels(
+        runs,
+        [
+            "left: throughput / drop rate",
+            "right: memory bandwidth split",
         ],
-        notes: vec![
-            "paper: hostCC holds ≈ B_T = 80 Gbps at 2–3x and cuts drops by orders of magnitude"
-                .into(),
-        ],
-    }
+        &["degree", "cc"],
+        |c| vec![format!("{}x", c.get("degree").unwrap()), cc_name(c)],
+    );
+    let note = "paper: hostCC holds ≈ B_T = 80 Gbps at 2–3x and cuts drops by orders of magnitude";
+    (panels, vec![note.into()])
 }
 
 /// Figure 10: hostCC benefits with DDIO disabled.
-pub fn fig10(budget: &Budget) -> FigureReport {
-    hostcc_benefit_figure(
-        budget,
-        "fig10",
-        "Figure 10",
-        "hostCC maintains target bandwidth and near-zero drops under host congestion",
-    )
+pub(super) fn fig10(budget: &Budget) -> Plan {
+    (presets(&["fig10"], budget), hostcc_benefit)
 }
 
 /// Figure 11: hostCC benefits across MTU sizes and flow counts (3×).
-pub fn fig11(budget: &Budget) -> FigureReport {
-    let mut mtu_panel = Table::new(["mtu", "cc", "tput_gbps", "drop_pct"]);
-    let mut flows_panel = Table::new(["flows", "cc", "tput_gbps", "drop_pct"]);
-    let cc_name = |c: &crate::sweep::CellRun| {
-        if c.get("hostcc") == Some("on") {
-            "dctcp+hostcc"
-        } else {
-            "dctcp"
-        }
-    };
-    for c in sweep_preset("fig11-mtu", budget) {
-        mtu_panel.row([
-            format!("{}B", c.get("mtu").unwrap()),
-            cc_name(&c).into(),
-            f2(c.metrics.goodput_gbps),
-            pct(c.metrics.drop_rate_pct),
-        ]);
-    }
-    for c in sweep_preset("fig11-flows", budget) {
-        flows_panel.row([
-            c.get("flows").unwrap().to_string(),
-            cc_name(&c).into(),
-            f2(c.metrics.goodput_gbps),
-            pct(c.metrics.drop_rate_pct),
-        ]);
-    }
-    FigureReport {
-        id: "Figure 11",
-        title: "hostCC's benefits persist across MTU sizes and flow counts",
-        panels: vec![
-            ("left: MTU sweep".into(), mtu_panel),
-            ("right: flow-count sweep".into(), flows_panel),
-        ],
-        notes: vec![],
-    }
+pub(super) fn fig11(budget: &Budget) -> Plan {
+    (presets(&["fig11-mtu", "fig11-flows"], budget), |runs| {
+        (mtu_and_flows(runs, "cc", cc_name), vec![])
+    })
 }
 
 /// Figure 12: hostCC's tail-latency benefits (DDIO off).
-pub fn fig12(budget: &Budget) -> FigureReport {
-    let no_cong = Scenario::paper_baseline().with_rpc(budget.rpc_clients);
-    let cong = Scenario::with_congestion(3.0).with_rpc(budget.rpc_clients);
-    let hcc = Scenario::with_congestion(3.0)
-        .with_rpc(budget.rpc_clients)
-        .enable_hostcc();
-    latency_figure(
-        budget,
-        vec![
-            ("dctcp/no-congestion", no_cong),
-            ("dctcp/3x-congestion", cong),
-            ("dctcp+hostcc/3x-congestion", hcc),
-        ],
-        "Figure 12",
-        "hostCC keeps tail latency near the uncongested baseline (no timeouts at P99.9)",
-    )
+pub(super) fn fig12(budget: &Budget) -> Plan {
+    (latency_cells(budget, false, 3), latency_panel)
 }
 
 /// Figure 13: incast — network congestion with and without host congestion.
-pub fn fig13(budget: &Budget) -> FigureReport {
-    let mut a = Table::new([
-        "incast",
-        "cc",
-        "tput_gbps",
-        "drop_pct",
-        "switch_drops",
-        "nic_drops",
-    ]);
-    let mut b = Table::new([
-        "incast",
-        "cc",
-        "tput_gbps",
-        "drop_pct",
-        "switch_drops",
-        "nic_drops",
-    ]);
-    for (panel, preset) in [(&mut a, "fig13a"), (&mut b, "fig13b")] {
-        for c in sweep_preset(preset, budget) {
-            let name = if c.get("hostcc") == Some("on") {
-                "dctcp+hostcc"
-            } else {
-                "dctcp"
-            };
-            // The incast axis carries total flows; the paper labels rows by
-            // the incast *degree* (flows / the 4-flow baseline).
-            let flows: f64 = c.get("incast").unwrap().parse().unwrap();
-            let m = &c.metrics;
-            panel.row([
-                format!("{}x", flows / 4.0),
-                name.into(),
-                f2(m.goodput_gbps),
-                pct(m.drop_rate_pct),
-                m.switch_drops.to_string(),
-                m.nic_drops.to_string(),
-            ]);
-        }
-    }
-    FigureReport {
-        id: "Figure 13",
-        title: "Incast: hostCC ≈ network CC without host congestion; large wins with it",
-        panels: vec![
+pub(super) fn fig13(budget: &Budget) -> Plan {
+    (presets(&["fig13a", "fig13b"], budget), |runs| {
+        let header = [
+            "incast",
+            "cc",
+            "tput_gbps",
+            "drop_pct",
+            "switch_drops",
+            "nic_drops",
+        ];
+        // fig13a and fig13b share their axes, so each is one half of the runs.
+        let (a, b) = runs.split_at(runs.len() / 2);
+        let [a, b] = [a, b].map(|half| {
+            table(half, &header, |c, r| {
+                // The incast axis carries total flows; the paper labels rows
+                // by the incast *degree* (flows / the 4-flow baseline).
+                let flows: f64 = c.get("incast").unwrap().parse().unwrap();
+                [
+                    format!("{}x", flows / 4.0),
+                    cc_name(c),
+                    f2(r.goodput_gbps()),
+                    pct(r.drop_rate_pct),
+                    r.switch_drops.to_string(),
+                    r.nic_drops.to_string(),
+                ]
+            })
+        });
+        let panels = vec![
             ("(a) network congestion only".into(), a),
             ("(b) host + network congestion".into(), b),
-        ],
-        notes: vec![
-            "paper: without host congestion the two curves coincide (minimal overhead)".into(),
-        ],
-    }
+        ];
+        let note = "paper: without host congestion the two curves coincide (minimal overhead)";
+        (panels, vec![note.into()])
+    })
 }
 
 /// Figure 14: hostCC benefits with DDIO enabled (I_T = 50).
-pub fn fig14(budget: &Budget) -> FigureReport {
-    hostcc_benefit_figure(
-        budget,
-        "fig14",
-        "Figure 14",
-        "hostCC with DDIO enabled: same benefits as the DDIO-disabled case",
-    )
+pub(super) fn fig14(budget: &Budget) -> Plan {
+    (presets(&["fig14"], budget), hostcc_benefit)
 }
 
 /// Figure 15: hostCC tail latency with DDIO enabled.
-pub fn fig15(budget: &Budget) -> FigureReport {
-    let no_cong = Scenario::paper_baseline()
-        .enable_ddio()
-        .with_rpc(budget.rpc_clients);
-    let cong = Scenario::with_congestion(3.0)
-        .enable_ddio()
-        .with_rpc(budget.rpc_clients);
-    let hcc = Scenario::with_congestion(3.0)
-        .enable_ddio()
-        .with_rpc(budget.rpc_clients)
-        .enable_hostcc();
-    latency_figure(
-        budget,
-        vec![
-            ("dctcp/no-congestion", no_cong),
-            ("dctcp/3x-congestion", cong),
-            ("dctcp+hostcc/3x-congestion", hcc),
-        ],
-        "Figure 15",
-        "DDIO enabled: latency improvements identical to the DDIO-disabled case",
-    )
+pub(super) fn fig15(budget: &Budget) -> Plan {
+    (latency_cells(budget, true, 3), latency_panel)
 }

@@ -1,9 +1,11 @@
 //! Per-figure reproduction harnesses.
 //!
-//! One function per figure of the paper's evaluation; each assembles the
-//! scenario(s), runs them, and returns a [`FigureReport`] whose tables
-//! mirror the figure's panels. The `repro` CLI prints these; `repro bench`
-//! times the harness end to end (see `hostcc-experiments::bench`).
+//! Each figure of the paper's evaluation declares its runs up front (grid
+//! preset cells, or an axis-free cell per direct-run variant) and then
+//! renders a [`FigureReport`], whose tables mirror the figure's panels,
+//! from the finished runs. [`regenerate`] runs any set of figures on one
+//! sweep pool, each distinct scenario once; `fig2()` … `fig19()` each
+//! regenerate one figure alone. The `repro` CLI prints these.
 
 mod baseline;
 mod deepdive;
@@ -11,16 +13,15 @@ mod hostcc_figs;
 mod sensitivity;
 mod signals;
 
-pub use baseline::{fig2, fig3, fig4};
-pub use deepdive::{fig18, fig19};
-pub use hostcc_figs::{fig10, fig11, fig12, fig13, fig14, fig15, fig9};
-pub use sensitivity::{fig16, fig17};
-pub use signals::{fig7, fig8};
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
-use hostcc_metrics::Table;
+use hostcc_metrics::{f2, pct, Table};
 use hostcc_sim::Nanos;
 
-use crate::{RunResult, Scenario, Simulation};
+use crate::grid::{Cell, GridSpec};
+use crate::sweep::{resolve_workers, run_cells_with, SweepOptions};
+use crate::{RunResult, Scenario};
 
 /// Simulation-time budget for a figure run.
 #[derive(Debug, Clone, Copy)]
@@ -108,29 +109,226 @@ impl FigureReport {
     }
 }
 
-/// Run one scenario to completion.
-pub(crate) fn run(s: Scenario) -> RunResult {
-    Simulation::new(s).run()
+/// A finished run as a figure reads it: the figure's own cell and the
+/// result of running its scenario (shared with any other figure that
+/// declared the same scenario).
+type Run<'a> = (&'a Cell, &'a RunResult);
+
+/// What a figure shows: its captioned panels and its notes.
+type Shown = (Vec<(String, Table)>, Vec<String>);
+
+/// A figure's plan for a budget: the runs it declares, and how it renders
+/// what it shows from them (one run per declared cell, in declaration
+/// order).
+type Plan = (Vec<Cell>, fn(&[Run]) -> Shown);
+
+/// The cells of grid presets, in order, under the budget's throughput
+/// windows. Rows come in grid-expansion order, which matches the row
+/// order of the paper's panels: the canonical axis order mirrors the
+/// figures' loop nesting.
+fn presets(names: &[&str], budget: &Budget) -> Vec<Cell> {
+    let expand = |name: &&str| {
+        let mut spec =
+            GridSpec::preset(name).unwrap_or_else(|| panic!("unknown grid preset '{name}'"));
+        spec.base = budget.apply(spec.base);
+        spec.expand().expect("figure presets expand cleanly")
+    };
+    names.iter().flat_map(expand).collect()
 }
 
-/// Expand a named grid preset with the budget's throughput windows and run
-/// it through the parallel sweep engine. Rows come back in grid-expansion
-/// order — which matches the row order of the paper's panels, because the
-/// canonical axis order was chosen to mirror the figures' loop nesting.
-///
-/// Figures built this way inherit the sweep's determinism guarantee, so
-/// running them under a parallel sweep or via the direct harness yields
-/// the same numbers for the same grid.
-pub(crate) fn sweep_preset(name: &str, budget: &Budget) -> Vec<crate::sweep::CellRun> {
-    let mut spec = crate::grid::GridSpec::preset(name)
-        .unwrap_or_else(|| panic!("unknown grid preset '{name}'"));
-    spec.base = budget.apply(spec.base);
-    let cells = spec.expand().expect("figure presets expand cleanly");
-    let opts = crate::sweep::SweepOptions {
-        trace: false,
-        ..Default::default()
+/// What [`regenerate`] made: every requested figure plus the pool's
+/// execution record (which varies run to run; the reports do not).
+#[derive(Debug)]
+pub struct Regenerated {
+    /// Each requested figure in request order, with the summed wall
+    /// time of its runs.
+    pub figures: Vec<(FigureReport, Duration)>,
+    /// Distinct runs the pool executed.
+    pub runs: usize,
+    /// Worker threads the pool used.
+    pub workers: usize,
+    /// Wall time of the whole pool.
+    pub wall: Duration,
+}
+
+/// Regenerate the named figures (`fig2` … `fig19`, repeats allowed) on
+/// one sweep pool of `workers` threads (0 = one per core). Every figure's
+/// runs are declared first; each distinct scenario runs once, then every
+/// figure renders from the finished runs. Runs are told apart by their
+/// whole scenario, never by cell key and seed: every axis-free cell has
+/// the empty key and the base seed. The reports are identical at any
+/// worker count and for any request that contains the figure.
+pub fn regenerate(names: &[&str], budget: &Budget, workers: usize) -> Result<Regenerated, String> {
+    let mut jobs: Vec<Cell> = Vec::new();
+    let mut by_scenario: HashMap<String, usize> = HashMap::new();
+    let mut plans = Vec::with_capacity(names.len());
+    for name in names {
+        let &(_, id, title, plan) = FIGURES
+            .iter()
+            .find(|(n, ..)| n == name)
+            .ok_or_else(|| format!("unknown figure '{name}'"))?;
+        let (cells, render) = plan(budget);
+        let ids: Vec<usize> = cells
+            .iter()
+            .map(|c| {
+                *by_scenario
+                    .entry(format!("{:?}", c.scenario))
+                    .or_insert_with(|| {
+                        jobs.push(c.clone());
+                        jobs.len() - 1
+                    })
+            })
+            .collect();
+        plans.push((id, title, render, cells, ids));
+    }
+    let started = Instant::now();
+    let results = run_cells_with(&jobs, &SweepOptions::untraced(workers, false), |r| r);
+    let wall = started.elapsed();
+    let figures = plans
+        .iter()
+        .map(|&(id, title, render, ref cells, ref ids)| {
+            let runs: Vec<Run> = cells
+                .iter()
+                .zip(ids)
+                .map(|(c, &i)| (c, &results[i].1))
+                .collect();
+            let cell_secs = ids.iter().map(|&i| results[i].0.wall_secs).sum();
+            let (panels, notes) = render(&runs);
+            let report = FigureReport {
+                id,
+                title,
+                panels,
+                notes,
+            };
+            (report, Duration::from_secs_f64(cell_secs))
+        })
+        .collect();
+    Ok(Regenerated {
+        figures,
+        runs: jobs.len(),
+        workers: resolve_workers(workers, jobs.len()),
+        wall,
+    })
+}
+
+/// The figure names [`regenerate`] knows, in paper order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    FIGURES.iter().map(|(name, ..)| *name)
+}
+
+/// Declares the figure table and each figure's one-figure entry point.
+macro_rules! figures {
+    ($($name:ident: $plan:path, $id:literal, $title:literal;)*) => {
+        /// Every figure in paper order: its `repro` target name, its id and
+        /// title, and its plan.
+        const FIGURES: &[(&str, &str, &str, fn(&Budget) -> Plan)] =
+            &[$((stringify!($name), $id, $title, $plan)),*];
+        $(
+            #[doc = concat!("Regenerate ", $id, " alone (see [`regenerate`]).")]
+            pub fn $name(budget: &Budget) -> FigureReport {
+                let mut one = regenerate(&[stringify!($name)], budget, 0).expect("a known figure");
+                one.figures.remove(0).0
+            }
+        )*
     };
-    crate::sweep::run_cells(&cells, &opts)
+}
+
+figures! {
+    fig2: baseline::fig2, "Figure 2",
+        "Host congestion degrades DCTCP throughput and drops packets at the host";
+    fig3: baseline::fig3, "Figure 3",
+        "Impact worsens with larger MTU and more flows (3x congestion)";
+    fig4: baseline::fig4, "Figure 4",
+        "Host congestion inflates tail latency (P99 ≈ NIC queueing; P99.9 ≈ 200 ms RTO)";
+    fig7: signals::fig7, "Figure 7",
+        "Signal read latency is sub-µs and independent of host congestion";
+    fig8: signals::fig8, "Figure 8",
+        "I_S and B_S over time: ≈65/103 Gbps uncongested; I_S pegs at ≈93 congested";
+    fig9: hostcc_figs::fig9, "Figure 9",
+        "MBA efficacy: higher response levels shift bandwidth from MApp to NetApp-T";
+    fig10: hostcc_figs::fig10, "Figure 10",
+        "hostCC maintains target bandwidth and near-zero drops under host congestion";
+    fig11: hostcc_figs::fig11, "Figure 11",
+        "hostCC's benefits persist across MTU sizes and flow counts";
+    fig12: hostcc_figs::fig12, "Figure 12",
+        "hostCC keeps tail latency near the uncongested baseline (no timeouts at P99.9)";
+    fig13: hostcc_figs::fig13, "Figure 13",
+        "Incast: hostCC ≈ network CC without host congestion; large wins with it";
+    fig14: hostcc_figs::fig14, "Figure 14",
+        "hostCC with DDIO enabled: same benefits as the DDIO-disabled case";
+    fig15: hostcc_figs::fig15, "Figure 15",
+        "DDIO enabled: latency improvements identical to the DDIO-disabled case";
+    fig16: sensitivity::fig16, "Figure 16",
+        "hostCC tracks any target bandwidth B_T with minimal drops";
+    fig17: sensitivity::fig17, "Figure 17",
+        "Higher I_T delays the reaction to congestion: more drops, more MApp bandwidth";
+    fig18: deepdive::fig18, "Figure 18",
+        "Both hostCC mechanisms are necessary: echo alone loses throughput, local alone drops";
+    fig19: deepdive::fig19, "Figure 19",
+        "Steady state: PCIe bandwidth hugs B_T while the response level oscillates";
+}
+
+/// A table with `header` and one row per run.
+fn table<R: IntoIterator<Item = String>>(
+    runs: &[Run],
+    header: &[&str],
+    row: impl Fn(&Cell, &RunResult) -> R,
+) -> Table {
+    let mut t = Table::new(header.iter().copied());
+    for &(c, r) in runs {
+        t.row(row(c, r));
+    }
+    t
+}
+
+/// The two panels of a throughput sweep under `captions`: throughput and
+/// drop rate, then the memory-bandwidth split. Each row starts with the
+/// run's `label` columns, headed `labels`.
+fn split_panels(
+    runs: &[Run],
+    captions: [&str; 2],
+    labels: &[&'static str],
+    label: impl Fn(&Cell) -> Vec<String>,
+) -> Vec<(String, Table)> {
+    let panel = |columns: [&'static str; 2], values: fn(&RunResult) -> [String; 2]| {
+        let header = [labels, &columns].concat();
+        table(runs, &header, |c, r| label(c).into_iter().chain(values(r)))
+    };
+    let throughput = panel(["tput_gbps", "drop_pct"], |r| {
+        [f2(r.goodput_gbps()), pct(r.drop_rate_pct)]
+    });
+    let memory = panel(["netapp_mem_util", "mapp_mem_util"], |r| {
+        [f2(r.net_mem_util), f2(r.mapp_mem_util)]
+    });
+    vec![
+        (captions[0].into(), throughput),
+        (captions[1].into(), memory),
+    ]
+}
+
+/// The panels of Figs 3 and 11: throughput and drop rate over the MTU
+/// sweep, then over the flow-count sweep, each row labelled by `series`
+/// (headed `column`).
+fn mtu_and_flows(runs: &[Run], column: &str, series: fn(&Cell) -> String) -> Vec<(String, Table)> {
+    let (mtu, flows): (Vec<Run>, Vec<Run>) = runs.iter().partition(|(c, _)| c.get("mtu").is_some());
+    [
+        ("left: MTU sweep", "mtu", mtu),
+        ("right: flow-count sweep", "flows", flows),
+    ]
+    .map(|(caption, axis, runs)| {
+        let header = [axis, column, "tput_gbps", "drop_pct"];
+        let t = table(&runs, &header, |c, r| {
+            let x = c.get(axis).unwrap();
+            let x = if axis == "mtu" {
+                format!("{x}B")
+            } else {
+                x.to_string()
+            };
+            [x, series(c), f2(r.goodput_gbps()), pct(r.drop_rate_pct)]
+        });
+        (caption.to_string(), t)
+    })
+    .into()
 }
 
 /// Format a latency in microseconds for tables.
@@ -204,7 +402,8 @@ mod smoke {
 
     /// Every figure's rendered text at the tiny budget, pinned by its
     /// length and FNV-1a: a change to any cell, seed, window or panel
-    /// layout of any figure fails here.
+    /// layout of any figure fails here. Each figure renders the same text
+    /// alone as inside the full set, and at 1 and at 4 workers.
     #[test]
     fn every_figure_renders_its_pinned_text() {
         type Fig = fn(&Budget) -> FigureReport;
@@ -237,6 +436,34 @@ mod smoke {
             .collect();
         let want: Vec<(usize, u64)> = pins.iter().map(|&(_, n, h)| (n, h)).collect();
         assert_eq!(got, want);
+
+        let alone: Vec<String> = pins.iter().map(|(fig, ..)| fig(&tiny()).render()).collect();
+        let all: Vec<&str> = names().collect();
+        for workers in [1, 4] {
+            let set = regenerate(&all, &tiny(), workers).unwrap();
+            let texts: Vec<String> = set.figures.iter().map(|(r, _)| r.render()).collect();
+            assert_eq!(texts, alone, "{workers} workers");
+            // 105 declared runs: Fig 4's two are Fig 12's first two, and
+            // Fig 19's one is Fig 18's last.
+            assert_eq!(set.runs, 102);
+        }
+    }
+
+    /// Runs merge only when their whole scenarios are equal. Fig 7's two
+    /// runs and Fig 19's one are all axis-free cells, so they share the
+    /// empty key and the base seed, yet they are three different runs.
+    #[test]
+    fn only_equal_scenarios_share_a_run() {
+        let axis_free = regenerate(&["fig7", "fig19"], &tiny(), 2).unwrap();
+        assert_eq!(axis_free.runs, 3);
+        let repeated = regenerate(&["fig19", "fig18", "fig19"], &tiny(), 2).unwrap();
+        assert_eq!(repeated.runs, 3);
+        assert_eq!(
+            repeated.figures[0].0.render(),
+            repeated.figures[2].0.render()
+        );
+        let err = regenerate(&["fig2", "fig99"], &tiny(), 1).unwrap_err();
+        assert!(err.contains("fig99"), "{err}");
     }
 
     #[test]

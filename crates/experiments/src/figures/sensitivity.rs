@@ -1,51 +1,40 @@
 //! Figures 16–17: sensitivity to hostCC's two parameters, `B_T` and `I_T`.
 
-use hostcc_metrics::{f2, pct, Table};
+use hostcc_metrics::f2;
 
-use super::{sweep_preset, Budget, FigureReport};
+use super::{presets, split_panels, Budget, Plan};
 
 /// Figure 16: sweep the target network bandwidth `B_T` from 10 to
 /// 100 Gbps at 3× host congestion.
-pub fn fig16(budget: &Budget) -> FigureReport {
-    let mut left = Table::new(["bt_gbps", "tput_gbps", "drop_pct"]);
-    let mut right = Table::new(["bt_gbps", "netapp_mem_util", "mapp_mem_util"]);
-    for c in sweep_preset("fig16", budget) {
-        let bt = f2(c.get("bt").unwrap().parse().unwrap());
-        let m = &c.metrics;
-        left.row([bt.clone(), f2(m.goodput_gbps), pct(m.drop_rate_pct)]);
-        right.row([bt, f2(m.net_mem_util), f2(m.mapp_mem_util)]);
-    }
-    FigureReport {
-        id: "Figure 16",
-        title: "hostCC tracks any target bandwidth B_T with minimal drops",
-        panels: vec![
-            ("left: throughput / drops vs B_T".into(), left),
-            ("right: memory split vs B_T".into(), right),
-        ],
-        notes: vec![
-            "paper: throughput ≈ min(B_T, achievable); drops lowest at small and large B_T".into(),
-        ],
-    }
+pub(super) fn fig16(budget: &Budget) -> Plan {
+    (presets(&["fig16"], budget), |runs| {
+        let panels = split_panels(
+            runs,
+            [
+                "left: throughput / drops vs B_T",
+                "right: memory split vs B_T",
+            ],
+            &["bt_gbps"],
+            |c| vec![f2(c.get("bt").unwrap().parse().unwrap())],
+        );
+        let note = "paper: throughput ≈ min(B_T, achievable); drops lowest at small and large B_T";
+        (panels, vec![note.into()])
+    })
 }
 
 /// Figure 17: sweep the IIO occupancy threshold `I_T` from 70 to 90 at 3×
 /// host congestion.
-pub fn fig17(budget: &Budget) -> FigureReport {
-    let mut left = Table::new(["it", "tput_gbps", "drop_pct"]);
-    let mut right = Table::new(["it", "netapp_mem_util", "mapp_mem_util"]);
-    for c in sweep_preset("fig17", budget) {
-        let it = f2(c.get("it").unwrap().parse().unwrap());
-        let m = &c.metrics;
-        left.row([it.clone(), f2(m.goodput_gbps), pct(m.drop_rate_pct)]);
-        right.row([it, f2(m.net_mem_util), f2(m.mapp_mem_util)]);
-    }
-    FigureReport {
-        id: "Figure 17",
-        title: "Higher I_T delays the reaction to congestion: more drops, more MApp bandwidth",
-        panels: vec![
-            ("left: throughput / drops vs I_T".into(), left),
-            ("right: memory split vs I_T".into(), right),
-        ],
-        notes: vec![],
-    }
+pub(super) fn fig17(budget: &Budget) -> Plan {
+    (presets(&["fig17"], budget), |runs| {
+        let panels = split_panels(
+            runs,
+            [
+                "left: throughput / drops vs I_T",
+                "right: memory split vs I_T",
+            ],
+            &["it"],
+            |c| vec![f2(c.get("it").unwrap().parse().unwrap())],
+        );
+        (panels, vec![])
+    })
 }

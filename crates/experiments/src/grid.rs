@@ -320,6 +320,17 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// The one cell an axis-free grid over `scenario` expands to: the
+    /// empty key, which keeps the scenario's own seed.
+    pub(crate) fn single(scenario: Scenario) -> Cell {
+        Cell {
+            index: 0,
+            key: String::new(),
+            params: Vec::new(),
+            scenario,
+        }
+    }
+
     /// The value this cell has on `axis`, if that axis is part of the grid.
     pub fn get(&self, axis: &str) -> Option<&str> {
         self.params

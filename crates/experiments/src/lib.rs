@@ -17,8 +17,8 @@
 //!   across evaluation contexts, scored into a `MatchupReport`
 //!   leaderboard.
 //! * [`figures`] — `fig2()` … `fig19()`, each returning printable tables
-//!   that mirror the paper's panels (the throughput figures run on the
-//!   sweep engine).
+//!   that mirror the paper's panels, and `regenerate`, which runs any set
+//!   of figures as one deduplicated pool on the sweep engine.
 //!
 //! ```
 //! use hostcc_experiments::{Scenario, Simulation};

@@ -148,12 +148,7 @@ pub fn run_matchup(
                 .join(", ")
         )
     })?;
-    let opts = SweepOptions {
-        workers,
-        trace: false,
-        flows: true,
-        ..SweepOptions::default()
-    };
+    let opts = SweepOptions::untraced(workers, true);
     let mut scored = Vec::new();
     for (label, grid) in &contexts {
         let cells = grid.expand()?;

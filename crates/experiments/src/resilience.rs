@@ -19,22 +19,23 @@
 //!   outside) fault windows.
 
 use hostcc_chaos::{ArmReport, ChaosTimeline, EventScore, ResilienceReport};
-use hostcc_flowscope::{FlowScope, FlowscopeHandle};
 use hostcc_metrics::Histogram;
 use hostcc_sim::Nanos;
 
 use crate::figures::Budget;
-use crate::sweep::resolve_workers;
-use crate::{RunResult, Scenario, Simulation};
+use crate::grid::Cell;
+use crate::sweep::{run_cells_with, CellRun, SweepOptions};
+use crate::{RunResult, Scenario};
 
 /// Fraction of the pre-fault mean bandwidth that counts as "recovered".
 const RECOVERY_FRACTION: f64 = 0.9;
 
 /// Run the paired differential experiment for `spec` (a preset name or an
-/// inline timeline spec) under `budget`. `workers` follows the sweep rule
-/// (0 = one per core); with two or more the two arms run on separate
-/// threads. Results are bit-identical either way, because each arm is an
-/// independent simulation built from its own scenario.
+/// inline timeline spec) under `budget`. The two arms run as a 2-cell
+/// pool on the sweep engine, `workers` following the sweep rule (0 = one
+/// per core), and are scored afterwards. Results are bit-identical at any
+/// worker count, because each arm is an independent simulation built from
+/// its own scenario.
 pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<ResilienceReport, String> {
     let timeline = ChaosTimeline::resolve(spec)?;
     let window_end = budget.warmup + budget.measure;
@@ -47,36 +48,23 @@ pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<Resilien
         ));
     }
 
-    let base = chaos_scenario(spec, budget)?;
-    let off = base.clone();
-    let on = base.clone().enable_hostcc();
+    let off = chaos_scenario(spec, budget)?;
+    let on = off.clone().enable_hostcc();
 
     // Both arms carry a flow ledger so the report can score per-flow
     // fairness alongside the aggregate dips (a fault that starves a subset
     // of flows is invisible in aggregate goodput).
-    let run_arm = |s: Scenario| {
-        let mut sim = Simulation::new(s);
-        sim.set_flowscope(FlowscopeHandle::new(FlowScope::new()));
-        sim.run()
-    };
-    let (off_result, on_result) = if resolve_workers(workers, 2) >= 2 {
-        std::thread::scope(|scope| {
-            let off_handle = scope.spawn(|| run_arm(off));
-            let on_handle = scope.spawn(|| run_arm(on));
-            (
-                off_handle.join().expect("chaos off-arm panicked"),
-                on_handle.join().expect("chaos on-arm panicked"),
-            )
-        })
-    } else {
-        (run_arm(off), run_arm(on))
+    let opts = SweepOptions::untraced(workers, true);
+    let arms = run_cells_with(&[off, on].map(Cell::single), &opts, |result| result);
+    let [off, on] = &arms[..] else {
+        unreachable!("two arms ran")
     };
 
     Ok(ResilienceReport {
         preset: timeline.name.clone(),
         spec: timeline.canonical(),
-        off: score_arm(false, &timeline, &off_result, window_end)?,
-        on: score_arm(true, &timeline, &on_result, window_end)?,
+        off: score_arm(false, &timeline, off, window_end)?,
+        on: score_arm(true, &timeline, on, window_end)?,
     })
 }
 
@@ -103,10 +91,21 @@ fn value_at(points: &[(Nanos, f64)], t: Nanos) -> f64 {
         .map_or(0.0, |(_, v)| *v)
 }
 
+/// Mean of the sampled values whose time satisfies `when` (`None` when
+/// there are none).
+fn mean_where(points: &[(Nanos, f64)], when: impl Fn(Nanos) -> bool) -> Option<f64> {
+    let values: Vec<f64> = points
+        .iter()
+        .filter(|(t, _)| when(*t))
+        .map(|(_, v)| *v)
+        .collect();
+    (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
+}
+
 fn score_arm(
     hostcc: bool,
     timeline: &ChaosTimeline,
-    result: &RunResult,
+    (run, result): &(CellRun, RunResult),
     window_end: Nanos,
 ) -> Result<ArmReport, String> {
     let telemetry = result
@@ -114,18 +113,17 @@ fn score_arm(
         .as_ref()
         .ok_or("chaos arm ran without telemetry")?;
     let summary = &telemetry.summary;
-    let flowscope = result
+    let flowscope = run
         .flowscope
         .as_ref()
         .ok_or("chaos arm ran without a flow ledger")?;
-    let bw: Vec<(Nanos, f64)> = result
-        .series("host.pcie.bw_gbps")
-        .map(|s| s.iter().collect())
-        .unwrap_or_default();
-    let running: Vec<(Nanos, f64)> = result
-        .series("watchdog.violations_running")
-        .map(|s| s.iter().collect())
-        .unwrap_or_default();
+    let points = |name| {
+        result
+            .series(name)
+            .map_or_else(Vec::new, |s| s.iter().collect())
+    };
+    let bw: Vec<(Nanos, f64)> = points("host.pcie.bw_gbps");
+    let running: Vec<(Nanos, f64)> = points("watchdog.violations_running");
 
     let first_start = timeline
         .events
@@ -133,19 +131,11 @@ fn score_arm(
         .map(|e| e.start)
         .min()
         .unwrap_or(Nanos::ZERO);
-    let pre: Vec<f64> = bw
-        .iter()
-        .filter(|(t, _)| *t < first_start)
-        .map(|(_, v)| *v)
-        .collect();
-    let pre_mean_gbps = if pre.is_empty() {
-        // Degenerate timeline starting inside warmup: fall back to the
-        // whole-run mean so dips still have a denominator.
-        let all: Vec<f64> = bw.iter().map(|(_, v)| *v).collect();
-        all.iter().sum::<f64>() / all.len().max(1) as f64
-    } else {
-        pre.iter().sum::<f64>() / pre.len() as f64
-    };
+    // A degenerate timeline starting inside warmup falls back to the
+    // whole-run mean, so dips still have a denominator.
+    let pre_mean_gbps = mean_where(&bw, |t| t < first_start)
+        .or_else(|| mean_where(&bw, |_| true))
+        .unwrap_or(0.0);
 
     // Invariant names that actually tripped in this run; a window's
     // violations are annotated only when every tripped invariant is one
@@ -159,16 +149,9 @@ fn score_arm(
         // Mean, not min: the bandwidth gauge is instantaneous and samples
         // zero between back-to-back packets, so the window minimum is a
         // degenerate 100% for almost any fault.
-        let in_window: Vec<f64> = bw
-            .iter()
-            .filter(|(t, _)| *t >= start && *t <= end)
-            .map(|(_, v)| *v)
-            .collect();
-        let dip_frac = if pre_mean_gbps > 0.0 && !in_window.is_empty() {
-            let mean_in = in_window.iter().sum::<f64>() / in_window.len() as f64;
-            (1.0 - mean_in / pre_mean_gbps).clamp(0.0, 1.0)
-        } else {
-            0.0
+        let dip_frac = match mean_where(&bw, |t| t >= start && t <= end) {
+            Some(mean_in) if pre_mean_gbps > 0.0 => (1.0 - mean_in / pre_mean_gbps).clamp(0.0, 1.0),
+            _ => 0.0,
         };
         let recovery = bw
             .iter()

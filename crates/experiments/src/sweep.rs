@@ -8,7 +8,9 @@
 //! the worker that runs it, and nothing flows between cells — so per-cell
 //! results are bit-identical no matter how many workers run the sweep or
 //! which worker picks up which cell. Tests assert `--workers 1` equals
-//! `--workers N` field for field.
+//! `--workers N` field for field. The same pool runs the figures
+//! ([`crate::figures::regenerate`]), the matchup cells and the two arms of
+//! a chaos experiment.
 //!
 //! Each worker gives its simulation a counting-only tracer
 //! ([`hostcc_trace::Tracer::counting`]) and a sim-rate profiler; at join
@@ -31,6 +33,7 @@
 //! println!("{}", manifest.summary_table().render());
 //! ```
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -83,6 +86,20 @@ impl Default for SweepOptions {
             telemetry: false,
             strict_invariants: false,
             flows: false,
+        }
+    }
+}
+
+impl SweepOptions {
+    /// The options the library's own harnesses run cells with: no
+    /// counting tracer, no added telemetry (a scenario that records keeps
+    /// its own), and the flow ledger when `flows` is set.
+    pub(crate) fn untraced(workers: usize, flows: bool) -> Self {
+        SweepOptions {
+            workers,
+            trace: false,
+            flows,
+            ..SweepOptions::default()
         }
     }
 }
@@ -352,13 +369,6 @@ impl CellRun {
     }
 }
 
-/// What one worker hands back at join time.
-struct WorkerOut {
-    runs: Vec<CellRun>,
-    read_is: Cdf,
-    read_bs: Cdf,
-}
-
 /// Worker threads for `jobs` jobs: `requested`, or one per core when it is
 /// 0, capped at the job count and at least one.
 pub(crate) fn resolve_workers(requested: usize, jobs: usize) -> usize {
@@ -386,7 +396,15 @@ fn next_job(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
     None
 }
 
-fn run_one(cell: &Cell, opts: &SweepOptions, worker: usize) -> (CellRun, Cdf, Cdf) {
+/// Run one cell with the observers `opts` asks for. Its trace counts and
+/// flow ledger move into the [`CellRun`]; `keep` takes the rest of the
+/// result, for callers that read more than a `CellRun` carries.
+fn run_one<T>(
+    cell: &Cell,
+    opts: &SweepOptions,
+    worker: usize,
+    keep: impl Fn(RunResult) -> T,
+) -> (CellRun, T) {
     let mut sim = Simulation::new(cell.scenario.clone());
     if opts.trace {
         sim.set_trace(TraceHandle::new(Tracer::counting(opts.trace_filter)));
@@ -401,7 +419,7 @@ fn run_one(cell: &Cell, opts: &SweepOptions, worker: usize) -> (CellRun, Cdf, Cd
         sim.set_flowscope(FlowscopeHandle::new(FlowScope::new()));
     }
     let profiler = SimRateProfiler::start(sim.events_processed(), sim.now());
-    let result = sim.run();
+    let mut result = sim.run();
     let report = profiler.finish(sim.events_processed(), sim.now());
     let run = CellRun {
         index: cell.index,
@@ -409,40 +427,43 @@ fn run_one(cell: &Cell, opts: &SweepOptions, worker: usize) -> (CellRun, Cdf, Cd
         params: cell.params.clone(),
         seed: cell.scenario.seed,
         metrics: CellMetrics::from_result(&result),
-        trace: result.trace.unwrap_or_default(),
+        trace: result.trace.take().unwrap_or_default(),
         telemetry: result.telemetry.as_ref().map(|t| t.summary.clone()),
         telemetry_diagnostic: result.telemetry.as_ref().and_then(|t| t.diagnostic.clone()),
-        flowscope: result.flowscope,
+        flowscope: result.flowscope.take(),
         events: report.events,
         sim_ns: report.sim_ns,
         wall_secs: report.wall_secs,
         worker,
     };
-    (run, result.read_is_cdf, result.read_bs_cdf)
+    (run, keep(result))
 }
 
-/// Run `cells` across `workers` threads; returns `(runs sorted by cell
-/// index, merged R_OCC read-latency CDF, merged R_INS read-latency CDF)`.
-fn run_cells_full(cells: &[Cell], opts: &SweepOptions, workers: usize) -> (Vec<CellRun>, Cdf, Cdf) {
-    // Round-robin initial distribution; idle workers steal from the back.
+/// The one worker pool: run every cell ([`run_one`]) across
+/// `opts.workers` threads and return each `(run, keep(result))` in
+/// `cells` order. Cells are dealt round-robin, longest simulated window
+/// first, into per-worker deques; an idle worker steals from the back of
+/// another's. Each simulation is built inside its worker, so which worker
+/// runs a cell never shows in its output.
+pub(crate) fn run_cells_with<T: Send>(
+    cells: &[Cell],
+    opts: &SweepOptions,
+    keep: impl Fn(RunResult) -> T + Sync,
+) -> Vec<(CellRun, T)> {
+    let workers = resolve_workers(opts.workers, cells.len());
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by_key(|&i| Reverse(cells[i].scenario.warmup + cells[i].scenario.measure));
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..cells.len()).step_by(workers).collect()))
+        .map(|w| Mutex::new(order.iter().skip(w).step_by(workers).copied().collect()))
         .collect();
-    let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let queues = &queues;
+    let (queues, keep) = (&queues, &keep);
+    let mut outs: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
-                    let mut out = WorkerOut {
-                        runs: Vec::new(),
-                        read_is: Cdf::new(),
-                        read_bs: Cdf::new(),
-                    };
+                    let mut out = Vec::new();
                     while let Some(i) = next_job(queues, w) {
-                        let (run, is, bs) = run_one(&cells[i], opts, w);
-                        out.runs.push(run);
-                        out.read_is.merge(&is);
-                        out.read_bs.merge(&bs);
+                        out.push((i, run_one(&cells[i], opts, w, keep)));
                     }
                     out
                 })
@@ -450,19 +471,11 @@ fn run_cells_full(cells: &[Cell], opts: &SweepOptions, workers: usize) -> (Vec<C
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
+            .flat_map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     });
-    let mut runs = Vec::with_capacity(cells.len());
-    let mut read_is = Cdf::new();
-    let mut read_bs = Cdf::new();
-    for out in outs {
-        runs.extend(out.runs);
-        read_is.merge(&out.read_is);
-        read_bs.merge(&out.read_bs);
-    }
-    runs.sort_by_key(|r| r.index);
-    (runs, read_is, read_bs)
+    outs.sort_by_key(|&(i, _)| i);
+    outs.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Execute expanded cells and return the per-cell runs in grid order.
@@ -471,8 +484,8 @@ fn run_cells_full(cells: &[Cell], opts: &SweepOptions, workers: usize) -> (Vec<C
 /// aggregation into a [`SweepManifest`]. Everything but `wall_secs` and
 /// `worker` on the returned runs is bit-identical for any worker count.
 pub fn run_cells(cells: &[Cell], opts: &SweepOptions) -> Vec<CellRun> {
-    let workers = resolve_workers(opts.workers, cells.len());
-    run_cells_full(cells, opts, workers).0
+    let runs = run_cells_with(cells, opts, |_| ());
+    runs.into_iter().map(|(run, ())| run).collect()
 }
 
 /// Expand a grid and run it, aggregating everything into a manifest.
@@ -480,8 +493,17 @@ pub fn run_sweep(spec: &GridSpec, opts: &SweepOptions) -> Result<SweepManifest, 
     let cells = spec.expand()?;
     let workers = resolve_workers(opts.workers, cells.len());
     let start = Instant::now();
-    let (runs, mut read_is, mut read_bs) = run_cells_full(&cells, opts, workers);
+    let outs = run_cells_with(&cells, opts, |r| (r.read_is_cdf, r.read_bs_cdf));
     let wall_secs = start.elapsed().as_secs_f64();
+
+    let mut read_is = Cdf::new();
+    let mut read_bs = Cdf::new();
+    let mut runs = Vec::with_capacity(outs.len());
+    for (run, (is, bs)) in outs {
+        read_is.merge(&is);
+        read_bs.merge(&bs);
+        runs.push(run);
+    }
 
     let mut trace_totals = TraceCounts::default();
     let mut telemetry_totals: Option<TelemetrySummary> = None;
@@ -490,8 +512,8 @@ pub fn run_sweep(spec: &GridSpec, opts: &SweepOptions) -> Result<SweepManifest, 
     let mut events = 0u64;
     let mut sim_ns = 0u64;
     let mut fingerprint = Fnv64::new();
-    // Runs are sorted by cell index, so every merge and fingerprint fold
-    // below happens in grid order regardless of worker count. Wall-clock
+    // Runs come back in grid order, so every merge and fingerprint fold
+    // below happens in that order regardless of worker count. Wall-clock
     // data (cell_wall_secs) is summed but NEVER folded into the
     // fingerprint.
     for r in &runs {
