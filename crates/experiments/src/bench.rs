@@ -3,11 +3,11 @@
 //! `BENCH_<git-short-sha>.json` trajectory file (see
 //! [`hostcc_perf::BenchReport`]).
 //!
-//! Every workload is a grid run by the sweep engine at one worker (so
-//! events/sec measures engine speed, not parallelism) with no profiler
-//! attached: the rates are those of the code users run. A single
-//! scenario is a 1-cell grid, a sweep is its grid, and a chaos workload
-//! is the hostCC-off/on pair `repro chaos` runs. Attribution is
+//! Every workload is a list of cells run by the sweep engine at one
+//! worker (so events/sec measures engine speed, not parallelism) with no
+//! profiler attached: the rates are those of the code users run. A single
+//! scenario is one axis-free cell, a sweep is its grid's cells, and a
+//! chaos workload is the two cells `repro chaos` runs. Attribution is
 //! `repro --profile`'s job.
 //!
 //! Iteration wall times vary; everything else is deterministic — the
@@ -15,14 +15,16 @@
 //! between iterations, since that would mean the simulation itself is
 //! non-deterministic.
 
+use std::time::Instant;
+
 use hostcc_perf::{
     alloc_stats, reset_alloc_peak, BenchReport, BenchWorkload, HostMeta, SimRateReport,
 };
 
 use crate::figures::Budget;
-use crate::grid::GridSpec;
-use crate::resilience::chaos_scenario;
-use crate::sweep::{run_sweep, SweepOptions};
+use crate::grid::{Cell, GridSpec};
+use crate::resilience::chaos_arms;
+use crate::sweep::{run_cells, SweepOptions};
 use crate::Scenario;
 
 /// How many iterations a suite runs per workload.
@@ -58,40 +60,49 @@ pub fn suites() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// One benchmarked workload: a grid the sweep engine runs at one worker
-/// with no profiler attached, under `budget`'s windows. A single scenario
-/// is an axis-free 1-cell grid, which keeps the base seed.
+/// One benchmarked workload: cells the sweep engine runs at one worker
+/// with no profiler attached, under a budget's windows.
 struct Workload {
     name: &'static str,
-    grid: GridSpec,
-    budget: Budget,
+    cells: Vec<Cell>,
 }
 
 impl Workload {
+    /// One scenario, as an axis-free cell (which keeps the base seed).
     fn scenario(name: &'static str, scenario: Scenario, budget: Budget) -> Self {
         Workload {
             name,
-            grid: GridSpec::new(name, scenario),
-            budget,
+            cells: vec![Cell::single(budget.apply(scenario))],
         }
     }
 
-    /// Both arms of `repro chaos PRESET`: its base scenario (RPC clients,
-    /// recorded telemetry, the timeline) with hostCC off and on.
+    /// A grid's cells, its base under `budget`'s windows.
+    fn grid(name: &'static str, mut grid: GridSpec, budget: Budget) -> Result<Self, String> {
+        grid.base = budget.apply(grid.base);
+        let cells = grid.expand()?;
+        Ok(Workload { name, cells })
+    }
+
+    /// The two arms of `repro chaos PRESET`, seeds included: its base
+    /// scenario (RPC clients, recorded telemetry, the timeline) with
+    /// hostCC off and on.
     fn chaos(name: &'static str, preset: &str, budget: Budget) -> Result<Self, String> {
-        let mut grid = GridSpec::new(name, chaos_scenario(preset, &budget)?);
-        grid.set_axis("hostcc", "off,on")?;
-        Ok(Workload { name, grid, budget })
+        let cells = chaos_arms(preset, &budget)?.into();
+        Ok(Workload { name, cells })
     }
 
     /// One measured run. The wall time covers building every cell's
     /// simulation too (it is part of what a user pays per run).
-    fn run_once(&self) -> Result<SimRateReport, String> {
-        let mut grid = self.grid.clone();
-        grid.base = self.budget.apply(grid.base);
-        // A chaos grid carries the flow ledger `repro chaos` gives both arms.
-        let opts = SweepOptions::untraced(1, grid.base.chaos.is_some());
-        Ok(run_sweep(&grid, &opts)?.sim_rate())
+    fn run_once(&self) -> SimRateReport {
+        // Chaos cells carry the flow ledger `repro chaos` gives both arms.
+        let flows = self.cells.iter().any(|c| c.scenario.chaos.is_some());
+        let started = Instant::now();
+        let runs = run_cells(&self.cells, &SweepOptions::untraced(1, flows));
+        SimRateReport {
+            wall_secs: started.elapsed().as_secs_f64(),
+            events: runs.iter().map(|r| r.events).sum(),
+            sim_ns: runs.iter().map(|r| r.sim_ns).sum(),
+        }
     }
 }
 
@@ -113,19 +124,15 @@ fn suite_workloads(suite: &str) -> Result<Vec<Workload>, String> {
                     congested().enable_hostcc(),
                     Budget::quick(),
                 ),
-                Workload {
-                    name: "sweep:small",
-                    grid: small,
-                    budget: Budget::quick(),
-                },
+                Workload::grid("sweep:small", small, Budget::quick())?,
                 Workload::chaos("chaos:flap", "flap", Budget::quick())?,
                 // The fat tree's allocation count is mostly its set-up:
                 // the topology, the routes and one sender per host.
-                Workload {
-                    name: "scenario:fat-tree",
-                    grid: GridSpec::preset("fat-tree").ok_or("fat-tree preset missing")?,
-                    budget: Budget::quick(),
-                },
+                Workload::grid(
+                    "scenario:fat-tree",
+                    GridSpec::preset("fat-tree").ok_or("fat-tree preset missing")?,
+                    Budget::quick(),
+                )?,
             ])
         }
         "standard" => Ok(vec![
@@ -145,11 +152,11 @@ fn suite_workloads(suite: &str) -> Result<Vec<Workload>, String> {
                 Scenario::incast(8, 3.0).enable_hostcc(),
                 Budget::standard(),
             ),
-            Workload {
-                name: "sweep:figure-grid",
-                grid: GridSpec::preset("figure-grid").ok_or("figure-grid preset missing")?,
-                budget: Budget::quick(),
-            },
+            Workload::grid(
+                "sweep:figure-grid",
+                GridSpec::preset("figure-grid").ok_or("figure-grid preset missing")?,
+                Budget::quick(),
+            )?,
             Workload::chaos("chaos:flap", "flap", Budget::quick())?,
         ]),
         other => Err(format!(
@@ -174,7 +181,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 
 fn run_workload(w: &Workload, opts: &BenchOptions) -> Result<BenchWorkload, String> {
     for _ in 0..opts.warmup {
-        w.run_once()?;
+        w.run_once();
     }
     let alloc_before = alloc_stats();
     reset_alloc_peak();
@@ -182,7 +189,7 @@ fn run_workload(w: &Workload, opts: &BenchOptions) -> Result<BenchWorkload, Stri
     let mut events = 0u64;
     let mut sim_ns = 0u64;
     for i in 0..opts.iters {
-        let out = w.run_once()?;
+        let out = w.run_once();
         if i == 0 {
             events = out.events;
             sim_ns = out.sim_ns;
@@ -342,24 +349,20 @@ mod tests {
     #[test]
     fn workloads_run_what_users_run() {
         let smoke = suite_workloads("smoke").unwrap();
-        // A scenario workload is the scenario itself, seed included.
-        let cells = smoke[0].grid.expand().unwrap();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(
-            format!("{:?}", cells[0].scenario),
-            format!("{:?}", Scenario::paper_baseline())
-        );
-        // The chaos workload is `repro chaos flap`'s pair of arms, up to
-        // the per-cell seeds the grid derives.
         let budget = Budget::quick();
-        let base = chaos_scenario("flap", &budget).unwrap();
-        let cells = smoke[3].grid.expand().unwrap();
-        assert_eq!(cells.len(), 2);
-        for (cell, arm) in cells.iter().zip([base.clone(), base.enable_hostcc()]) {
-            let mut s = cell.scenario.clone();
-            s.seed = arm.seed;
-            assert_eq!(format!("{s:?}"), format!("{arm:?}"), "{}", cell.key);
-        }
+        let runs = |w: &Workload| -> Vec<(String, String)> {
+            let run = |c: &Cell| (c.key.clone(), format!("{:?}", c.scenario));
+            w.cells.iter().map(run).collect()
+        };
+        let single = |s: &Scenario| (String::new(), format!("{s:?}"));
+        // A scenario workload is the scenario itself, seed included.
+        let baseline = budget.apply(Scenario::paper_baseline());
+        assert_eq!(runs(&smoke[0]), [single(&baseline)]);
+        // The chaos workload is `repro chaos flap`'s pair of arms, seeds
+        // included.
+        let off = crate::resilience::chaos_scenario("flap", &budget).unwrap();
+        let on = off.clone().enable_hostcc();
+        assert_eq!(runs(&smoke[3]), [single(&off), single(&on)]);
     }
 
     #[test]

@@ -57,10 +57,11 @@ impl Fabric {
     }
 
     /// One egress port per switch-sourced link of `topo`, and every flow's
-    /// ECMP route drawn once from the pinned path-seed scheme: routes
-    /// depend only on (topology, flow, seed), so multi-hop runs are
-    /// bit-identical at any sweep worker count. Host uplinks carry no port
-    /// (the sender's `FqLink` *is* that link).
+    /// ECMP route walked once, straight into the hop table (sized for the
+    /// longest route), under the pinned path-seed scheme: routes depend
+    /// only on (topology, flow, seed), so multi-hop runs are bit-identical
+    /// at any sweep worker count. Host uplinks carry no port (the sender's
+    /// `FqLink` *is* that link).
     pub(crate) fn from_topology(
         topo: Topology,
         cfg: &Scenario,
@@ -77,26 +78,22 @@ impl Fabric {
             .collect();
         let flows = sender_of_flow.len();
         let routes = topo.routes_to(topo.receiver());
-        let mut path = Vec::new();
         let mut fabric = Fabric {
-            ports: vec![SwitchPort::new(cfg.switch); ports as usize],
-            hops: Vec::new(),
+            ports: SwitchPort::many(cfg.switch, ports as usize),
+            hops: Vec::with_capacity(flows * routes.max_hops() as usize),
             routes: Vec::with_capacity(flows),
             port_of,
             series: Vec::new(),
             topo: None,
         };
         for (i, s) in sender_of_flow.enumerate() {
-            routes.route_into(s as u32, i as u32, cfg.seed, &mut path);
-            if i == 0 {
-                // Sized from the first route: the low-numbered senders
-                // that come first sit farthest from the receiver, the last
-                // host. A longer route later only grows the table.
-                fabric.hops.reserve(flows * path.len());
-            }
             let first = fabric.hops.len() as u32;
-            let hops = path.iter().filter_map(|&l| fabric.port_of[l as usize]);
-            fabric.hops.extend(hops);
+            let (hops, port_of) = (&mut fabric.hops, &fabric.port_of);
+            routes.walk(s as u32, i as u32, cfg.seed, |l| {
+                if let Some(port) = port_of[l as usize] {
+                    hops.push(port);
+                }
+            });
             let len = fabric.hops.len() as u32 - first;
             fabric.routes.push(Route { first, len });
         }

@@ -16,7 +16,7 @@ mod signals;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use hostcc_metrics::{f2, pct, Table};
+use hostcc_metrics::{f2, pct, Cdf, Table};
 use hostcc_sim::Nanos;
 
 use crate::grid::{Cell, GridSpec};
@@ -151,6 +151,11 @@ pub struct Regenerated {
     pub wall: Duration,
 }
 
+/// The figures that read their runs' read-latency CDFs. They hold one
+/// sample per signal read, tens of MB in a 2.5 s latency run, so every
+/// run that none of these declared drops them as soon as it finishes.
+const READS_CDFS: &[&str] = &["fig7"];
+
 /// Regenerate the named figures (`fig2` … `fig19`, repeats allowed) on
 /// one sweep pool of `workers` threads (0 = one per core). Every figure's
 /// runs are declared first; each distinct scenario runs once, then every
@@ -160,6 +165,8 @@ pub struct Regenerated {
 /// worker count and for any request that contains the figure.
 pub fn regenerate(names: &[&str], budget: &Budget, workers: usize) -> Result<Regenerated, String> {
     let mut jobs: Vec<Cell> = Vec::new();
+    // Whether a figure that reads CDFs declared each job.
+    let mut keep_cdfs: Vec<bool> = Vec::new();
     let mut by_scenario: HashMap<String, usize> = HashMap::new();
     let mut plans = Vec::with_capacity(names.len());
     for name in names {
@@ -175,14 +182,25 @@ pub fn regenerate(names: &[&str], budget: &Budget, workers: usize) -> Result<Reg
                     .entry(format!("{:?}", c.scenario))
                     .or_insert_with(|| {
                         jobs.push(c.clone());
+                        keep_cdfs.push(false);
                         jobs.len() - 1
                     })
             })
             .collect();
+        if READS_CDFS.contains(name) {
+            ids.iter().for_each(|&i| keep_cdfs[i] = true);
+        }
         plans.push((id, title, render, cells, ids));
     }
     let started = Instant::now();
-    let results = run_cells_with(&jobs, &SweepOptions::untraced(workers, false), |r| r);
+    let opts = SweepOptions::untraced(workers, false);
+    let results = run_cells_with(&jobs, &opts, |i, mut r| {
+        if !keep_cdfs[i] {
+            r.read_is_cdf = Cdf::new();
+            r.read_bs_cdf = Cdf::new();
+        }
+        r
+    });
     let wall = started.elapsed();
     let figures = plans
         .iter()

@@ -48,14 +48,11 @@ pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<Resilien
         ));
     }
 
-    let off = chaos_scenario(spec, budget)?;
-    let on = off.clone().enable_hostcc();
-
     // Both arms carry a flow ledger so the report can score per-flow
     // fairness alongside the aggregate dips (a fault that starves a subset
     // of flows is invisible in aggregate goodput).
     let opts = SweepOptions::untraced(workers, true);
-    let arms = run_cells_with(&[off, on].map(Cell::single), &opts, |result| result);
+    let arms = run_cells_with(&chaos_arms(spec, budget)?, &opts, |_, result| result);
     let [off, on] = &arms[..] else {
         unreachable!("two arms ran")
     };
@@ -68,10 +65,18 @@ pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<Resilien
     })
 }
 
+/// The two arms [`run_chaos`] runs, hostCC off then on, as axis-free cells
+/// on their scenario's own seed; `repro bench` times the same cells as
+/// its `chaos:*` workloads.
+pub(crate) fn chaos_arms(spec: &str, budget: &Budget) -> Result<[Cell; 2], String> {
+    let off = chaos_scenario(spec, budget)?;
+    let on = off.clone().enable_hostcc();
+    Ok([off, on].map(Cell::single))
+}
+
 /// The scenario both arms of a chaos experiment share (hostCC off; the
 /// on arm enables it): 3x congestion with RPC clients, recorded
-/// telemetry for scoring, and the `spec` timeline. `repro bench` times
-/// the same scenario as its `chaos:*` workloads.
+/// telemetry for scoring, and the `spec` timeline.
 pub(crate) fn chaos_scenario(spec: &str, budget: &Budget) -> Result<Scenario, String> {
     let mut base = budget.apply(Scenario::with_congestion(3.0).with_rpc(budget.rpc_clients));
     base.record = true;

@@ -440,15 +440,15 @@ fn run_one<T>(
 }
 
 /// The one worker pool: run every cell ([`run_one`]) across
-/// `opts.workers` threads and return each `(run, keep(result))` in
-/// `cells` order. Cells are dealt round-robin, longest simulated window
+/// `opts.workers` threads and return each `(run, keep(i, result))` in
+/// `cells` order, `i` being the cell's position in `cells`. Cells are dealt round-robin, longest simulated window
 /// first, into per-worker deques; an idle worker steals from the back of
 /// another's. Each simulation is built inside its worker, so which worker
 /// runs a cell never shows in its output.
 pub(crate) fn run_cells_with<T: Send>(
     cells: &[Cell],
     opts: &SweepOptions,
-    keep: impl Fn(RunResult) -> T + Sync,
+    keep: impl Fn(usize, RunResult) -> T + Sync,
 ) -> Vec<(CellRun, T)> {
     let workers = resolve_workers(opts.workers, cells.len());
     let mut order: Vec<usize> = (0..cells.len()).collect();
@@ -463,7 +463,7 @@ pub(crate) fn run_cells_with<T: Send>(
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     while let Some(i) = next_job(queues, w) {
-                        out.push((i, run_one(&cells[i], opts, w, keep)));
+                        out.push((i, run_one(&cells[i], opts, w, |r| keep(i, r))));
                     }
                     out
                 })
@@ -484,7 +484,7 @@ pub(crate) fn run_cells_with<T: Send>(
 /// aggregation into a [`SweepManifest`]. Everything but `wall_secs` and
 /// `worker` on the returned runs is bit-identical for any worker count.
 pub fn run_cells(cells: &[Cell], opts: &SweepOptions) -> Vec<CellRun> {
-    let runs = run_cells_with(cells, opts, |_| ());
+    let runs = run_cells_with(cells, opts, |_, _| ());
     runs.into_iter().map(|(run, ())| run).collect()
 }
 
@@ -493,7 +493,7 @@ pub fn run_sweep(spec: &GridSpec, opts: &SweepOptions) -> Result<SweepManifest, 
     let cells = spec.expand()?;
     let workers = resolve_workers(opts.workers, cells.len());
     let start = Instant::now();
-    let outs = run_cells_with(&cells, opts, |r| (r.read_is_cdf, r.read_bs_cdf));
+    let outs = run_cells_with(&cells, opts, |_, r| (r.read_is_cdf, r.read_bs_cdf));
     let wall_secs = start.elapsed().as_secs_f64();
 
     let mut read_is = Cdf::new();

@@ -53,7 +53,7 @@ fn setup_allocs(scenario: Scenario) -> u64 {
 
 #[test]
 fn fat_tree_set_up_stays_within_its_allocation_ceilings() {
-    for (k, ceiling) in [(4, 50), (8, 200)] {
+    for (k, ceiling) in [(4, 31), (8, 143)] {
         let scenario = Scenario::fat_tree_incast(k, 3.0);
         let allocs = setup_allocs(scenario.clone());
         assert!(allocs <= ceiling, "k={k}: {allocs} allocations");

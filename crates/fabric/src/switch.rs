@@ -86,6 +86,19 @@ impl SwitchPort {
         }
     }
 
+    /// `n` fresh ports of one configuration: one is built, and the rest
+    /// copy its fields, each with its own empty queue, with neither a
+    /// per-port rate set-up nor a queue clone.
+    pub fn many(config: SwitchPortConfig, n: usize) -> Vec<SwitchPort> {
+        let port = SwitchPort::new(config);
+        (0..n)
+            .map(|_| SwitchPort {
+                queue: VecDeque::new(),
+                ..port
+            })
+            .collect()
+    }
+
     fn drain(&mut self, now: Nanos) {
         while let Some(&(departs, bytes)) = self.queue.front() {
             if departs <= now {

@@ -15,7 +15,7 @@
 
 use hostcc_fabric::Packet;
 use hostcc_flowscope::{FlowscopeHandle, Stage};
-use hostcc_sim::{Nanos, Rate};
+use hostcc_sim::{ceil_u64, Nanos, Rate};
 use hostcc_trace::{DropLocus, TraceEvent, TraceHandle};
 
 use crate::config::{HostConfig, CACHELINE};
@@ -171,7 +171,7 @@ impl RxHost {
     pub fn on_wire_arrival(&mut self, pkt: Packet, now: Nanos) -> bool {
         let flow = pkt.flow.0;
         let id = pkt.id;
-        let dma = (pkt.wire_bytes() as f64 * self.cfg.pcie_overhead).ceil() as u64;
+        let dma = ceil_u64(pkt.wire_bytes() as f64 * self.cfg.pcie_overhead);
         let accepted = self.nic.offer(pkt, dma, now);
         if accepted {
             self.flowscope

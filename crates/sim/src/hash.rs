@@ -2,8 +2,9 @@
 //!
 //! Every fingerprint (sweep, telemetry, flowscope, chaos, matchup) folds
 //! through [`Fnv64`], and every per-cell, per-chaos-event and per-ECMP-route
-//! RNG seed comes from [`derive_seed`]. Both are pure functions of their
-//! input bytes, which is what makes serial and parallel runs agree.
+//! RNG seed comes from [`derive_seed`] or its byte feed [`SeedKey`], which
+//! share one finaliser. All are pure functions of their input bytes, which
+//! is what makes serial and parallel runs agree.
 
 use std::fmt::{self, Write as _};
 
@@ -78,26 +79,82 @@ impl Default for Fnv64 {
 ///
 /// The key is hashed as it is formatted (pass `format_args!` to hash a
 /// composed key without allocating it): the seed is that of the key's
-/// text.
+/// text. A caller that derives many seeds from keys sharing a prefix can
+/// feed a [`SeedKey`] instead; both end in the same finaliser.
 pub fn derive_seed(base: u64, key: impl fmt::Display) -> u64 {
-    /// The key's hash, and whether the key had any bytes.
-    struct Key(Fnv64, bool);
-    impl fmt::Write for Key {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.1 |= !s.is_empty();
-            self.0.write_str(s)
+    let mut k = SeedKey::new();
+    write!(k, "{key}").expect("a key formats without error");
+    k.seed(base)
+}
+
+/// A [`derive_seed`] key fed piece by piece: the FNV-1a state of the
+/// bytes so far, and whether there were any. It is `Copy`, so the state
+/// after a constant prefix can be kept and extended once per key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeedKey {
+    hash: Fnv64,
+    empty: bool,
+}
+
+impl SeedKey {
+    /// The empty key.
+    pub const fn new() -> Self {
+        SeedKey {
+            hash: Fnv64::new(),
+            empty: true,
         }
     }
-    let mut k = Key(Fnv64::new(), false);
-    write!(k, "{key}").expect("a key formats without error");
-    if !k.1 {
-        return base;
+
+    /// Append text.
+    #[inline]
+    pub fn push_str(&mut self, s: &str) {
+        self.empty &= s.is_empty();
+        self.hash.write_bytes(s.as_bytes());
     }
-    let mut z = base ^ k.0.finish();
-    for _ in 0..2 {
-        z = splitmix64(&mut z);
+
+    /// Append `v` in decimal, as `{v}` formats it.
+    #[inline]
+    pub fn push_decimal(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.empty = false;
+        self.hash.write_bytes(&digits[at..]);
     }
-    z
+
+    /// The seed this key derives from `base`: the key's hash mixed into
+    /// `base` through two SplitMix64 finalizer rounds, or `base` itself
+    /// when the key is empty.
+    pub fn seed(self, base: u64) -> u64 {
+        if self.empty {
+            return base;
+        }
+        let mut z = base ^ self.hash.finish();
+        for _ in 0..2 {
+            z = splitmix64(&mut z);
+        }
+        z
+    }
+}
+
+impl Default for SeedKey {
+    fn default() -> Self {
+        SeedKey::new()
+    }
+}
+
+impl fmt::Write for SeedKey {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.push_str(s);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -130,5 +187,22 @@ mod tests {
         }
         assert_ne!(derive_seed(1, "x"), derive_seed(2, "x"));
         assert_ne!(derive_seed(1, "x"), derive_seed(1, "y"));
+        assert_eq!(SeedKey::new().seed(7), 7);
+        let mut k = SeedKey::new();
+        k.push_str("");
+        assert_eq!(k.seed(7), 7);
+    }
+
+    #[test]
+    fn pieces_derive_the_seed_of_their_text() {
+        for v in [0, 1, 9, 10, 99, 100, 12345, u64::from(u32::MAX), u64::MAX] {
+            let mut k = SeedKey::new();
+            k.push_str("flow");
+            k.push_decimal(v);
+            assert_eq!(k.seed(3), derive_seed(3, format_args!("flow{v}")), "{v}");
+            let mut k = SeedKey::new();
+            k.push_decimal(v);
+            assert_eq!(k.seed(3), derive_seed(3, v), "{v}");
+        }
     }
 }

@@ -42,9 +42,9 @@ mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use ewma::Ewma;
-pub use hash::{derive_seed, Fnv64};
+pub use hash::{derive_seed, Fnv64, SeedKey};
 pub use probe::{Probe, Snapshot};
 pub use rate::{LinkRate, Rate};
 pub use rng::Rng;
-pub use round::round_u64;
+pub use round::{ceil_u64, round_u64};
 pub use time::Nanos;
