@@ -1,6 +1,6 @@
 //! Results of one simulation run.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use hostcc_flowscope::FlowscopeResult;
 use hostcc_metrics::{Cdf, Histogram, TimeSeries};
@@ -62,8 +62,9 @@ pub struct RunResult {
     pub mean_level: f64,
     /// MBA MSR writes issued.
     pub mba_writes: u64,
-    /// Per-size RPC latency results (empty if no RPC workload).
-    pub rpc: HashMap<u64, RpcResult>,
+    /// Per-size RPC latency results, in size order (empty if no RPC
+    /// workload).
+    pub rpc: BTreeMap<u64, RpcResult>,
     /// Signal read-latency CDFs (occupancy read, insertion read).
     pub(crate) read_is_cdf: Cdf,
     /// CDF of the `R_INS` read latency.

@@ -1,6 +1,7 @@
 //! The transport endpoint table: one [`Endpoint`] per flow (its sender
-//! side, its receiver socket and its RPC client), plus the running totals
-//! that let the tick skip idle endpoints without rescanning the table.
+//! side and its receiver socket), the RPC clients that drive the last
+//! flows, plus the running totals that let the tick skip idle endpoints
+//! without rescanning the table.
 
 use hostcc_fabric::{ArenaRef, FlowId, PacketRef};
 use hostcc_sim::{Nanos, Rng};
@@ -39,13 +40,11 @@ fn make_cc(kind: CcKind, base_rtt: Nanos) -> Box<dyn CongestionControl> {
     }
 }
 
-/// One transport connection: the sending flow, the receiving socket at its
-/// destination, and an RPC client driving the flow (None for greedy
-/// NetApp-T flows).
+/// One transport connection: the sending flow and the receiving socket at
+/// its destination.
 struct Endpoint {
     flow: Flow,
     recv: Receiver,
-    rpc: Option<RpcClient>,
     /// The sender host the flow leaves from.
     sender: u32,
     /// Reverse-path delay: the base `ack_delay` with a small deterministic
@@ -69,6 +68,8 @@ pub(super) struct Endpoints {
     eps: Vec<Endpoint>,
     /// Index of the first RPC endpoint (the greedy flows come before it).
     first_rpc: usize,
+    /// The RPC clients: `rpc[j]` drives `eps[first_rpc + j]`'s flow.
+    rpc: Vec<RpcClient>,
     mss: u64,
     /// Sum of every socket's unconsumed bytes (the copy engine's drain
     /// target), kept wherever `on_data` and `app_read` run.
@@ -102,12 +103,11 @@ impl Endpoints {
         let rpc_clients = cfg.rpc.as_ref().map_or(0, |_| cfg.rpc_clients);
         let greedy = cfg.total_greedy_flows() as usize;
         let mut eps = Vec::with_capacity(greedy + rpc_clients);
-        let endpoint = |i: usize, kind, sender, rpc| {
+        let endpoint = |i: usize, kind, sender| {
             let id = FlowId(i as u32);
             Endpoint {
                 flow: Flow::new(id, flow_cfg.clone(), make_cc(kind, base_rtt)),
                 recv: Receiver::new(id, cfg.rcv_buf),
-                rpc,
                 sender,
                 ack_delay: Nanos::ZERO,
                 pumped: false,
@@ -120,21 +120,22 @@ impl Endpoints {
                 let i = eps.len();
                 // Heterogeneous mixes assign kinds in global flow-index
                 // order (first group first); homogeneous runs get cfg.cc.
-                let mut e = endpoint(i, cfg.cc_for_greedy_flow(i as u32), s, None);
+                let mut e = endpoint(i, cfg.cc_for_greedy_flow(i as u32), s);
                 e.flow.set_greedy();
                 eps.push(e);
             }
         }
-        if let Some(rpc_cfg) = &cfg.rpc {
-            for _ in 0..rpc_clients {
-                let i = eps.len();
-                let client = RpcClient::new(rpc_cfg.clone(), rng.fork(100 + i as u64));
-                eps.push(endpoint(i, cfg.cc, FIRST_SENDER, Some(client)));
-            }
-        }
+        let rpc = match &cfg.rpc {
+            Some(rpc_cfg) => (greedy..greedy + rpc_clients)
+                .map(|i| RpcClient::new(rpc_cfg, rng.fork(100 + i as u64)))
+                .collect(),
+            None => Vec::new(),
+        };
+        eps.extend((greedy..greedy + rpc_clients).map(|i| endpoint(i, cfg.cc, FIRST_SENDER)));
         Endpoints {
             eps,
             first_rpc: greedy,
+            rpc,
             mss: cfg.mss(),
             ..Endpoints::default()
         }
@@ -217,9 +218,8 @@ impl Endpoints {
         let before = self.eps[i].recv.unconsumed();
         let ack = self.eps[i].recv.on_data(&pkt, now);
         self.unconsumed += self.eps[i].recv.unconsumed() - before;
-        let e = &mut self.eps[i];
-        let done = e.recv.take_completed();
-        if let Some(rpc) = &mut e.rpc {
+        let done = self.eps[i].recv.take_completed();
+        if let Some(rpc) = i.checked_sub(self.first_rpc).map(|j| &mut self.rpc[j]) {
             for c in done {
                 rpc.on_completion(c.end_offset, c.completed_at);
             }
@@ -323,8 +323,7 @@ impl Endpoints {
             return;
         }
         let mut floor = Nanos::MAX;
-        for e in &mut self.eps[self.first_rpc..] {
-            let rpc = e.rpc.as_mut().expect("RPC endpoints come last");
+        for (rpc, e) in self.rpc.iter_mut().zip(&mut self.eps[self.first_rpc..]) {
             if rpc.maybe_send(now, &mut e.flow) {
                 e.pumped = false;
                 self.deadline_floor = self.deadline_floor.min(now);
@@ -380,7 +379,8 @@ impl Endpoints {
             "a flow deadline is below the deadline floor"
         );
         debug_assert!(
-            self.rpc_clients()
+            self.rpc
+                .iter()
                 .filter_map(RpcClient::next_due)
                 .all(|d| d >= self.rpc_floor),
             "an RPC client is due below the RPC floor"
@@ -419,12 +419,12 @@ impl Endpoints {
     }
 
     /// Every RPC client, in flow order.
-    pub(super) fn rpc_clients(&self) -> impl Iterator<Item = &RpcClient> {
-        self.eps.iter().filter_map(|e| e.rpc.as_ref())
+    pub(super) fn rpc_clients(&self) -> &[RpcClient] {
+        &self.rpc
     }
 
     pub(super) fn reset_window(&mut self) {
-        for rpc in self.eps.iter_mut().filter_map(|e| e.rpc.as_mut()) {
+        for rpc in &mut self.rpc {
             rpc.reset_window();
         }
     }

@@ -51,7 +51,7 @@ mod chaos;
 mod endpoints;
 mod hosts;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use hostcc_chaos::ChaosKind;
 use hostcc_core::{Sample, TargetPolicy};
@@ -66,6 +66,7 @@ use hostcc_sim::{EventQueue, Nanos, Rate, Rng};
 use hostcc_telemetry::{component_prefix, Telemetry, TelemetryHandle, WatchdogInput};
 use hostcc_trace::{DropLocus, TraceEvent, TraceHandle};
 use hostcc_transport::{AckInfo, FlowStats};
+use hostcc_workloads::RpcClient;
 
 use self::chaos::ChaosRt;
 use self::endpoints::Endpoints;
@@ -730,9 +731,10 @@ impl Simulation {
         let mem_peak = self.cfg.host.mem_peak;
         let (obs, now) = (&self.ctx.obs, self.ctx.q.now());
 
-        let mut rpc = HashMap::<u64, RpcResult>::new();
-        for (&size, h) in self.endpoints.rpc_clients().flat_map(|c| &c.histograms) {
-            let e = rpc.entry(size).or_insert_with(|| RpcResult {
+        let mut rpc = BTreeMap::<u64, RpcResult>::new();
+        let clients = self.endpoints.rpc_clients();
+        for (size, h) in clients.iter().flat_map(RpcClient::histograms) {
+            let e = rpc.entry(*size).or_insert_with(|| RpcResult {
                 histogram: Histogram::new(),
                 count: 0,
             });
@@ -889,6 +891,36 @@ mod tests {
         assert_eq!(many.ack(70_000), many.ack(99_999));
         assert_eq!(many.ack(99_999), 0xfffe);
         EventQueue::<Ev>::with_lanes(many.count());
+    }
+
+    /// A size listed twice keeps one histogram per listed entry in each
+    /// client; the result still has one key per distinct size, and its
+    /// counts add up to the clients' completions.
+    #[test]
+    fn repeated_rpc_sizes_merge_into_one_result_per_size() {
+        let mut s = Scenario::with_congestion(3.0).enable_hostcc().with_rpc(4);
+        s.rpc = Some(hostcc_workloads::RpcConfig {
+            sizes: vec![64, 64, 4096],
+            ..Default::default()
+        });
+        s.warmup = Nanos::from_millis(2);
+        s.measure = Nanos::from_millis(4);
+        let mut sim = Simulation::new(s);
+        let r = sim.run();
+        assert_eq!(r.rpc.keys().copied().collect::<Vec<_>>(), [64, 4096]);
+        let clients = sim.endpoints.rpc_clients();
+        assert_eq!(clients.len(), 4);
+        let completed: u64 = clients.iter().map(|c| c.completed).sum();
+        assert!(completed > 0);
+        assert_eq!(r.rpc.values().map(|x| x.count).sum::<u64>(), completed);
+        for x in r.rpc.values() {
+            assert_eq!(x.histogram.count(), x.count);
+        }
+        // Both 64-byte entries are drawn, and both land under one key.
+        let drawn =
+            |slot: usize| -> u64 { clients.iter().map(|c| c.histograms()[slot].1.count()).sum() };
+        assert!(drawn(0) > 0 && drawn(1) > 0);
+        assert_eq!(r.rpc[&64].count, drawn(0) + drawn(1));
     }
 
     #[test]

@@ -167,15 +167,15 @@ pub struct CellMetrics {
 impl CellMetrics {
     /// Flatten a [`RunResult`] to its deterministic scalars.
     pub fn from_result(r: &RunResult) -> Self {
-        let mut sizes: Vec<u64> = r.rpc.keys().copied().collect();
-        sizes.sort_unstable();
-        let rpc = sizes
-            .into_iter()
-            .map(|size| RpcSummary {
+        let rpc = r
+            .rpc
+            .iter()
+            .map(|(&size, res)| RpcSummary {
                 size,
-                count: r.rpc[&size].count,
-                whiskers_ns: r
-                    .rpc_whiskers(size)
+                count: res.count,
+                whiskers_ns: res
+                    .histogram
+                    .whiskers()
                     .map(|w| w.map(|n| n.as_nanos()))
                     .unwrap_or([0; 5]),
             })

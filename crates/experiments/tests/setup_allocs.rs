@@ -71,3 +71,22 @@ fn targeted_chaos_set_up_stays_within_its_allocation_ceiling() {
     let allocs = setup_allocs(scenario);
     assert!(allocs <= 80, "{allocs} allocations");
 }
+
+/// The single-host scenarios of the benchmark: the paper baseline, and
+/// hostCC under 3× congestion with four RPC clients. Each client
+/// allocates one `Vec` of per-size histograms, and the clients sit in
+/// one more `Vec`.
+#[test]
+fn single_host_set_up_stays_at_its_allocation_counts() {
+    for (name, scenario, ceiling) in [
+        ("baseline", Scenario::paper_baseline(), 10),
+        (
+            "hostcc with RPC",
+            Scenario::with_congestion(3.0).enable_hostcc().with_rpc(4),
+            19,
+        ),
+    ] {
+        let allocs = setup_allocs(scenario);
+        assert!(allocs <= ceiling, "{name}: {allocs} allocations");
+    }
+}

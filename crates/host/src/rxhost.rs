@@ -223,30 +223,9 @@ impl RxHost {
         let copy_demand = self.copy.demand(&self.cfg, l_mem, dt);
 
         // 3. Arbitrate.
-        #[cfg(feature = "dbg")]
-        if now.as_nanos() % 1_000_000 == 0 {
-            eprintln!(
-                "t={} iio(d={:.0},w={:.1}) mapp(d={:.0},w={:.1}) copy(d={:.0},w={:.1}) l_mem={}",
-                now,
-                iio_demand.bytes,
-                iio_demand.weight,
-                mapp_demand.bytes,
-                mapp_demand.weight,
-                copy_demand.bytes,
-                copy_demand.weight,
-                l_mem
-            );
-        }
         let grants = self
             .mc
             .tick(&self.cfg, dt, iio_demand, mapp_demand, copy_demand);
-        #[cfg(feature = "dbg")]
-        if now.as_nanos() % 1_000_000 == 0 {
-            eprintln!(
-                "   grants iio={:.0} mapp={:.0} copy={:.0} sat={}",
-                grants.iio, grants.mapp, grants.copy, grants.saturated
-            );
-        }
 
         // 4. IIO admission: the grant covers the evicted fraction; DDIO
         //    hits ride along without consuming memory bandwidth.

@@ -13,7 +13,7 @@
 //! NIC queueing, drops → retransmissions/timeouts, and inflated receive
 //! processing.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hostcc_metrics::Histogram;
 use hostcc_sim::{Nanos, Rng};
@@ -51,7 +51,8 @@ impl Default for RpcConfig {
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
     end_offset: u64,
-    size: u64,
+    /// Index of the request's size in [`RpcClient::histograms`].
+    slot: usize,
     sent_at: Nanos,
 }
 
@@ -59,31 +60,43 @@ struct Outstanding {
 /// open-loop Poisson when `RpcConfig::open_loop_rate` is set.
 #[derive(Debug)]
 pub struct RpcClient {
-    cfg: RpcConfig,
+    think: Nanos,
+    response_delay: Nanos,
+    open_loop_rate: Option<f64>,
     rng: Rng,
     /// In-flight requests, FIFO by stream position (closed loop holds at
     /// most one).
     outstanding: VecDeque<Outstanding>,
     next_send_at: Nanos,
-    /// Latency histograms keyed by request size.
-    pub histograms: HashMap<u64, Histogram>,
+    /// `(size, latency histogram)`, one per entry of `RpcConfig::sizes`
+    /// and in its order; `Outstanding::slot` indexes it.
+    histograms: Vec<(u64, Histogram)>,
     /// Completed RPC count.
     pub completed: u64,
 }
 
 impl RpcClient {
     /// A client with the given configuration and RNG stream.
-    pub fn new(cfg: RpcConfig, rng: Rng) -> Self {
+    pub fn new(cfg: &RpcConfig, rng: Rng) -> Self {
         assert!(!cfg.sizes.is_empty());
         let histograms = cfg.sizes.iter().map(|&s| (s, Histogram::new())).collect();
         RpcClient {
-            cfg,
+            think: cfg.think,
+            response_delay: cfg.response_delay,
+            open_loop_rate: cfg.open_loop_rate,
             rng,
             outstanding: VecDeque::new(),
             next_send_at: Nanos::ZERO,
             histograms,
             completed: 0,
         }
+    }
+
+    /// `(request size, latency histogram)`, one per entry of
+    /// `RpcConfig::sizes` and in its order: a size listed twice has two
+    /// histograms, for the caller to merge by size.
+    pub fn histograms(&self) -> &[(u64, Histogram)] {
+        &self.histograms
     }
 
     /// Number of requests in flight (closed loop: 0 or 1).
@@ -101,7 +114,7 @@ impl RpcClient {
     /// a closed-loop request is outstanding (only its completion, which
     /// sets the next send time, can make the client due again).
     pub fn next_due(&self) -> Option<Nanos> {
-        match self.cfg.open_loop_rate {
+        match self.open_loop_rate {
             None if !self.outstanding.is_empty() => None,
             _ => Some(self.next_send_at),
         }
@@ -113,7 +126,7 @@ impl RpcClient {
     /// Returns whether at least one message was queued on `flow` (the
     /// flow then has new data to send).
     pub fn maybe_send(&mut self, now: Nanos, flow: &mut Flow) -> bool {
-        match self.cfg.open_loop_rate {
+        match self.open_loop_rate {
             None => {
                 if !self.outstanding.is_empty() || now < self.next_send_at {
                     return false;
@@ -135,11 +148,11 @@ impl RpcClient {
     }
 
     fn send_one(&mut self, now: Nanos, flow: &mut Flow) {
-        let size = self.cfg.sizes[self.rng.below(self.cfg.sizes.len() as u64) as usize];
-        let end_offset = flow.queue_message(size);
+        let slot = self.rng.below(self.histograms.len() as u64) as usize;
+        let end_offset = flow.queue_message(self.histograms[slot].0);
         self.outstanding.push_back(Outstanding {
             end_offset,
-            size,
+            slot,
             sent_at: now,
         });
     }
@@ -155,21 +168,18 @@ impl RpcClient {
             return; // completion of an older (duplicate-delivery) boundary
         }
         self.outstanding.pop_front();
-        let latency = completed_at.saturating_sub(out.sent_at) + self.cfg.response_delay;
-        self.histograms
-            .get_mut(&out.size)
-            .expect("size key exists")
-            .record(latency);
+        let latency = completed_at.saturating_sub(out.sent_at) + self.response_delay;
+        self.histograms[out.slot].1.record(latency);
         self.completed += 1;
-        if self.cfg.open_loop_rate.is_none() {
-            self.next_send_at = completed_at + self.cfg.think;
+        if self.open_loop_rate.is_none() {
+            self.next_send_at = completed_at + self.think;
         }
     }
 
     /// Reset measured histograms (e.g. after warm-up), keeping the
     /// outstanding request.
     pub fn reset_window(&mut self) {
-        for h in self.histograms.values_mut() {
+        for (_, h) in &mut self.histograms {
             h.clear();
         }
         self.completed = 0;
@@ -187,7 +197,7 @@ mod tests {
     }
 
     fn client() -> RpcClient {
-        RpcClient::new(RpcConfig::default(), Rng::new(3))
+        RpcClient::new(&RpcConfig::default(), Rng::new(3))
     }
 
     #[test]
@@ -213,11 +223,10 @@ mod tests {
         c.maybe_send(Nanos::ZERO, &mut f);
         let out = *c.outstanding.front().expect("one outstanding");
         let end = out.end_offset;
-        let size = out.size;
         c.on_completion(end, Nanos::from_micros(50));
         assert_eq!(c.outstanding_count(), 0);
         assert_eq!(c.completed, 1);
-        let h = &c.histograms[&size];
+        let h = &c.histograms[out.slot].1;
         assert_eq!(h.count(), 1);
         // 50 µs delivery + 12 µs response leg.
         assert_eq!(h.max().unwrap(), Nanos::from_micros(62));
@@ -272,10 +281,33 @@ mod tests {
         for i in 0..200u64 {
             c.maybe_send(Nanos::from_millis(i), &mut f);
             let o = *c.outstanding.front().unwrap();
-            seen.insert(o.size);
+            seen.insert(c.histograms[o.slot].0);
             c.on_completion(o.end_offset, Nanos::from_millis(i));
         }
         assert_eq!(seen.len(), crate::PAPER_RPC_SIZES.len());
+    }
+
+    #[test]
+    fn repeated_sizes_keep_one_histogram_per_entry() {
+        let cfg = RpcConfig {
+            sizes: vec![64, 64, 4096],
+            ..RpcConfig::default()
+        };
+        let mut c = RpcClient::new(&cfg, Rng::new(4));
+        let sizes: Vec<u64> = c.histograms.iter().map(|&(s, _)| s).collect();
+        assert_eq!(sizes, cfg.sizes);
+        let mut f = flow();
+        for i in 0..200u64 {
+            c.maybe_send(Nanos::from_millis(i), &mut f);
+            let o = *c.outstanding.front().unwrap();
+            c.on_completion(o.end_offset, Nanos::from_millis(i));
+        }
+        // Every entry is drawn, the two 64-byte ones included, and each
+        // completion lands in exactly one histogram.
+        assert!(c.histograms.iter().all(|(_, h)| h.count() > 0));
+        let recorded: u64 = c.histograms.iter().map(|(_, h)| h.count()).sum();
+        assert_eq!(recorded, c.completed);
+        assert_eq!(c.completed, 200);
     }
 
     #[test]
@@ -284,7 +316,7 @@ mod tests {
             open_loop_rate: Some(100_000.0), // 100k req/s → ~10 µs gaps
             ..RpcConfig::default()
         };
-        let mut c = RpcClient::new(cfg, Rng::new(5));
+        let mut c = RpcClient::new(&cfg, Rng::new(5));
         let mut f = flow();
         // 1 ms with no completions at all: many requests pile up.
         c.maybe_send(Nanos::from_millis(1), &mut f);
@@ -297,7 +329,7 @@ mod tests {
             open_loop_rate: Some(1_000_000.0),
             ..RpcConfig::default()
         };
-        let mut c = RpcClient::new(cfg, Rng::new(6));
+        let mut c = RpcClient::new(&cfg, Rng::new(6));
         let mut f = flow();
         c.maybe_send(Nanos::from_micros(30), &mut f);
         let ends: Vec<u64> = c.outstanding.iter().map(|o| o.end_offset).collect();
@@ -331,7 +363,7 @@ mod tests {
             open_loop_rate: Some(100_000.0), // ~10 µs gaps
             ..RpcConfig::default()
         };
-        let mut c = RpcClient::new(cfg, Rng::new(5));
+        let mut c = RpcClient::new(&cfg, Rng::new(5));
         let mut f = flow();
         // The first request is due at t = 0.
         assert!(c.maybe_send(Nanos::ZERO, &mut f));
@@ -357,6 +389,6 @@ mod tests {
         c.on_completion(o.end_offset, Nanos::from_micros(1));
         c.reset_window();
         assert_eq!(c.completed, 0);
-        assert!(c.histograms.values().all(|h| h.is_empty()));
+        assert!(c.histograms.iter().all(|(_, h)| h.is_empty()));
     }
 }

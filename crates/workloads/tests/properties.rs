@@ -29,7 +29,7 @@ proptest! {
     /// completion is recorded exactly once.
     #[test]
     fn closed_loop_holds_at_most_one(seed in any::<u64>(), steps in 1usize..300) {
-        let mut c = RpcClient::new(RpcConfig::default(), Rng::new(seed));
+        let mut c = RpcClient::new(&RpcConfig::default(), Rng::new(seed));
         let mut f = flow();
         let mut rng = Rng::new(seed ^ 1);
         let mut now = Nanos::ZERO;
@@ -47,7 +47,7 @@ proptest! {
             }
         }
         prop_assert_eq!(c.completed, completions);
-        let recorded: u64 = c.histograms.values().map(|h| h.count()).sum();
+        let recorded: u64 = c.histograms().iter().map(|(_, h)| h.count()).sum();
         prop_assert_eq!(recorded, completions);
     }
 
@@ -59,7 +59,7 @@ proptest! {
         let mut cfg = RpcConfig::default();
         let rate = rate_krps as f64 * 1000.0;
         cfg.open_loop_rate = Some(rate);
-        let mut c = RpcClient::new(cfg, Rng::new(seed));
+        let mut c = RpcClient::new(&cfg, Rng::new(seed));
         let mut f = flow();
         let window = Nanos::from_millis(20);
         // Never complete anything: all issued requests stay outstanding.
@@ -80,7 +80,7 @@ proptest! {
             open_loop_rate: Some(500_000.0),
             ..RpcConfig::default()
         };
-        let mut c = RpcClient::new(cfg, Rng::new(seed));
+        let mut c = RpcClient::new(&cfg, Rng::new(seed));
         let mut f = flow();
         c.maybe_send(Nanos::from_micros(100), &mut f);
         let ends: Vec<u64> = c.outstanding_offsets().collect();
