@@ -97,7 +97,7 @@ use hostcc_experiments::grid::{self, GridSpec};
 use hostcc_experiments::matchup::{self, run_matchup};
 use hostcc_experiments::resilience::run_chaos;
 use hostcc_experiments::sweep::{run_sweep, SweepOptions};
-use hostcc_experiments::{known_metrics, unknown_telemetry_prefixes, Scenario, Simulation};
+use hostcc_experiments::{known_metrics, Scenario, Simulation};
 use hostcc_flowscope::{FlowScope, FlowscopeHandle};
 use hostcc_perf::{compare_gated, BenchReport, PerfHandle, PerfProfiler, SimRateProfiler};
 use hostcc_sim::Nanos;
@@ -733,16 +733,8 @@ fn telemetry_flags(args: &Args, cfg: &mut TelemetryConfig) -> Result<(), String>
         cfg.interval = Nanos::from_nanos(ns);
     }
     if let Some(spec) = args.value("--telemetry-filter") {
-        cfg.filter =
-            TelemetryFilter::parse(spec).map_err(|e| format!("bad --telemetry-filter: {e}"))?;
-        let unknown = unknown_telemetry_prefixes(&cfg.filter);
-        if !unknown.is_empty() {
-            return Err(format!(
-                "--telemetry-filter: no known metrics under prefix(es): {}\nknown metrics: {}",
-                unknown.join(", "),
-                known_metrics().join(" ")
-            ));
-        }
+        cfg.filter = TelemetryFilter::parse(spec, &known_metrics())
+            .map_err(|e| format!("bad --telemetry-filter: {e}"))?;
     }
     Ok(())
 }

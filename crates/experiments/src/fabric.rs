@@ -8,13 +8,8 @@
 //! its graph, so the event loop has one forwarding path for any hop count.
 
 use hostcc_fabric::{SwitchPort, SwitchPortConfig, Topology};
-use hostcc_telemetry::MetricRegistry;
 
 use crate::scenario::Scenario;
-
-/// Named ports that report their own `fabric.port.<link>.*` series (hotspot
-/// visibility on multi-switch runs); beyond that, totals suffice.
-const NAMED_PORT_SERIES: usize = 8;
 
 /// One flow's route: `hops[first..first + len]` of the fabric's port ids.
 #[derive(Clone, Copy)]
@@ -33,9 +28,6 @@ pub(crate) struct Fabric {
     /// empty on the implicit fabric, whose one port has no link). Ports
     /// are numbered in link-id order.
     port_of: Vec<Option<u32>>,
-    /// `fabric.port.<link>.{backlog_bytes,marks,drops}` of the first
-    /// [`NAMED_PORT_SERIES`] ports, named on the first sample.
-    series: Vec<[String; 3]>,
     /// The graph the ports belong to (None on the implicit fabric); link
     /// names are rendered from it on demand.
     topo: Option<Topology>,
@@ -51,7 +43,6 @@ impl Fabric {
             hops: vec![0],
             routes: vec![route; flows],
             port_of: Vec::new(),
-            series: Vec::new(),
             topo: None,
         }
     }
@@ -83,7 +74,6 @@ impl Fabric {
             hops: Vec::with_capacity(flows * routes.max_hops() as usize),
             routes: Vec::with_capacity(flows),
             port_of,
-            series: Vec::new(),
             topo: None,
         };
         for (i, s) in sender_of_flow.enumerate() {
@@ -138,28 +128,5 @@ impl Fabric {
         self.ports.iter().fold((0, 0, 0), |(d, m, f), p| {
             (d + p.drops(), m + p.marks(), f + p.forwarded())
         })
-    }
-
-    /// Mirror the named ports' backlog, marks and drops into `reg`.
-    pub(crate) fn record_ports(&mut self, now: hostcc_sim::Nanos, reg: &mut MetricRegistry) {
-        if self.series.is_empty() {
-            if let Some(topo) = &self.topo {
-                self.series = (0..)
-                    .zip(&self.port_of)
-                    .filter(|(_, port)| port.is_some())
-                    .take(NAMED_PORT_SERIES)
-                    .map(|(l, _)| {
-                        let name = topo.link_name(l);
-                        ["backlog_bytes", "marks", "drops"]
-                            .map(|m| format!("fabric.port.{name}.{m}"))
-                    })
-                    .collect();
-            }
-        }
-        for (p, [backlog, marks, drops]) in self.ports.iter_mut().zip(&self.series) {
-            reg.gauge_set(backlog, p.backlog_bytes(now) as f64);
-            reg.counter_set(marks, p.marks());
-            reg.counter_set(drops, p.drops());
-        }
     }
 }

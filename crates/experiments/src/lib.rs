@@ -67,4 +67,4 @@ pub mod sweep;
 
 pub use result::{RpcResult, RunResult};
 pub use scenario::{CcKind, CcMix, CcSel, Scenario};
-pub use sim::{known_metrics, unknown_telemetry_prefixes, Simulation};
+pub use sim::{known_metrics, Simulation};

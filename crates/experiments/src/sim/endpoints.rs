@@ -5,7 +5,6 @@
 
 use hostcc_fabric::{ArenaRef, FlowId, PacketRef};
 use hostcc_sim::{Nanos, Rng};
-use hostcc_telemetry::MetricRegistry;
 use hostcc_transport::{
     AckInfo, BbrLite, CongestionControl, Cubic, Dcqcn, Dctcp, Flow, FlowConfig, FlowStats,
     Receiver, Reno, Swift, Timely,
@@ -15,9 +14,6 @@ use hostcc_workloads::RpcClient;
 use super::hosts::{Burst, Sender};
 use super::{Ctx, Ev, Observers, FIRST_SENDER};
 use crate::scenario::{CcKind, Scenario};
-
-/// Flows that report their own `transport.flow.<i>.rate_gbps` series.
-const NAMED_RATE_SERIES: usize = 8;
 
 /// `⌊a·b / c⌋`, in u64 when `a·b` fits and in u128 otherwise.
 fn mul_div(a: u64, b: u64, c: u64) -> u64 {
@@ -87,9 +83,6 @@ pub(super) struct Endpoints {
     copied_carry: f64,
     /// Reused pump burst buffer.
     burst: Burst,
-    /// The `transport.flow.<i>.rate_gbps` gauge names, built on the first
-    /// telemetry sample.
-    rate_series: Vec<String>,
     net_stopped: bool,
 }
 
@@ -218,9 +211,9 @@ impl Endpoints {
         let before = self.eps[i].recv.unconsumed();
         let ack = self.eps[i].recv.on_data(&pkt, now);
         self.unconsumed += self.eps[i].recv.unconsumed() - before;
-        let done = self.eps[i].recv.take_completed();
+        // Only RPC flows carry messages (a greedy flow cannot queue one).
         if let Some(rpc) = i.checked_sub(self.first_rpc).map(|j| &mut self.rpc[j]) {
-            for c in done {
+            for c in self.eps[i].recv.drain_completed() {
                 rpc.on_completion(c.end_offset, c.completed_at);
             }
             if let Some(due) = rpc.next_due() {
@@ -399,23 +392,9 @@ impl Endpoints {
         (greedy, greedy + sum(&self.eps[self.first_rpc..]))
     }
 
-    /// Set `transport.flow.<i>.rate_gbps` to the sending rate (cwnd /
-    /// srtt) of each of the first [`NAMED_RATE_SERIES`] flows that has an
-    /// RTT sample — the flows interesting individually (Fig 8's
-    /// convergence view); beyond that per-flow series are noise. The
-    /// names are built on the first call.
-    pub(super) fn record_rates(&mut self, reg: &mut MetricRegistry) {
-        let named = self.eps.len().min(NAMED_RATE_SERIES);
-        if self.rate_series.len() < named {
-            self.rate_series = (0..named)
-                .map(|i| format!("transport.flow.{i}.rate_gbps"))
-                .collect();
-        }
-        for (e, name) in self.eps.iter().zip(&self.rate_series) {
-            if let Some(srtt) = e.flow.srtt().filter(|&s| s > Nanos::ZERO) {
-                reg.gauge_set(name, e.flow.cwnd() as f64 * 8.0 / srtt.as_nanos() as f64);
-            }
-        }
+    /// Every flow, in flow-id order.
+    pub(super) fn flows(&self) -> impl ExactSizeIterator<Item = &Flow> {
+        self.eps.iter().map(|e| &e.flow)
     }
 
     /// Every RPC client, in flow order.

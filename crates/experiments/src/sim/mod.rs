@@ -50,6 +50,7 @@
 mod chaos;
 mod endpoints;
 mod hosts;
+mod publish;
 
 use std::collections::BTreeMap;
 
@@ -63,7 +64,7 @@ use hostcc_host::MBA_LEVELS;
 use hostcc_metrics::{Cdf, Histogram};
 use hostcc_perf::{PerfHandle, PerfProfiler, PerfScope};
 use hostcc_sim::{EventQueue, Nanos, Rate, Rng};
-use hostcc_telemetry::{component_prefix, Telemetry, TelemetryHandle, WatchdogInput};
+use hostcc_telemetry::{Telemetry, TelemetryHandle, WatchdogInput};
 use hostcc_trace::{DropLocus, TraceEvent, TraceHandle};
 use hostcc_transport::{AckInfo, FlowStats};
 use hostcc_workloads::RpcClient;
@@ -71,6 +72,8 @@ use hostcc_workloads::RpcClient;
 use self::chaos::ChaosRt;
 use self::endpoints::Endpoints;
 use self::hosts::{Focus, Sender};
+pub use self::publish::known_metrics;
+use self::publish::{Publisher, Reading};
 use crate::fabric::Fabric;
 use crate::result::{RpcResult, RunResult};
 use crate::scenario::Scenario;
@@ -241,6 +244,9 @@ pub struct Simulation {
     endpoints: Endpoints,
     /// Compiled chaos timeline, if the scenario carries one.
     chaos: Option<ChaosRt>,
+    /// The ids of every published metric, while a telemetry pipeline is
+    /// attached.
+    publisher: Option<Publisher>,
     window: Window,
     next_tick: Nanos,
 }
@@ -278,6 +284,11 @@ impl Simulation {
         if cfg.record {
             ctx.obs.telemetry = TelemetryHandle::new(Telemetry::default());
         }
+        let flows = endpoints.flows().len();
+        let publisher = ctx
+            .obs
+            .telemetry
+            .with_mut(|t| Publisher::register(t, &fabric, flows));
 
         Simulation {
             ctx,
@@ -287,6 +298,7 @@ impl Simulation {
             focus,
             endpoints,
             chaos,
+            publisher,
             window: Window::default(),
             next_tick: cfg.host.tick,
             cfg,
@@ -323,11 +335,14 @@ impl Simulation {
     }
 
     /// Attach a telemetry pipeline (replacing the default one
-    /// `Scenario::record` installs, or the disabled handle otherwise).
-    /// Call before `run`; the handle can be inspected afterwards, and
+    /// `Scenario::record` installs, or the disabled handle otherwise),
+    /// registering every metric the run publishes with it. Call before
+    /// `run`; the handle can be inspected afterwards, and
     /// [`RunResult::telemetry`](crate::RunResult::telemetry) carries the
     /// frozen result.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
+        let flows = self.endpoints.flows().len();
+        self.publisher = telemetry.with_mut(|t| Publisher::register(t, &self.fabric, flows));
         self.ctx.obs.telemetry = telemetry;
     }
 
@@ -605,12 +620,11 @@ impl Simulation {
                 t.record(now, ev)
             });
             self.window.record_sample(&sample);
-            obs.telemetry.with_mut(|t| {
-                t.registry_mut().histogram_record(
-                    "core.signals.read_latency_ns",
-                    sample.read_latency().as_nanos() as f64,
-                )
-            });
+            if let Some(p) = &self.publisher {
+                let ns = sample.read_latency().as_nanos() as f64;
+                obs.telemetry
+                    .with_mut(|t| t.registry_mut().record(p.read_latency, ns));
+            }
         }
         let eff_level = f64::from(self.focus.rx.mba_mut().effective_level(now));
         self.window.level_sum += eff_level;
@@ -632,12 +646,15 @@ impl Simulation {
         self.endpoints.check();
     }
 
-    /// Update registry gauges from the host probe and the latest signal
-    /// sample, run the invariant watchdog, and snapshot a telemetry sample
-    /// — when a pipeline is attached and a sample is due. Every value is a
-    /// plain read of existing model state, so the instrumented run is
-    /// bit-identical to an uninstrumented one.
+    /// Publish every metric from the host probe, the latest signal sample
+    /// and the fabric, run the invariant watchdog, and snapshot a
+    /// telemetry sample — when a pipeline is attached and a sample is due.
+    /// Every value is a plain read of existing model state, so the
+    /// instrumented run is bit-identical to an uninstrumented one.
     fn sample_telemetry(&mut self, now: Nanos, eff_level: f64) {
+        let Some(publisher) = &self.publisher else {
+            return;
+        };
         let telemetry = &self.ctx.obs.telemetry;
         if telemetry.with(|t| t.due(now)) != Some(true) {
             return;
@@ -660,41 +677,22 @@ impl Simulation {
             mba_effective: eff_level as u8,
             mba_levels: MBA_LEVELS,
         };
-        telemetry.with_mut(|t| {
-            let reg = t.registry_mut();
-            let focus = &self.focus;
-            if let Some(s) = focus.last_signal {
-                reg.gauge_set("core.signals.is_raw", s.is_raw);
-                reg.gauge_set("core.signals.is_ewma", s.is);
-                reg.gauge_set("host.pcie.bw_gbps", s.bs_raw.as_gbps());
-            }
-            let requested = focus
+        let focus = &self.focus;
+        let reading = Reading {
+            probe: &probe,
+            signal: focus.last_signal.as_ref(),
+            requested: focus
                 .hostcc
                 .as_ref()
-                .map(|_| focus.rx.mba().requested_level());
-            reg.gauge_set("host.mba.level", requested.map_or(0.0, f64::from));
-            reg.gauge_set("host.mba.level_effective", eff_level);
-            reg.gauge_set("host.nic.backlog_bytes", probe.nic_backlog_bytes as f64);
-            reg.gauge_set("host.iio.occupancy_bytes", probe.iio_waiting_bytes);
-            reg.gauge_set("host.pcie.inflight_bytes", probe.pcie_inflight_bytes);
-            reg.gauge_set("host.pcie.credits_avail", probe.pcie_credits_avail_bytes);
-            reg.gauge_set("host.memctrl.utilization", probe.mc_utilization);
-            reg.gauge_set("host.ddio.eviction_fraction", probe.ddio_eviction_fraction);
-            reg.gauge_set("host.copy.backlog_bytes", probe.copy_backlog_app_bytes);
-            self.endpoints.record_rates(reg);
-            reg.counter_set("host.nic.arrivals", probe.nic_arrivals_total);
-            reg.counter_set("host.nic.drops", probe.nic_drops_total);
-            let ecn_marks = focus.echo.host_marks + self.fabric.totals().1;
-            reg.counter_set("core.echo.ecn_marks", ecn_marks);
-            reg.counter_set("fabric.fault.drops", self.fault.drops());
-            reg.counter_set("fabric.fault.corruptions", self.fault.corruptions());
-            reg.counter_set("fabric.fault.passed", self.fault.passed());
-            self.fabric.record_ports(now, reg);
-            if let Some(c) = &self.chaos {
-                reg.counter_set("chaos.injections", c.fired);
-                reg.counter_set("chaos.drops", c.drops);
-                reg.gauge_set("chaos.active_windows", c.open_windows() as f64);
-            }
+                .map(|_| focus.rx.mba().requested_level()),
+            eff_level,
+            ecn_marks: focus.echo.host_marks + self.fabric.totals().1,
+            fault: &self.fault,
+            chaos: self.chaos.as_ref(),
+        };
+        telemetry.with_mut(|t| {
+            let flows = self.endpoints.flows();
+            publisher.publish(t.registry_mut(), &reading, now, &mut self.fabric, flows);
             t.check_and_sample(now, &input);
         });
     }
@@ -772,67 +770,6 @@ impl Simulation {
             flowscope: obs.flowscope.with(|f| f.freeze(now)),
         }
     }
-}
-
-/// Every metric the simulation (and its telemetry pipeline) can register,
-/// as dotted-name *families*: a concrete metric belongs to a family when it
-/// equals the family name or extends it by whole dotted components
-/// (`transport.flow` covers `transport.flow.3.rate_gbps`,
-/// `watchdog.violations` covers `watchdog.violations.pcie_credits`). This
-/// is the vocabulary `repro` validates `--telemetry-filter` prefixes
-/// against; `sim::tests` pins it to what a recorded run actually registers.
-pub fn known_metrics() -> &'static [&'static str] {
-    &[
-        "chaos.active_windows",
-        "chaos.drops",
-        "chaos.injections",
-        "core.echo.ecn_marks",
-        "core.signals.is_ewma",
-        "core.signals.is_raw",
-        "core.signals.read_latency_ns",
-        "fabric.fault.corruptions",
-        "fabric.fault.drops",
-        "fabric.fault.passed",
-        "fabric.port",
-        "host.copy.backlog_bytes",
-        "host.ddio.eviction_fraction",
-        "host.iio.occupancy_bytes",
-        "host.mba.level",
-        "host.mba.level_effective",
-        "host.memctrl.utilization",
-        "host.nic.arrivals",
-        "host.nic.backlog_bytes",
-        "host.nic.drops",
-        "host.pcie.bw_gbps",
-        "host.pcie.credits_avail",
-        "host.pcie.inflight_bytes",
-        "transport.flow",
-        "watchdog.checks",
-        "watchdog.violations",
-        "watchdog.violations_running",
-    ]
-}
-
-/// The filter prefixes that select no metric in [`known_metrics`] — either
-/// side of the match may be the componentwise ancestor, so both `host`
-/// (covers several families) and `transport.flow.3.rate_gbps` (inside the
-/// `transport.flow` family) are fine, while `host.gpu` is flagged. Empty
-/// for a match-everything filter.
-pub fn unknown_telemetry_prefixes(filter: &hostcc_telemetry::TelemetryFilter) -> Vec<String> {
-    filter
-        .prefixes()
-        .map(|prefixes| {
-            prefixes
-                .iter()
-                .filter(|p| {
-                    !known_metrics()
-                        .iter()
-                        .any(|m| component_prefix(p, m) || component_prefix(m, p))
-                })
-                .cloned()
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -1260,33 +1197,44 @@ mod tests {
 
     #[test]
     fn known_metrics_cover_everything_a_recorded_run_registers() {
-        use hostcc_telemetry::TelemetryFilter;
-        // A chaos + fault + RPC run touches every metric family there is.
-        let mut s = Scenario::with_congestion(2.0)
+        use hostcc_telemetry::{component_prefix, TelemetryFilter};
+        // A chaos + fault + RPC run on a fat tree touches every metric
+        // family there is.
+        let mut s = Scenario::fat_tree_incast(4, 2.0)
             .enable_hostcc()
             .with_rpc(2)
-            .with_chaos("flap");
+            .with_chaos("flap@link:p3e1-h15@4500us+400us");
         s.fault.drop_chance = 1e-4;
         s.record = true;
         let r = quick(s);
         let reg = &r.telemetry.expect("record=true").registry;
-        let registered = reg
+        let registered: Vec<String> = reg
             .counters()
             .map(|(n, _)| n.to_string())
             .chain(reg.gauges().map(|(n, _)| n.to_string()))
-            .chain(reg.histograms().map(|(n, _)| n.to_string()));
-        for name in registered {
+            .chain(reg.histograms().map(|(n, _)| n.to_string()))
+            .collect();
+        let known = known_metrics();
+        for name in &registered {
             assert!(
-                known_metrics().iter().any(|m| component_prefix(m, &name)),
+                known.iter().any(|m| component_prefix(m, name)),
                 "metric '{name}' missing from known_metrics()"
             );
         }
-        // Validation flags useless prefixes and accepts useful ones.
-        let good = TelemetryFilter::parse("host, transport.flow.3.rate_gbps").unwrap();
-        assert!(unknown_telemetry_prefixes(&good).is_empty());
-        let bad = TelemetryFilter::parse("host.gpu,chaos").unwrap();
-        assert_eq!(unknown_telemetry_prefixes(&bad), ["host.gpu"]);
-        assert!(unknown_telemetry_prefixes(&TelemetryFilter::all()).is_empty());
+        // Every known metric and family shows up in such a run.
+        for m in &known {
+            assert!(
+                registered.iter().any(|n| component_prefix(m, n)),
+                "known metric '{m}' never written"
+            );
+        }
+        // Parsing flags useless prefixes and accepts useful ones.
+        assert!(TelemetryFilter::parse("host, transport.flow.3.rate_gbps", &known).is_ok());
+        let err = TelemetryFilter::parse("host.gpu,chaos", &known).unwrap_err();
+        assert!(err.starts_with("'host.gpu' selects no metrics"), "{err}");
+        for family in ["fabric.port", "transport.flow", "watchdog.violations"] {
+            assert!(err.contains(family), "{err}");
+        }
     }
 
     #[test]

@@ -174,6 +174,20 @@ fn trace_filter_needs_trace() {
 }
 
 #[test]
+fn an_unknown_telemetry_filter_prefix_names_the_vocabulary() {
+    // Parsed before any run starts, so nothing is simulated.
+    fails_with(
+        &["--telemetry-filter", "host.gpu", "hostcc"],
+        "bad --telemetry-filter: 'host.gpu' selects no metrics (known metrics and families: ",
+    );
+    let (code, _, err) = repro(&["--telemetry-filter", "host.pcie,host.gpu", "hostcc"]);
+    assert_eq!(code, 1, "{err}");
+    for family in ["fabric.port", "transport.flow", "watchdog.violations"] {
+        assert!(err.contains(family), "{family}: {err}");
+    }
+}
+
+#[test]
 fn sweep_trace_filter_needs_the_cell_tracer() {
     // It used to exit 0 with a filter that reached no tracer.
     fails_with(

@@ -1,13 +1,17 @@
-//! Allocation ceilings on building a fat-tree simulation. A counting
-//! global allocator counts the allocations (and reallocations) that
-//! `Simulation::new` and the drop of its result make on this thread, so
-//! a per-switch name, a per-flow path or an unsized builder `Vec` coming
-//! back fails here, in every build, without the `alloc-profile` feature.
+//! Allocation ceilings on building a simulation, and exact allocation
+//! counts of running one. A counting global allocator counts the
+//! allocations (and reallocations) made on this thread, so a per-switch
+//! name, a per-flow path or an unsized builder `Vec` coming back fails
+//! here, in every build, without the `alloc-profile` feature; so does a
+//! per-event or per-sample allocation in a run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use hostcc_experiments::figures::Budget;
+use hostcc_experiments::grid::GridSpec;
 use hostcc_experiments::{Scenario, Simulation};
+use hostcc_telemetry::{Telemetry, TelemetryHandle};
 
 struct Counting;
 
@@ -44,11 +48,21 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
+/// Allocations made on this thread while `f` runs.
+fn allocs(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
 /// Allocations made by building and dropping a simulation of `scenario`.
 fn setup_allocs(scenario: Scenario) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    drop(Simulation::new(scenario));
-    ALLOCS.with(Cell::get) - before
+    allocs(|| drop(Simulation::new(scenario)))
+}
+
+/// Allocations made by running `sim` to its result (set-up excluded).
+fn run_allocs(mut sim: Simulation) -> u64 {
+    allocs(|| drop(sim.run()))
 }
 
 #[test]
@@ -89,4 +103,25 @@ fn single_host_set_up_stays_at_its_allocation_counts() {
         let allocs = setup_allocs(scenario);
         assert!(allocs <= ceiling, "{name}: {allocs} allocations");
     }
+}
+
+/// A run allocates only where its state grows (queues, arenas, RPC
+/// histograms and buffers reaching their peak): an RPC completion is
+/// drained in place, not handed back in a fresh buffer.
+#[test]
+fn hostcc_rpc_run_allocates_exactly_its_growth() {
+    let scenario = Scenario::with_congestion(3.0).enable_hostcc().with_rpc(4);
+    let sim = Simulation::new(Budget::quick().apply(scenario));
+    assert_eq!(run_allocs(sim), 372);
+}
+
+/// A recorded run registers its metrics once, at attach; after that a
+/// telemetry sample allocates nothing beyond its series' growth, and the
+/// result's frozen copy.
+#[test]
+fn recorded_hostcc_run_allocates_exactly_its_growth() {
+    let base = GridSpec::preset("hostcc").expect("scenario preset").base;
+    let mut sim = Simulation::new(Budget::quick().apply(base));
+    sim.set_telemetry(TelemetryHandle::new(Telemetry::default()));
+    assert_eq!(run_allocs(sim), 648);
 }

@@ -125,6 +125,16 @@ impl TimeSeries {
         self.stride = self.stride.saturating_mul(2);
     }
 
+    /// Drop every sample, keeping the name, the retention bound and the
+    /// buffers' capacity: the series then fills exactly as a new one would.
+    pub fn clear(&mut self) {
+        self.times.clear();
+        self.values.clear();
+        self.stride = 1;
+        self.seen = 0;
+        self.provisional = false;
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.times.len()
@@ -330,6 +340,24 @@ mod tests {
         }
         assert_eq!(s.len(), 50);
         assert_eq!(s.iter().last(), Some((Nanos::from_nanos(49), 49.0)));
+    }
+
+    #[test]
+    fn cleared_series_refills_like_a_new_one() {
+        let fill = |s: &mut TimeSeries, from: u64| {
+            for i in from..from + 1000 {
+                s.push(Nanos::from_nanos(i), i as f64);
+            }
+        };
+        let mut reused = TimeSeries::with_capacity("x", 64);
+        fill(&mut reused, 0);
+        reused.clear();
+        assert!(reused.is_empty());
+        fill(&mut reused, 5000);
+        let mut fresh = TimeSeries::with_capacity("x", 64);
+        fill(&mut fresh, 5000);
+        assert!(reused.iter().eq(fresh.iter()));
+        assert_eq!(reused.name(), "x");
     }
 
     #[test]

@@ -167,9 +167,12 @@ mod tests {
     #[test]
     fn prometheus_text_mangles_names_and_expands_histograms() {
         let mut r = MetricRegistry::new();
-        r.counter_set("host.nic.drops", 4);
-        r.gauge_set("host.mba.level", 2.0);
-        r.histogram_record("core.signals.read_latency_ns", 850.0);
+        let drops = r.counter("host.nic.drops");
+        let level = r.gauge("host.mba.level");
+        let latency = r.histogram("core.signals.read_latency_ns");
+        r.set_counter(drops, 4);
+        r.set_gauge(level, 2.0);
+        r.record(latency, 850.0);
         let text = prometheus_text(&r);
         assert!(text.contains("# TYPE hostcc_host_nic_drops counter"));
         assert!(text.contains("hostcc_host_nic_drops 4"));
@@ -181,7 +184,8 @@ mod tests {
     #[test]
     fn summary_json_reports_violations_and_fingerprint() {
         let mut t = Telemetry::default();
-        t.registry_mut().gauge_set("g", 1.0);
+        let g = t.gauge("g");
+        t.registry_mut().set_gauge(g, 1.0);
         let healthy = WatchdogInput {
             mba_levels: 5,
             pcie_credit_limit_bytes: 5952.0,

@@ -5,10 +5,30 @@ use std::collections::BTreeMap;
 use hostcc_metrics::TimeSeries;
 use hostcc_sim::{Nanos, Probe, Snapshot};
 
-use crate::registry::{MetricRegistry, TelemetryFilter};
+use crate::registry::{CounterId, GaugeId, HistogramId, MetricRegistry, TelemetryFilter};
 use crate::sampler::{Sampler, DEFAULT_MAX_POINTS, DEFAULT_SAMPLE_INTERVAL};
 use crate::summary::TelemetrySummary;
-use crate::watchdog::{InvariantWatchdog, WatchdogInput, ALL_INVARIANTS};
+use crate::watchdog::{InvariantWatchdog, WatchdogInput, ALL_INVARIANTS, INVARIANT_COUNT};
+
+/// The metrics every pipeline registers for its watchdog. The second is
+/// also the family of the per-invariant counters
+/// (`watchdog.violations.<invariant>`); the third, a gauge, lets the chaos
+/// harness attribute each violation to (or outside) a fault window.
+pub const WATCHDOG_METRICS: [&str; 3] = [
+    "watchdog.checks",
+    "watchdog.violations",
+    "watchdog.violations_running",
+];
+
+/// The ids the watchdog's totals are mirrored under ([`WATCHDOG_METRICS`],
+/// then each invariant's counter in [`ALL_INVARIANTS`] order).
+#[derive(Debug, Clone)]
+struct WatchdogIds {
+    checks: CounterId,
+    violations: CounterId,
+    running: GaugeId,
+    by_invariant: [CounterId; INVARIANT_COUNT],
+}
 
 /// Configuration for a [`Telemetry`] pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,37 +57,66 @@ impl Default for TelemetryConfig {
 
 /// The full telemetry pipeline: registry + periodic sampler + watchdog.
 ///
-/// The owning simulation updates registry gauges and calls
-/// [`Telemetry::check_and_sample`] whenever a sample is due; everything
-/// else (series retention, watchdog bookkeeping, summaries) happens here.
+/// The owning simulation registers each metric once, through
+/// [`Telemetry::counter`], [`Telemetry::gauge`] or
+/// [`Telemetry::histogram`], writes it by id through the registry, and
+/// calls [`Telemetry::check_and_sample`] whenever a sample is due;
+/// everything else (series retention, watchdog bookkeeping, summaries)
+/// happens here.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     cfg: TelemetryConfig,
     registry: MetricRegistry,
     sampler: Sampler,
     watchdog: InvariantWatchdog,
+    watchdog_ids: WatchdogIds,
 }
 
 impl Telemetry {
     /// A pipeline with the given configuration.
     pub fn new(cfg: TelemetryConfig) -> Self {
-        let sampler = Sampler::new(cfg.interval, cfg.max_points, cfg.filter.clone());
+        let mut registry = MetricRegistry::new();
+        let mut sampler = Sampler::new(cfg.interval, cfg.max_points, cfg.filter.clone());
+        let [checks, violations, running] = WATCHDOG_METRICS;
+        let running_id = registry.gauge(running);
+        sampler.track(running_id, running);
+        let watchdog_ids = WatchdogIds {
+            checks: registry.counter(checks),
+            violations: registry.counter(violations),
+            running: running_id,
+            by_invariant: ALL_INVARIANTS
+                .map(|inv| registry.counter(&format!("{violations}.{}", inv.name()))),
+        };
         Telemetry {
             cfg,
-            registry: MetricRegistry::new(),
+            registry,
             sampler,
             watchdog: InvariantWatchdog::new(),
+            watchdog_ids,
         }
     }
 
-    /// Mutable access to the metric registry (for gauge/counter updates).
-    pub fn registry_mut(&mut self) -> &mut MetricRegistry {
-        &mut self.registry
+    /// Register counter `name` (or find it, if registered before).
+    pub fn counter(&mut self, name: &str) -> CounterId {
+        self.registry.counter(name)
     }
 
-    /// Read access to the metric registry.
-    pub fn registry(&self) -> &MetricRegistry {
-        &self.registry
+    /// Register gauge `name` (or find it, if registered before). The
+    /// filter decides here, once, whether the sampler records it.
+    pub fn gauge(&mut self, name: &str) -> GaugeId {
+        let id = self.registry.gauge(name);
+        self.sampler.track(id, name);
+        id
+    }
+
+    /// Register histogram `name` (or find it, if registered before).
+    pub fn histogram(&mut self, name: &str) -> HistogramId {
+        self.registry.histogram(name)
+    }
+
+    /// Mutable access to the metric registry (to write metrics by id).
+    pub fn registry_mut(&mut self) -> &mut MetricRegistry {
+        &mut self.registry
     }
 
     /// Whether a sample is due at simulated time `now`.
@@ -84,22 +133,15 @@ impl Telemetry {
     }
 
     fn mirror_watchdog_counters(&mut self) {
-        self.registry
-            .counter_set("watchdog.checks", self.watchdog.checks());
-        self.registry
-            .counter_set("watchdog.violations", self.watchdog.total_violations());
-        // Also exposed as a gauge: counters are not recorded as series, and
-        // the chaos harness needs the violation count *over time* to
-        // attribute each violation to (or outside) a fault window.
-        self.registry.gauge_set(
-            "watchdog.violations_running",
-            self.watchdog.total_violations() as f64,
-        );
-        for inv in ALL_INVARIANTS {
-            let n = self.watchdog.violations_of(inv);
+        let (ids, reg) = (&self.watchdog_ids, &mut self.registry);
+        let total = self.watchdog.total_violations();
+        reg.set_counter(ids.checks, self.watchdog.checks());
+        reg.set_counter(ids.violations, total);
+        reg.set_gauge(ids.running, total as f64);
+        for (inv, &id) in ALL_INVARIANTS.iter().zip(&ids.by_invariant) {
+            let n = self.watchdog.violations_of(*inv);
             if n > 0 {
-                self.registry
-                    .counter_set(&format!("watchdog.violations.{}", inv.name()), n);
+                reg.set_counter(id, n);
             }
         }
     }
@@ -121,7 +163,7 @@ impl Telemetry {
             s.counters.insert(name.to_string(), v);
         }
         for (name, st) in self.sampler.stats() {
-            s.gauges.insert(name.clone(), *st);
+            s.gauges.insert(name.to_string(), *st);
         }
         for inv in ALL_INVARIANTS {
             let n = self.watchdog.violations_of(inv);
@@ -135,7 +177,7 @@ impl Telemetry {
     /// Freeze the pipeline into an exportable result.
     pub fn finish(&self) -> TelemetryResult {
         TelemetryResult {
-            series: self.sampler.series().clone(),
+            series: self.sampler.series(),
             registry: self.registry.clone(),
             summary: self.summary(),
             strict: self.cfg.strict,
@@ -214,9 +256,10 @@ mod tests {
     fn clones_share_one_pipeline() {
         let h = TelemetryHandle::new(Telemetry::default());
         let h2 = h.clone();
-        h.with_mut(|t| t.registry_mut().counter_set("c", 1));
+        let c = h.with_mut(|t| t.counter("c")).unwrap();
+        h.with_mut(|t| t.registry_mut().set_counter(c, 1));
         assert_eq!(h2.with(|t| t.summary().counters["c"]), Some(1));
-        h2.with_mut(|t| t.registry_mut().counter_set("c", 3));
+        h2.with_mut(|t| t.registry_mut().set_counter(c, 3));
         assert_eq!(h.with(|t| t.summary().counters["c"]), Some(3));
         assert_eq!(h2.report().map(|r| r.summary.counters["c"]), Some(3));
     }
@@ -224,8 +267,8 @@ mod tests {
     #[test]
     fn check_and_sample_records_gauges_and_watchdog_counters() {
         let mut t = Telemetry::default();
-        t.registry_mut()
-            .gauge_set("host.iio.occupancy_bytes", 640.0);
+        let occupancy = t.gauge("host.iio.occupancy_bytes");
+        t.registry_mut().set_gauge(occupancy, 640.0);
         let input = WatchdogInput {
             mba_levels: 5,
             pcie_credit_limit_bytes: 5952.0,
@@ -240,6 +283,9 @@ mod tests {
         assert_eq!(s.total_violations(), 0);
         assert_eq!(s.counters["watchdog.violations"], 0);
         assert_eq!(s.gauges["host.iio.occupancy_bytes"].count, 1);
+        // Per-invariant counters stay unset until their first violation.
+        let names: Vec<_> = s.counters.keys().collect();
+        assert_eq!(names, ["watchdog.checks", "watchdog.violations"]);
     }
 
     #[test]
@@ -259,7 +305,8 @@ mod tests {
     #[test]
     fn reset_window_keeps_watchdog_totals() {
         let mut t = Telemetry::default();
-        t.registry_mut().gauge_set("g", 1.0);
+        let g = t.gauge("g");
+        t.registry_mut().set_gauge(g, 1.0);
         t.check_and_sample(Nanos::ZERO, &WatchdogInput::default());
         t.reset_window();
         let s = t.summary();

@@ -8,11 +8,14 @@
 //!
 //! - [`MetricRegistry`] — hierarchical named counters, gauges and
 //!   log-bucketed histograms (`host.iio.occupancy_bytes`,
-//!   `host.pcie.credits_avail`, `core.echo.ecn_marks`, …);
+//!   `host.pcie.credits_avail`, `core.echo.ecn_marks`, …), each
+//!   registered once by name and written by its id ([`CounterId`],
+//!   [`GaugeId`], [`HistogramId`]);
 //! - `Sampler` — deterministic periodic snapshots of every registered
-//!   gauge into bounded [`hostcc_metrics::TimeSeries`], one sample per
-//!   interval of simulated time (default: the 700 ns hostCC sampling
-//!   interval), exported as wide CSV, JSONL or Prometheus text;
+//!   gauge the [`TelemetryFilter`] selected at registration into bounded
+//!   [`hostcc_metrics::TimeSeries`], one sample per interval of simulated
+//!   time (default: the 700 ns hostCC sampling interval), exported as wide
+//!   CSV, JSONL or Prometheus text;
 //! - `InvariantWatchdog` — conservation checks (NIC packets, PCIe
 //!   credits, IIO byte accounting, MBA level range) evaluated at every
 //!   sample, with a strict mode that fails the run on the first leak;
@@ -25,11 +28,13 @@
 //! use hostcc_telemetry::{Telemetry, TelemetryHandle, WatchdogInput};
 //!
 //! let handle = TelemetryHandle::new(Telemetry::default());
-//! // The simulation refreshes gauges and samples when due:
+//! // The simulation registers each metric once, when it attaches …
+//! let occupancy = handle.with_mut(|t| t.gauge("host.iio.occupancy_bytes")).unwrap();
+//! // … then refreshes gauges by id and samples when due:
 //! let input = WatchdogInput { mba_levels: 5, pcie_credit_limit_bytes: 5952.0,
 //!                             ..Default::default() };
 //! handle.with_mut(|t| {
-//!     t.registry_mut().gauge_set("host.iio.occupancy_bytes", 640.0);
+//!     t.registry_mut().set_gauge(occupancy, 640.0);
 //!     if t.due(Nanos::from_nanos(700)) {
 //!         t.check_and_sample(Nanos::from_nanos(700), &input);
 //!     }
@@ -53,7 +58,10 @@ mod summary;
 mod watchdog;
 
 pub use export::{prometheus_text, summary_json, to_jsonl, wide_csv};
-pub use handle::{Telemetry, TelemetryConfig, TelemetryHandle, TelemetryResult};
-pub use registry::{component_prefix, LogHistogram, MetricRegistry, TelemetryFilter};
+pub use handle::{Telemetry, TelemetryConfig, TelemetryHandle, TelemetryResult, WATCHDOG_METRICS};
+pub use registry::{
+    component_prefix, CounterId, GaugeId, HistogramId, LogHistogram, MetricRegistry,
+    TelemetryFilter,
+};
 pub use summary::{GaugeStat, TelemetrySummary};
 pub use watchdog::WatchdogInput;

@@ -1,11 +1,10 @@
 //! The metric registry: named counters, gauges and log-bucketed histograms.
 //!
 //! Metric names form a dotted hierarchy (`host.iio.occupancy_bytes`,
-//! `core.echo.ecn_marks`, `transport.flow.3.rate_gbps`, …). The registry is
-//! a plain sorted map — iteration order is deterministic, which the sweep
-//! fingerprinting relies on.
-
-use std::collections::BTreeMap;
+//! `core.echo.ecn_marks`, `transport.flow.3.rate_gbps`, …). Names are
+//! interned once, at registration; a write is a `Vec` index. Listings and
+//! exports walk the names in sorted order, which the sweep fingerprinting
+//! relies on.
 
 /// Number of power-of-two buckets in a [`LogHistogram`].
 pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
@@ -97,6 +96,54 @@ impl LogHistogram {
     }
 }
 
+/// A registered counter: its index in the registry's counter table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(u32);
+
+/// A registered gauge: its index in the registry's gauge table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(u32);
+
+/// A registered histogram: its index in the registry's histogram table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(u32);
+
+/// One kind's metrics: names interned once, values by the same index.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Table<V> {
+    names: Vec<String>,
+    /// `None` until the metric's first write.
+    values: Vec<Option<V>>,
+}
+
+impl<V> Table<V> {
+    /// The index of `name`, registering it (unset) on first sight.
+    fn intern(&mut self, name: &str) -> u32 {
+        let i = self
+            .names
+            .iter()
+            .position(|n| n == name)
+            .unwrap_or_else(|| {
+                self.names.push(name.to_string());
+                self.values.push(None);
+                self.names.len() - 1
+            });
+        i as u32
+    }
+
+    /// Every written metric, in name order.
+    fn written(&self) -> impl Iterator<Item = (&str, &V)> {
+        let mut set: Vec<(&str, &V)> = self
+            .names
+            .iter()
+            .zip(&self.values)
+            .filter_map(|(n, v)| Some((n.as_str(), v.as_ref()?)))
+            .collect();
+        set.sort_unstable_by_key(|&(n, _)| n);
+        set.into_iter()
+    }
+}
+
 /// A hierarchical registry of named metrics.
 ///
 /// Three metric kinds:
@@ -104,11 +151,16 @@ impl LogHistogram {
 /// - **gauges**: instantaneous `f64` state (occupancy, credits, level) —
 ///   these are what the periodic `crate::Sampler` snapshots;
 /// - **histograms**: log-bucketed distributions of per-event values.
+///
+/// A metric is registered once, by name, through
+/// [`Telemetry`](crate::Telemetry), and written by the id that returns:
+/// each write is a `Vec` index. A registered metric stays unset, and out
+/// of every listing and export, until its first write.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, LogHistogram>,
+    counters: Table<u64>,
+    gauges: Table<f64>,
+    histograms: Table<LogHistogram>,
 }
 
 impl MetricRegistry {
@@ -117,65 +169,64 @@ impl MetricRegistry {
         Self::default()
     }
 
-    /// Set counter `name` to an absolute value (used to mirror cumulative
+    pub(crate) fn counter(&mut self, name: &str) -> CounterId {
+        CounterId(self.counters.intern(name))
+    }
+
+    pub(crate) fn gauge(&mut self, name: &str) -> GaugeId {
+        GaugeId(self.gauges.intern(name))
+    }
+
+    pub(crate) fn histogram(&mut self, name: &str) -> HistogramId {
+        HistogramId(self.histograms.intern(name))
+    }
+
+    /// Set a counter to an absolute value (used to mirror cumulative
     /// totals the model already tracks).
-    pub fn counter_set(&mut self, name: &str, value: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c = value;
-        } else {
-            self.counters.insert(name.to_string(), value);
-        }
+    #[inline]
+    pub fn set_counter(&mut self, id: CounterId, value: u64) {
+        self.counters.values[id.0 as usize] = Some(value);
     }
 
-    /// Set gauge `name` to its current value.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
+    /// Set a gauge to its current value.
+    #[inline]
+    pub fn set_gauge(&mut self, id: GaugeId, value: f64) {
+        self.gauges.values[id.0 as usize] = Some(value);
     }
 
-    /// Record one value into histogram `name`.
-    pub fn histogram_record(&mut self, name: &str, value: f64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = LogHistogram::new();
-            h.record(value);
-            self.histograms.insert(name.to_string(), h);
-        }
+    /// Record one value into a histogram.
+    #[inline]
+    pub fn record(&mut self, id: HistogramId, value: f64) {
+        self.histograms.values[id.0 as usize]
+            .get_or_insert_with(LogHistogram::new)
+            .record(value);
     }
 
-    /// All counters, in name order.
+    /// A gauge's current value; `None` before its first write.
+    #[inline]
+    pub(crate) fn gauge_value(&self, id: GaugeId) -> Option<f64> {
+        self.gauges.values[id.0 as usize]
+    }
+
+    /// All written counters, in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+        self.counters.written().map(|(n, &v)| (n, v))
     }
 
-    /// All gauges, in name order.
+    /// All written gauges, in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
+        self.gauges.written().map(|(n, &v)| (n, v))
     }
 
-    /// All histograms, in name order.
+    /// All written histograms, in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Total number of registered metrics of all kinds.
-    pub fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len()
-    }
-
-    /// Whether no metric has been registered yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.histograms.written()
     }
 }
 
 /// A comma-separated list of dotted-name prefixes selecting which metrics
 /// the sampler records (`host.iio,host.pcie`); empty or `all` selects
-/// everything.
+/// everything. It is resolved once per gauge, when the gauge registers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryFilter {
     /// `None` selects every metric.
@@ -189,8 +240,13 @@ impl TelemetryFilter {
     }
 
     /// Parse a comma-separated prefix list; `""` and `"all"` select
-    /// everything. Empty parts (`"host.iio,,"`) are rejected.
-    pub fn parse(spec: &str) -> Result<Self, String> {
+    /// everything. `vocabulary` is every metric name or dotted family a
+    /// run can register. A part that selects none of it is an error that
+    /// lists the whole vocabulary — a silently-ignored typo would
+    /// masquerade as "no series of that kind". A part may be a family's
+    /// ancestor (`host`) or lie inside a family (`transport.flow.3`).
+    /// Empty parts (`"host.iio,,"`) are rejected.
+    pub fn parse(spec: &str, vocabulary: &[&str]) -> Result<Self, String> {
         let spec = spec.trim();
         if spec.is_empty() || spec == "all" {
             return Ok(Self::all());
@@ -201,16 +257,18 @@ impl TelemetryFilter {
             if part.is_empty() {
                 return Err(format!("empty prefix in telemetry filter '{spec}'"));
             }
+            let known = |m: &&str| component_prefix(part, m) || component_prefix(m, part);
+            if !vocabulary.iter().any(known) {
+                return Err(format!(
+                    "'{part}' selects no metrics (known metrics and families: {})",
+                    vocabulary.join(", ")
+                ));
+            }
             prefixes.push(part.to_string());
         }
         Ok(TelemetryFilter {
             prefixes: Some(prefixes),
         })
-    }
-
-    /// The configured prefixes; `None` when every metric is selected.
-    pub fn prefixes(&self) -> Option<&[String]> {
-        self.prefixes.as_deref()
     }
 
     /// Whether metric `name` passes the filter: some prefix is a
@@ -267,33 +325,49 @@ mod tests {
     #[test]
     fn registry_counter_gauge_histogram_round_trip() {
         let mut r = MetricRegistry::new();
-        r.counter_set("host.nic.drops", 2);
-        r.counter_set("host.nic.drops", 5);
-        r.counter_set("core.echo.ecn_marks", 7);
-        r.gauge_set("host.iio.occupancy_bytes", 640.0);
-        r.gauge_set("host.iio.occupancy_bytes", 128.0);
-        r.histogram_record("core.signals.read_latency_ns", 850.0);
-        assert_eq!(r.counters["host.nic.drops"], 5);
-        assert_eq!(r.counters["core.echo.ecn_marks"], 7);
-        assert_eq!(r.counters.get("missing"), None);
-        assert_eq!(r.gauges["host.iio.occupancy_bytes"], 128.0);
-        assert_eq!(r.gauges.get("missing"), None);
-        assert_eq!(r.histograms["core.signals.read_latency_ns"].count(), 1);
-        assert_eq!(r.len(), 4);
+        let drops = r.counter("host.nic.drops");
+        let marks = r.counter("core.echo.ecn_marks");
+        let occupancy = r.gauge("host.iio.occupancy_bytes");
+        let latency = r.histogram("core.signals.read_latency_ns");
+        assert_eq!(r.counter("host.nic.drops"), drops, "names intern once");
+        assert_eq!(r.counters().count(), 0, "registered metrics stay unset");
+        r.set_counter(drops, 2);
+        r.set_counter(drops, 5);
+        r.set_counter(marks, 7);
+        r.set_gauge(occupancy, 640.0);
+        r.set_gauge(occupancy, 128.0);
+        r.record(latency, 850.0);
+        let counters: Vec<_> = r.counters().collect();
+        assert_eq!(
+            counters,
+            [("core.echo.ecn_marks", 7), ("host.nic.drops", 5)]
+        );
+        assert_eq!(r.gauge_value(occupancy), Some(128.0));
+        let (name, h) = r.histograms().next().unwrap();
+        assert_eq!((name, h.count()), ("core.signals.read_latency_ns", 1));
     }
 
     #[test]
     fn gauges_iterate_in_name_order() {
         let mut r = MetricRegistry::new();
-        r.gauge_set("z.last", 1.0);
-        r.gauge_set("a.first", 2.0);
+        let last = r.gauge("z.last");
+        let first = r.gauge("a.first");
+        r.gauge("m.unset");
+        r.set_gauge(last, 1.0);
+        r.set_gauge(first, 2.0);
         let names: Vec<&str> = r.gauges().map(|(n, _)| n).collect();
         assert_eq!(names, ["a.first", "z.last"]);
     }
 
+    const VOCABULARY: &[&str] = &[
+        "core.echo.ecn_marks",
+        "host.iio.occupancy_bytes",
+        "transport.flow",
+    ];
+
     #[test]
     fn filter_matches_whole_components() {
-        let f = TelemetryFilter::parse("host.iio, core").unwrap();
+        let f = TelemetryFilter::parse("host.iio, core", VOCABULARY).unwrap();
         assert!(f.wants("host.iio.occupancy_bytes"));
         assert!(f.wants("host.iio"));
         assert!(f.wants("core.echo.ecn_marks"));
@@ -303,8 +377,19 @@ mod tests {
 
     #[test]
     fn filter_all_and_errors() {
-        assert!(TelemetryFilter::parse("").unwrap().wants("anything"));
-        assert!(TelemetryFilter::parse("all").unwrap().wants("x.y"));
-        assert!(TelemetryFilter::parse("host,,core").is_err());
+        assert!(TelemetryFilter::parse("", VOCABULARY)
+            .unwrap()
+            .wants("anything"));
+        assert!(TelemetryFilter::parse("all", &[]).unwrap().wants("x.y"));
+        assert!(TelemetryFilter::parse("host,,core", VOCABULARY).is_err());
+        // A part may sit inside a family or above a metric.
+        assert!(TelemetryFilter::parse("host, transport.flow.3.rate_gbps", VOCABULARY).is_ok());
+        let err = TelemetryFilter::parse("host.gpu,core", VOCABULARY).unwrap_err();
+        assert_eq!(
+            err,
+            "'host.gpu' selects no metrics (known metrics and families: \
+             core.echo.ecn_marks, host.iio.occupancy_bytes, transport.flow)"
+        );
+        assert!(TelemetryFilter::parse("host.iiofoo", VOCABULARY).is_err());
     }
 }

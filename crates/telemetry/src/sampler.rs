@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use hostcc_metrics::TimeSeries;
 use hostcc_sim::Nanos;
 
-use crate::registry::{MetricRegistry, TelemetryFilter};
+use crate::registry::{GaugeId, MetricRegistry, TelemetryFilter};
 use crate::summary::GaugeStat;
 
 /// Default sampling interval: the hostCC sampling interval from the paper
@@ -15,6 +15,14 @@ pub(crate) const DEFAULT_SAMPLE_INTERVAL: Nanos = Nanos::from_nanos(700);
 
 /// Default per-series retention bound (stride-doubling kicks in beyond it).
 pub(crate) const DEFAULT_MAX_POINTS: usize = 4096;
+
+/// One tracked gauge: its series and its running statistics.
+#[derive(Debug, Clone)]
+struct Slot {
+    gauge: GaugeId,
+    series: TimeSeries,
+    stat: GaugeStat,
+}
 
 /// Snapshots gauges into per-metric [`TimeSeries`] once per interval.
 ///
@@ -30,12 +38,13 @@ pub(crate) struct Sampler {
     filter: TelemetryFilter,
     next_at: Nanos,
     samples: u64,
-    series: BTreeMap<String, TimeSeries>,
-    stats: BTreeMap<String, GaugeStat>,
+    /// One slot per gauge the filter selected, in registration order.
+    slots: Vec<Slot>,
 }
 
 impl Sampler {
-    /// A sampler with the given cadence, retention bound and metric filter.
+    /// A sampler with the given cadence, retention bound and metric
+    /// filter, tracking no gauge yet.
     pub(crate) fn new(interval: Nanos, max_points: usize, filter: TelemetryFilter) -> Self {
         Sampler {
             interval: interval.max(Nanos::from_nanos(1)),
@@ -43,8 +52,19 @@ impl Sampler {
             filter,
             next_at: Nanos::ZERO,
             samples: 0,
-            series: BTreeMap::new(),
-            stats: BTreeMap::new(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Record gauge `gauge` (registered as `name`) from the next sample
+    /// on, if the filter selects it.
+    pub(crate) fn track(&mut self, gauge: GaugeId, name: &str) {
+        if self.filter.wants(name) && self.slots.iter().all(|s| s.gauge != gauge) {
+            self.slots.push(Slot {
+                gauge,
+                series: TimeSeries::with_capacity(name, self.max_points),
+                stat: GaugeStat::default(),
+            });
         }
     }
 
@@ -53,26 +73,13 @@ impl Sampler {
         now >= self.next_at
     }
 
-    /// Snapshot every filtered gauge in `registry` at time `now` and
+    /// Snapshot every tracked gauge that has a value at time `now` and
     /// schedule the next sample one interval later.
     pub(crate) fn sample(&mut self, now: Nanos, registry: &MetricRegistry) {
-        for (name, v) in registry.gauges() {
-            if !self.filter.wants(name) {
-                continue;
-            }
-            if let Some(s) = self.series.get_mut(name) {
-                s.push(now, v);
-            } else {
-                let mut s = TimeSeries::with_capacity(name, self.max_points);
-                s.push(now, v);
-                self.series.insert(name.to_string(), s);
-            }
-            if let Some(st) = self.stats.get_mut(name) {
-                st.observe(v);
-            } else {
-                let mut st = GaugeStat::default();
-                st.observe(v);
-                self.stats.insert(name.to_string(), st);
+        for slot in &mut self.slots {
+            if let Some(v) = registry.gauge_value(slot.gauge) {
+                slot.series.push(now, v);
+                slot.stat.observe(v);
             }
         }
         self.samples += 1;
@@ -84,34 +91,33 @@ impl Sampler {
         self.samples
     }
 
+    /// The slots sampled at least once in the window.
+    fn sampled(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.iter().filter(|s| s.stat.count > 0)
+    }
+
     /// The recorded series, keyed by metric name.
-    pub(crate) fn series(&self) -> &BTreeMap<String, TimeSeries> {
-        &self.series
+    pub(crate) fn series(&self) -> BTreeMap<String, TimeSeries> {
+        self.sampled()
+            .map(|s| (s.series.name().to_string(), s.series.clone()))
+            .collect()
     }
 
     /// Running per-gauge statistics over all samples in the window (not
-    /// subject to the retention bound).
-    pub(crate) fn stats(&self) -> &BTreeMap<String, GaugeStat> {
-        &self.stats
+    /// subject to the retention bound), by metric name.
+    pub(crate) fn stats(&self) -> impl Iterator<Item = (&str, &GaugeStat)> {
+        self.sampled().map(|s| (s.series.name(), &s.stat))
     }
 
     /// Drop everything recorded so far (called at the warmup/measure
     /// boundary so exported series cover the measurement window only).
-    /// The sampling cadence itself is unaffected.
+    /// The sampling cadence and the tracked gauges are unaffected.
     pub(crate) fn reset_window(&mut self) {
-        self.series.clear();
-        self.stats.clear();
+        for slot in &mut self.slots {
+            slot.series.clear();
+            slot.stat = GaugeStat::default();
+        }
         self.samples = 0;
-    }
-}
-
-impl Default for Sampler {
-    fn default() -> Self {
-        Sampler::new(
-            DEFAULT_SAMPLE_INTERVAL,
-            DEFAULT_MAX_POINTS,
-            TelemetryFilter::all(),
-        )
     }
 }
 
@@ -119,14 +125,33 @@ impl Default for Sampler {
 mod tests {
     use super::*;
 
+    /// A sampler over `reg` tracking every gauge in `names`.
+    fn tracking(
+        reg: &mut MetricRegistry,
+        interval: u64,
+        max: usize,
+        names: &[&str],
+    ) -> (Sampler, Vec<GaugeId>) {
+        let mut s = Sampler::new(Nanos::from_nanos(interval), max, TelemetryFilter::all());
+        let ids = names
+            .iter()
+            .map(|n| {
+                let id = reg.gauge(n);
+                s.track(id, n);
+                id
+            })
+            .collect();
+        (s, ids)
+    }
+
     #[test]
     fn samples_at_fixed_cadence() {
         let mut reg = MetricRegistry::new();
-        let mut s = Sampler::new(Nanos::from_nanos(700), 0, TelemetryFilter::all());
+        let (mut s, ids) = tracking(&mut reg, 700, 0, &["host.iio.occupancy_bytes"]);
         let mut taken = 0u64;
         for tick in 0..100u64 {
             let now = Nanos::from_nanos(tick * 100);
-            reg.gauge_set("host.iio.occupancy_bytes", tick as f64);
+            reg.set_gauge(ids[0], tick as f64);
             if s.due(now) {
                 s.sample(now, &reg);
                 taken += 1;
@@ -142,14 +167,22 @@ mod tests {
 
     #[test]
     fn filter_limits_recorded_series() {
+        // The filter acts at registration: a filtered-out gauge is written
+        // but never sampled, and a tracked one only once it has a value.
         let mut reg = MetricRegistry::new();
-        reg.gauge_set("host.iio.occupancy_bytes", 1.0);
-        reg.gauge_set("host.pcie.bw_gbps", 2.0);
-        let mut s = Sampler::new(
-            Nanos::from_nanos(700),
-            0,
-            TelemetryFilter::parse("host.pcie").unwrap(),
-        );
+        let filter = TelemetryFilter::parse("host.pcie,core", &["host", "core"]).unwrap();
+        let mut s = Sampler::new(Nanos::from_nanos(700), 0, filter);
+        for (name, v) in [
+            ("host.iio.occupancy_bytes", Some(1.0)),
+            ("host.pcie.bw_gbps", Some(2.0)),
+            ("core.signals.is_raw", None),
+        ] {
+            let id = reg.gauge(name);
+            s.track(id, name);
+            if let Some(v) = v {
+                reg.set_gauge(id, v);
+            }
+        }
         s.sample(Nanos::ZERO, &reg);
         assert_eq!(s.series().len(), 1);
         assert!(s.series().contains_key("host.pcie.bw_gbps"));
@@ -158,8 +191,8 @@ mod tests {
     #[test]
     fn reset_window_clears_series_but_keeps_cadence() {
         let mut reg = MetricRegistry::new();
-        reg.gauge_set("g", 1.0);
-        let mut s = Sampler::default();
+        let (mut s, ids) = tracking(&mut reg, 700, 4096, &["g"]);
+        reg.set_gauge(ids[0], 1.0);
         s.sample(Nanos::ZERO, &reg);
         assert!(!s.due(Nanos::from_nanos(100)));
         s.reset_window();
@@ -172,14 +205,15 @@ mod tests {
     #[test]
     fn stats_track_all_samples() {
         let mut reg = MetricRegistry::new();
-        let mut s = Sampler::new(Nanos::from_nanos(1), 16, TelemetryFilter::all());
+        let (mut s, ids) = tracking(&mut reg, 1, 16, &["g"]);
         for i in 0..1000u64 {
-            reg.gauge_set("g", i as f64);
+            reg.set_gauge(ids[0], i as f64);
             s.sample(Nanos::from_nanos(i), &reg);
         }
         // Series is bounded, stats are not.
         assert!(s.series()["g"].len() <= 16);
-        let st = &s.stats()["g"];
+        let (name, st) = s.stats().next().unwrap();
+        assert_eq!(name, "g");
         assert_eq!(st.count, 1000);
         assert_eq!(st.min, 0.0);
         assert_eq!(st.max, 999.0);

@@ -248,9 +248,10 @@ impl Receiver {
         take
     }
 
-    /// Drain completed messages (RPC layer).
-    pub fn take_completed(&mut self) -> Vec<CompletedMessage> {
-        std::mem::take(&mut self.completed)
+    /// Drain completed messages in place (RPC layer): the buffer keeps its
+    /// capacity, so a completion allocates nothing once it has grown.
+    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, CompletedMessage> {
+        self.completed.drain(..)
     }
 
     /// Bytes held out of order (diagnostics).
@@ -356,9 +357,9 @@ mod tests {
         let mut r = rx();
         // Message [0, 2000): second half arrives first.
         r.on_data(&data(1000, 1000, true), Nanos::from_micros(1));
-        assert!(r.take_completed().is_empty());
+        assert_eq!(r.drain_completed().len(), 0);
         r.on_data(&data(0, 1000, false), Nanos::from_micros(2));
-        let done = r.take_completed();
+        let done: Vec<_> = r.drain_completed().collect();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].end_offset, 2000);
         assert_eq!(done[0].completed_at, Nanos::from_micros(2));
@@ -369,11 +370,11 @@ mod tests {
         let mut r = rx();
         r.on_data(&data(0, 100, true), Nanos::ZERO);
         r.on_data(&data(100, 100, true), Nanos::ZERO);
-        let done = r.take_completed();
+        let done: Vec<_> = r.drain_completed().collect();
         assert_eq!(done.len(), 2);
         assert_eq!(done[0].end_offset, 100);
         assert_eq!(done[1].end_offset, 200);
-        assert!(r.take_completed().is_empty(), "drained");
+        assert_eq!(r.drain_completed().len(), 0, "drained");
     }
 
     #[test]

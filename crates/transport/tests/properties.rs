@@ -113,7 +113,7 @@ proptest! {
             }
         }
         prop_assert_eq!(r.cum_ack(), total, "stream must complete");
-        let done = r.take_completed();
+        let done: Vec<_> = r.drain_completed().collect();
         prop_assert_eq!(done.len(), 1);
         prop_assert_eq!(done[0].end_offset, total);
     }
